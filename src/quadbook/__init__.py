@@ -1,5 +1,7 @@
 """Exact homology and open book structures for generic intersections of quadrics."""
 
+from types import ModuleType as _ModuleType
+
 from .configuration import (
     Configuration,
     ConfigurationError,
@@ -19,13 +21,7 @@ from .configuration import (
     make_configuration,
     validate,
 )
-from .feasibility import (
-    LinearSystem,
-    face_nonempty,
-    feasible,
-    origin_in_convex_hull,
-    polytope_system,
-)
+from .feasibility import origin_in_convex_hull
 from .complexes import (
     GradedGroup,
     SimplicialComplex,
@@ -80,4 +76,7 @@ from .openbook import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

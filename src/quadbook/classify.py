@@ -56,15 +56,26 @@ class CyclicPartition:
         return "(" + ",".join(str(p) for p in self.parts) + ")"
 
 
+def _canonical_order(parts: Sequence[int]) -> tuple[tuple[int, ...], list[int]]:
+    """Least rotation or reflection of the parts, with the source index of each position.
+
+    Among equal representatives the first found wins, rotations before the
+    reflection, so the order is deterministic.
+    """
+    m = len(parts)
+    best = None
+    for idx in (list(range(m)), list(range(m))[::-1]):
+        for r in range(m):
+            order = idx[r:] + idx[:r]
+            cand = tuple(parts[i] for i in order)
+            if best is None or cand < best[0]:
+                best = (cand, order)
+    return best
+
+
 def canonical_cycle(parts: Sequence[int]) -> tuple[int, ...]:
     """Lexicographically least representative over rotations and the reflection."""
-    parts = tuple(parts)
-    m = len(parts)
-    candidates = []
-    for seq in (parts, parts[::-1]):
-        for r in range(m):
-            candidates.append(seq[r:] + seq[:r])
-    return min(candidates)
+    return _canonical_order(tuple(parts))[0]
 
 
 def rotate_parts(parts: Sequence[int], class_index: int) -> tuple[int, ...]:
@@ -167,17 +178,7 @@ def normal_form_labelled(cfg: Configuration) -> tuple[CyclicPartition, tuple[tup
     found_parts = tuple(len(g) for g in groups)
     _self_check(cfg, found_parts, groups)
     # canonicalise, keeping the classes aligned with the chosen representative
-    m = len(found_parts)
-    best = None
-    for reflect in (False, True):
-        seq = found_parts[::-1] if reflect else found_parts
-        idx = list(range(m))[::-1] if reflect else list(range(m))
-        for r in range(m):
-            cand = seq[r:] + seq[:r]
-            order = idx[r:] + idx[:r]
-            if best is None or cand < best[0]:
-                best = (cand, order)
-    parts, order = best
+    parts, order = _canonical_order(found_parts)
     classes = tuple(tuple(sorted(groups[src])) for src in order)
     return CyclicPartition(parts), classes
 

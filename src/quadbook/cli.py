@@ -13,9 +13,7 @@ import json
 import sys
 
 from .configuration import (
-    ConfigurationError,
     InvalidConfigurationError,
-    OpenBookError,
     OracleMismatchError,
     ParseError,
     QuadbookError,
@@ -48,21 +46,21 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_input_flags(p, with_space=False):
+    def add_input_flags(p):
         p.add_argument("--partition", help="comma separated odd cyclic partition, e.g. 1,1,1,1,1")
         p.add_argument("--config", help="path to a schema-1 JSON configuration document")
         p.add_argument("--distinguished", type=int, default=None,
                        help="override the distinguished coordinate (1-based)")
         p.add_argument("--format", choices=("text", "structured"), default="text")
-        p.add_argument("--max-n", type=int, default=DEFAULT_SUBSET_CAP,
-                       help=f"subset enumeration cap (default {DEFAULT_SUBSET_CAP})")
-        if with_space:
-            p.add_argument("--space", action="append", choices=("Z", "ZC", "Zplus"),
-                           help="which spaces to compute (repeatable; default all)")
 
     add_input_flags(sub.add_parser("check", help="verify weak hyperbolicity"))
     add_input_flags(sub.add_parser("dual-complex", help="list the faces of the dual complex"))
-    add_input_flags(sub.add_parser("homology", help="graded homology tables"), with_space=True)
+    homology = sub.add_parser("homology", help="graded homology tables")
+    add_input_flags(homology)
+    homology.add_argument("--space", action="append", choices=("Z", "ZC", "Zplus"),
+                          help="which spaces to compute (repeatable; default all)")
+    homology.add_argument("--max-n", type=int, default=DEFAULT_SUBSET_CAP,
+                          help=f"subset enumeration cap (default {DEFAULT_SUBSET_CAP})")
     add_input_flags(sub.add_parser("classify", help="normal form and diffeomorphism types"))
     book = sub.add_parser("open-book", help="binding, page and consistency report")
     add_input_flags(book)
@@ -95,7 +93,7 @@ def _load_input(args) -> "Configuration":
             doc = json.load(handle)
     except OSError as exc:
         raise ParseError(f"cannot read {args.config}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, bad UTF-8, or an integer too long to parse
         raise ParseError(f"invalid JSON in {args.config}: {exc}") from exc
     cfg = load_document(doc)
     if args.distinguished is not None:
@@ -157,7 +155,7 @@ def main(argv=None) -> int:
     except OracleMismatchError as exc:
         print(f"internal oracle mismatch (this is a bug): {exc}", file=sys.stderr)
         return EXIT_MISMATCH
-    except (ConfigurationError, OpenBookError, QuadbookError) as exc:
+    except QuadbookError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 

@@ -1,10 +1,11 @@
 """Abstract simplicial complexes, Smith normal form, and integral homology.
 
-Complexes are stored by maximal faces on a ground set of 1-based labels; the
-homology engine works on bitmask face lists internally.  Boundary matrices use
-lexicographic vertex orientation.  Reduced homology is indexed from degree -1
-with two fixed conventions: the void complex (no faces at all) and the complex
-whose only face is the empty one both have a single Z in degree -1.
+Complexes are stored as sorted, downward-closed bitmask face lists over a
+ground set of 1-based labels, the form the homology engine works on.
+Boundary matrices use lexicographic vertex orientation.  Reduced homology is
+indexed from degree -1 with two fixed conventions: the void complex (no faces
+at all) and the complex whose only face is the empty one both have a single Z
+in degree -1.
 """
 
 from __future__ import annotations
@@ -119,9 +120,6 @@ class GradedGroup:
 
     def shift(self, offset: int) -> "GradedGroup":
         return GradedGroup(tuple((d + offset, r, chain) for d, r, chain in self.groups))
-
-    def truncate_below(self, floor: int) -> "GradedGroup":
-        return GradedGroup(tuple(row for row in self.groups if row[0] >= floor))
 
     def betti(self, top: int | None = None) -> tuple[int, ...]:
         """Free ranks in degrees 0..top (top defaults to the largest degree)."""
@@ -308,27 +306,35 @@ def _downward_closure(masks: Iterable[int]) -> list[int]:
     return sorted(seen)
 
 
+def _face_key(face: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+    return len(face), face
+
+
 @dataclass(frozen=True)
 class SimplicialComplex:
-    """Abstract complex on a ground set of 1-based labels, stored by maximal faces.
+    """Abstract complex on a ground set of 1-based labels, stored as face bitmasks.
 
-    The void complex has no faces at all; the complex {0} consisting of the
-    empty face alone is distinct from it, and both are legal values here.
+    Bit i of a mask stands for ``ground[i]``; ``masks`` holds every face, the
+    empty one included, sorted and closed under taking subsets, which is the
+    form the homology engine consumes.  The void complex has no faces at all;
+    the complex {0} consisting of the empty face alone is distinct from it, and
+    both are legal values here.
     """
 
     ground: tuple[int, ...]
-    maximal_faces: tuple[frozenset[int], ...]
+    masks: tuple[int, ...]
 
     @staticmethod
     def from_faces(ground: Iterable[int], faces: Iterable[Iterable[int]]) -> "SimplicialComplex":
         ground_t = tuple(sorted(set(ground)))
-        sets = {frozenset(f) for f in faces}
-        for f in sets:
-            if not f <= set(ground_t):
-                raise ConfigurationError(f"face {sorted(f)} leaves the ground set")
-        maximal = [f for f in sets if not any(f < g for g in sets)]
-        maximal.sort(key=lambda f: (len(f), tuple(sorted(f))))
-        return SimplicialComplex(ground_t, tuple(maximal))
+        position = {v: i for i, v in enumerate(ground_t)}
+        generators = []
+        for face in faces:
+            labels = set(face)
+            if not labels <= position.keys():
+                raise ConfigurationError(f"face {sorted(labels)} leaves the ground set")
+            generators.append(sum(1 << position[v] for v in labels))
+        return SimplicialComplex(ground_t, tuple(_downward_closure(generators)))
 
     @staticmethod
     def void(ground: Iterable[int] = ()) -> "SimplicialComplex":
@@ -336,35 +342,39 @@ class SimplicialComplex:
 
     @property
     def is_void(self) -> bool:
-        return not self.maximal_faces
+        return not self.masks
 
     @property
     def dim(self) -> int:
         """Dimension; -1 for the empty-face complex and for the void complex."""
-        if self.is_void:
-            return -1
-        return max(len(f) for f in self.maximal_faces) - 1
+        return max((f.bit_count() for f in self.masks), default=0) - 1
+
+    def _labels(self, mask: int) -> tuple[int, ...]:
+        return tuple(v for i, v in enumerate(self.ground) if mask >> i & 1)
+
+    @property
+    def maximal_faces(self) -> tuple[frozenset[int], ...]:
+        """Faces contained in no other face, sorted by (size, labels)."""
+        present = set(self.masks)
+        bits = [1 << i for i in range(len(self.ground))]
+        top = [self._labels(f) for f in self.masks
+               if not any(f & b == 0 and f | b in present for b in bits)]
+        return tuple(frozenset(f) for f in sorted(top, key=_face_key))
 
     def faces(self) -> list[frozenset[int]]:
         """Every face, the empty one included, sorted by (size, labels)."""
-        if self.is_void:
-            return []
-        order = {v: i for i, v in enumerate(self.ground)}
-        masks = [sum(1 << order[v] for v in f) for f in self.maximal_faces]
-        out = []
-        for mask in _downward_closure(masks):
-            out.append(frozenset(self.ground[i] for i in range(len(self.ground)) if mask >> i & 1))
-        out.sort(key=lambda f: (len(f), tuple(sorted(f))))
-        return out
+        return [frozenset(f) for f in sorted(map(self._labels, self.masks), key=_face_key)]
 
     def has_face(self, face: Iterable[int]) -> bool:
-        f = frozenset(face)
-        return any(f <= m for m in self.maximal_faces)
+        labels = set(face)
+        mask = sum(1 << i for i, v in enumerate(self.ground) if v in labels)
+        return labels <= set(self.ground) and mask in self.masks
 
     def relabel(self, mapping: Mapping[int, int]) -> "SimplicialComplex":
-        ground = tuple(sorted(mapping[v] for v in self.ground))
-        maximal = tuple(frozenset(mapping[v] for v in f) for f in self.maximal_faces)
-        return SimplicialComplex.from_faces(ground, maximal) if maximal else SimplicialComplex.void(ground)
+        return SimplicialComplex.from_faces(
+            (mapping[v] for v in self.ground),
+            ([mapping[v] for v in self._labels(f)] for f in self.masks),
+        )
 
 
 def full_subcomplex(K: SimplicialComplex, J: Iterable[int]) -> SimplicialComplex:
@@ -372,10 +382,8 @@ def full_subcomplex(K: SimplicialComplex, J: Iterable[int]) -> SimplicialComplex
     Jset = set(J)
     if not Jset <= set(K.ground):
         raise ConfigurationError("J leaves the ground set")
-    if K.is_void:
-        return SimplicialComplex.void(Jset)
-    restricted = {f & frozenset(Jset) for f in K.maximal_faces}
-    return SimplicialComplex.from_faces(Jset, restricted)
+    keep = sum(1 << i for i, v in enumerate(K.ground) if v in Jset)
+    return SimplicialComplex.from_faces(Jset, (K._labels(f) for f in K.masks if f & ~keep == 0))
 
 
 # ---------------------------------------------------------------------------
@@ -529,11 +537,7 @@ def _homology_from_masks(faces: Sequence[int]) -> GradedGroup:
 
 def reduced_homology(K: SimplicialComplex) -> GradedGroup:
     """Reduced integral homology of K, indexed from degree -1."""
-    if K.is_void:
-        return GradedGroup.single(-1, 1)
-    order = {v: i for i, v in enumerate(K.ground)}
-    masks = [sum(1 << order[v] for v in f) for f in K.maximal_faces]
-    return _homology_from_masks(_downward_closure(masks))
+    return _homology_from_masks(K.masks)
 
 
 # ---------------------------------------------------------------------------
@@ -578,13 +582,4 @@ def dual_face_masks(cfg: Configuration) -> tuple[int, ...]:
 
 def dual_complex(cfg: Configuration) -> SimplicialComplex:
     """The complex of index sets whose facet intersection is nonempty."""
-    masks = dual_face_masks(cfg)
-    ground = range(1, cfg.n + 1)
-    if not masks:
-        return SimplicialComplex.void(ground)
-    face_set = set(masks)
-    maximal = []
-    for f in masks:
-        if not any(f | (1 << b) in face_set for b in range(cfg.n) if not f >> b & 1):
-            maximal.append(frozenset(i + 1 for i in range(cfg.n) if f >> i & 1))
-    return SimplicialComplex.from_faces(ground, maximal)
+    return SimplicialComplex(tuple(range(1, cfg.n + 1)), dual_face_masks(cfg))

@@ -64,8 +64,13 @@ def as_rational(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        if "e" in value.lower():
+            # exponent notation lets a few characters denote an integer of any size
+            raise ConfigurationError(f"not an exact rational: {value!r}")
         try:
-            return Fraction(value.strip())
+            result = Fraction(value.strip())
+            str(result)  # reports print every input rational; refuse one too long to print
+            return result
         except (ValueError, ZeroDivisionError) as exc:
             raise ConfigurationError(f"not an exact rational: {value!r}") from exc
     raise ConfigurationError(f"not an exact rational: {value!r}")

@@ -1,13 +1,12 @@
-"""Exact rational linear feasibility.
+"""Exact face predicate: is the origin in the convex hull of a set of vectors?
 
-This is the single geometric predicate engine behind weak hyperbolicity and
-face non-emptiness: a phase-one simplex over Fraction arithmetic with Bland's
+This is the single geometric predicate behind weak hyperbolicity and the dual
+complex: a phase-one simplex over Fraction arithmetic with Bland's
 smallest-index rule, so every answer is exact and every run deterministic.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
@@ -24,41 +23,6 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-@dataclass(frozen=True)
-class LinearSystem:
-    """Equalities a.x = b with selected variables forced nonnegative or zero.
-
-    Variable indices are 1-based.  The zero set overrides nonnegativity, so a
-    variable may appear in both.
-    """
-
-    coefficients: tuple[tuple[Fraction, ...], ...]
-    constants: tuple[Fraction, ...]
-    nonnegative: frozenset[int] = frozenset()
-    zero: frozenset[int] = frozenset()
-
-    def __post_init__(self):
-        rows = tuple(tuple(as_rational(x) for x in row) for row in self.coefficients)
-        consts = tuple(as_rational(b) for b in self.constants)
-        if len(rows) != len(consts):
-            raise ConfigurationError("one constant per equality row required")
-        widths = {len(row) for row in rows}
-        if len(widths) > 1:
-            raise ConfigurationError("ragged coefficient matrix")
-        n = widths.pop() if widths else 0
-        for j in self.nonnegative | self.zero:
-            if not 1 <= j <= n:
-                raise ConfigurationError(f"variable index {j} out of range 1..{n}")
-        object.__setattr__(self, "coefficients", rows)
-        object.__setattr__(self, "constants", consts)
-        object.__setattr__(self, "nonnegative", frozenset(self.nonnegative))
-        object.__setattr__(self, "zero", frozenset(self.zero))
-
-    @property
-    def n_vars(self) -> int:
-        return len(self.coefficients[0]) if self.coefficients else 0
-
-
 def _pivot(tab: list[list[Fraction]], row: int, col: int) -> None:
     piv = tab[row][col]
     tab[row] = [x / piv for x in tab[row]]
@@ -72,17 +36,10 @@ def _pivot(tab: list[list[Fraction]], row: int, col: int) -> None:
 
 
 def _phase_one(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> bool:
-    """Feasibility of {Ax = b, x >= 0} by a phase-one simplex with Bland's rule."""
+    """Feasibility of {Ax = b, x >= 0} for b >= 0 by a phase-one simplex with Bland's rule."""
     m = len(rows)
-    if m == 0:
-        return True
     width = len(rows[0])
-    tab: list[list[Fraction]] = []
-    for row, b in zip(rows, rhs):
-        if b < 0:
-            tab.append([-x for x in row] + [-b])
-        else:
-            tab.append(list(row) + [b])
+    tab = [list(row) + [b] for row, b in zip(rows, rhs)]
     basis = list(range(width, width + m))  # artificial variables
     while True:
         art = [i for i in range(m) if basis[i] >= width]
@@ -110,25 +67,6 @@ def _phase_one(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> b
         basis[leave] = entering
 
 
-def feasible(system: LinearSystem) -> bool:
-    """Decide exactly whether the system admits a rational solution."""
-    n = system.n_vars
-    kept = [j for j in range(1, n + 1) if j not in system.zero]
-    rows: list[list[Fraction]] = []
-    for row in system.coefficients:
-        built: list[Fraction] = []
-        for j in kept:
-            a = row[j - 1]
-            if j in system.nonnegative:
-                built.append(a)
-            else:
-                # free variable split as difference of two nonnegative ones
-                built.append(a)
-                built.append(-a)
-        rows.append(built)
-    return _phase_one(rows, system.constants)
-
-
 def origin_in_convex_hull(vectors: Iterable[Sequence]) -> bool:
     """True iff some convex combination of the vectors is the origin."""
     vecs = [tuple(as_rational(x) for x in v) for v in vectors]
@@ -143,18 +81,6 @@ def origin_in_convex_hull(vectors: Iterable[Sequence]) -> bool:
     return _phase_one(rows, rhs)
 
 
-def polytope_system(cfg: Configuration, zero_set: Iterable[int] = ()) -> LinearSystem:
-    """The defining system of the quotient polytope, with facets in `zero_set` pinned."""
-    zero = frozenset(zero_set)
-    for j in zero:
-        if not 1 <= j <= cfg.n:
-            raise ConfigurationError(f"index {j} out of range 1..{cfg.n}")
-    rows = [tuple(vec[r] for vec in cfg.lambdas) for r in range(cfg.k)]
-    rows.append(tuple(_ONE for _ in range(cfg.n)))
-    consts = tuple([_ZERO] * cfg.k + [_ONE])
-    return LinearSystem(tuple(rows), consts, frozenset(range(1, cfg.n + 1)), zero)
-
-
 @lru_cache(maxsize=None)
 def _present_spanning(cfg: Configuration, present: frozenset[int]) -> bool:
     # Face tests only depend on which equality classes of vectors survive,
@@ -164,19 +90,3 @@ def _present_spanning(cfg: Configuration, present: frozenset[int]) -> bool:
     classes = coordinate_classes(cfg)
     reps = [cfg.vector(classes[c][0]) for c in sorted(present)]
     return origin_in_convex_hull(reps)
-
-
-def face_nonempty(cfg: Configuration, indices: Iterable[int]) -> bool:
-    """True iff the face obtained by pinning the listed facets is nonempty.
-
-    Equivalently: the origin lies in the convex hull of the surviving vectors.
-    """
-    L = frozenset(indices)
-    for j in L:
-        if not 1 <= j <= cfg.n:
-            raise ConfigurationError(f"index {j} out of range 1..{cfg.n}")
-    classes = coordinate_classes(cfg)
-    present = frozenset(
-        c for c, members in enumerate(classes) if any(i not in L for i in members)
-    )
-    return _present_spanning(cfg, present)

@@ -413,7 +413,7 @@ def _partition_page(cfg: Configuration, coordinate: int, complex_case: bool):
     return page, model
 
 
-def open_book_real(cfg: Configuration, i: int, *, strict: bool = True) -> OpenBookStructure:
+def open_book_real(cfg: Configuration, i: int) -> OpenBookStructure:
     """Open book on the real variety of a configuration with coordinate i duplicated.
 
     The binding removes the duplicated vector twice, the page is the half
@@ -425,15 +425,8 @@ def open_book_real(cfg: Configuration, i: int, *, strict: bool = True) -> OpenBo
     vec = cfg.vector(i)
     twins = [j for j in range(1, cfg.n + 1) if j != i and cfg.vector(j) == vec]
     if not twins:
-        if strict:
-            raise OpenBookError(
-                f"coordinate {i} is not part of a duplicated pair; duplicate it first"
-            )
-        partner = None
-    else:
-        partner = next((j for j in (i - 1, i + 1) if j in twins), twins[0])
-    if partner is None:
-        raise OpenBookError(f"no twin coordinate for {i}")
+        raise OpenBookError(f"coordinate {i} is not part of a duplicated pair; duplicate it first")
+    partner = next((j for j in (i - 1, i + 1) if j in twins), twins[0])
     underlying = delete_coordinate(cfg, i)
     partner_pos = partner if partner < i else partner - 1
     underlying = underlying.with_distinguished(partner_pos)

@@ -52,6 +52,15 @@ SCHEMA_VERSION = 1
 _ALLOWED_KEYS = {"schema", "k", "n", "lambdas", "labels", "distinguished", "partition"}
 
 
+def _is_int(value) -> bool:
+    # JSON true/false arrive as bool, which Python counts as int
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_list_of(value, item_check) -> bool:
+    return isinstance(value, list) and all(item_check(x) for x in value)
+
+
 def load_document(doc: dict) -> Configuration:
     """Parse the versioned input schema into a configuration."""
     if not isinstance(doc, dict):
@@ -59,27 +68,33 @@ def load_document(doc: dict) -> Configuration:
     unknown = set(doc) - _ALLOWED_KEYS
     if unknown:
         raise ParseError(f"unknown fields {sorted(unknown)}; schema {SCHEMA_VERSION} rejects them")
-    if doc.get("schema") != SCHEMA_VERSION:
+    if not _is_int(doc.get("schema")) or doc["schema"] != SCHEMA_VERSION:
         raise ParseError(f"missing or unsupported schema version (expected {SCHEMA_VERSION})")
     distinguished = doc.get("distinguished", 1)
-    if not isinstance(distinguished, int):
+    if not _is_int(distinguished):
         raise ParseError("distinguished must be an integer coordinate index")
     try:
         if "partition" in doc:
             if "lambdas" in doc or "k" in doc or "n" in doc:
                 raise ParseError("give either a partition or an explicit configuration, not both")
             parts = doc["partition"]
-            if not isinstance(parts, list) or not all(isinstance(p, int) for p in parts):
+            if not _is_list_of(parts, _is_int):
                 raise ParseError("partition must be a list of integers")
             return partition_configuration(tuple(parts), distinguished=distinguished)
         for key in ("k", "n", "lambdas"):
             if key not in doc:
                 raise ParseError(f"missing field {key!r}")
+        if not _is_int(doc["k"]) or not _is_int(doc["n"]):
+            raise ParseError("k and n must be integers")
+        if not _is_list_of(doc["lambdas"], lambda row: isinstance(row, list)):
+            raise ParseError("lambdas must be a list of vectors, each a list of rationals")
+        labels = doc.get("labels", [])
+        if not _is_list_of(labels, lambda label: isinstance(label, str)):
+            raise ParseError("labels must be a list of strings")
         vectors = [[as_rational(x) for x in row] for row in doc["lambdas"]]
         if len(vectors) != doc["n"]:
             raise ParseError(f"n = {doc['n']} but {len(vectors)} vectors given")
-        labels = tuple(doc.get("labels", ()))
-        return Configuration(doc["k"], tuple(tuple(v) for v in vectors), labels, distinguished)
+        return Configuration(doc["k"], tuple(tuple(v) for v in vectors), tuple(labels), distinguished)
     except ParseError:
         raise
     except ConfigurationError as exc:

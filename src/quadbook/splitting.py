@@ -25,14 +25,6 @@ from .configuration import (
 DEFAULT_SUBSET_CAP = 20
 
 
-def _guard(cfg: Configuration, cap: int) -> None:
-    require_valid(cfg)
-    if cfg.n > cap:
-        raise SizeCapError(
-            f"n = {cfg.n} exceeds the subset cap {cap}; raise the cap explicitly to proceed"
-        )
-
-
 def _mask_to_subset(mask: int) -> tuple[int, ...]:
     return tuple(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
 
@@ -96,25 +88,18 @@ def pair_homology(cfg: Configuration, J: Iterable[int]) -> GradedGroup:
 
 def homology_Z(cfg: Configuration, *, cap: int = DEFAULT_SUBSET_CAP) -> GradedGroup:
     """Integral homology of the real variety: the sum of all pair homologies."""
-    _guard(cfg, cap)
-    return GradedGroup.sum(group for _, group in _pair_table(cfg))
+    return splitting_ledger(cfg, "Z", cap=cap).total
 
 
 def homology_Zplus(cfg: Configuration, *, distinguished: int | None = None,
                    cap: int = DEFAULT_SUBSET_CAP) -> GradedGroup:
     """Integral homology of the half manifold: only subsets avoiding the marked coordinate."""
-    _guard(cfg, cap)
-    dist = cfg.distinguished if distinguished is None else distinguished
-    if not 1 <= dist <= cfg.n:
-        raise ConfigurationError(f"distinguished coordinate {dist} out of range")
-    bit = 1 << (dist - 1)
-    return GradedGroup.sum(group for mask, group in _pair_table(cfg) if not mask & bit)
+    return splitting_ledger(cfg, "Zplus", distinguished=distinguished, cap=cap).total
 
 
 def homology_ZC(cfg: Configuration, *, cap: int = DEFAULT_SUBSET_CAP) -> GradedGroup:
     """Integral homology of the complex variety: pair homologies shifted by |J|."""
-    _guard(cfg, cap)
-    return GradedGroup.sum(group.shift(mask.bit_count()) for mask, group in _pair_table(cfg))
+    return splitting_ledger(cfg, "ZC", cap=cap).total
 
 
 def euler_cellcount(cfg: Configuration) -> int:
@@ -152,10 +137,16 @@ def splitting_ledger(cfg: Configuration, space: str = "Z", *,
                      distinguished: int | None = None,
                      cap: int = DEFAULT_SUBSET_CAP) -> SplittingLedger:
     """The full contributing-subsets ledger for one of the three spaces."""
-    _guard(cfg, cap)
+    require_valid(cfg)
+    if cfg.n > cap:
+        raise SizeCapError(
+            f"n = {cfg.n} exceeds the subset cap {cap}; raise the cap explicitly to proceed"
+        )
     if space not in ("Z", "Zplus", "ZC"):
         raise ConfigurationError(f"unknown space {space!r}; expected Z, Zplus or ZC")
     dist = cfg.distinguished if distinguished is None else distinguished
+    if not 1 <= dist <= cfg.n:
+        raise ConfigurationError(f"distinguished coordinate {dist} out of range")
     bit = 1 << (dist - 1)
     rows = []
     for mask, group in _pair_table(cfg):

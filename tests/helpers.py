@@ -84,23 +84,6 @@ def matrix_rank(rows) -> int:
     return rank
 
 
-def brute_standard_feasible(rows, rhs) -> bool:
-    """Basic-solution enumeration for {Ax = b, x >= 0}; exact for <= 6 variables."""
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    if all(b == 0 for b in rhs):
-        return True
-    rank = matrix_rank(rows)
-    if rank < matrix_rank([list(row) + [b] for row, b in zip(rows, rhs)]):
-        return False
-    for basis in itertools.combinations(range(n), rank):
-        sub = [[rows[i][j] for j in basis] for i in range(m)]
-        consistent, unique, sol = gaussian_solve(sub, rhs)
-        if consistent and unique and all(x >= 0 for x in sol):
-            return True
-    return False
-
-
 def betti(group: qb.GradedGroup, top: int) -> tuple[int, ...]:
     return tuple(group.rank(d) for d in range(top + 1))
 

@@ -1,6 +1,9 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import quadbook as qb
 from quadbook.cli import main
@@ -151,3 +154,87 @@ def test_classify_report_carries_flags(capsys):
     flags = report["real"]["flags"]
     assert any("pi1" in f for f in flags)
     assert report["complex"]["flags"] == ["complex-case: unconditional"]
+
+
+_TRIANGLE_DOC = {"schema": 1, "k": 2, "n": 3, "lambdas": [["1", "0"], ["-1", "1"], ["-1", "-1"]]}
+
+
+def _document_bytes(**fields) -> bytes:
+    return json.dumps({**_TRIANGLE_DOC, **fields}).encode()
+
+
+@pytest.mark.parametrize("raw", [
+    _document_bytes(lambdas=5),
+    _document_bytes(lambdas=[1, 2, 3]),
+    _document_bytes(labels=7),
+    _document_bytes(labels=[1, 2, 3]),
+    _document_bytes(distinguished=True),
+    _document_bytes(schema=True),
+    b'\xff{"schema": 1}',
+    b'{"schema": 1, "partition": [' + b"1" * 5000 + b', 1, 1]}',
+    _document_bytes(lambdas=[["1e5000", "0"], ["-1", "1"], ["-1", "-1"]]),
+    _document_bytes(lambdas=[["0." + "1" * 4300, "0"], ["-1", "1"], ["-1", "-1"]]),
+], ids=["lambdas-int", "lambdas-flat", "labels-int", "labels-ints", "distinguished-bool",
+        "schema-bool", "not-utf8", "huge-int-literal", "exponent-string", "long-decimal"])
+def test_malformed_documents_are_parse_errors(raw, tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_bytes(raw)
+    code, out, err = run_cli(capsys, "open-book", "--config", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("parse error:")
+
+
+def test_max_n_belongs_to_homology_only(capsys):
+    code, _, err = run_cli(capsys, "open-book", "--partition", "1,1,1", "--max-n", "5")
+    assert code == 1
+    assert "--max-n" in err
+
+
+_JUNK = st.one_of(st.none(), st.booleans(), st.integers(-2, 7), st.floats(-2, 2),
+                  st.text(max_size=3), st.lists(st.integers(-2, 2), max_size=3))
+
+
+@st.composite
+def _documents(draw):
+    """A small well-formed document (n <= 6), then at most one field replaced by junk."""
+    if draw(st.booleans()):
+        parts = draw(st.lists(st.integers(-1, 2), max_size=6).filter(lambda p: sum(p) <= 6))
+        doc = {"schema": 1, "partition": parts}
+    else:
+        k = draw(st.integers(1, 3))
+        vectors = draw(st.lists(st.lists(st.integers(-3, 3), min_size=k, max_size=k),
+                                min_size=1, max_size=6))
+        doc = {"schema": 1, "k": k, "n": len(vectors),
+               "lambdas": [[str(x) for x in v] for v in vectors]}
+        if draw(st.booleans()):
+            doc["labels"] = [f"y{i}" for i in range(len(vectors))]
+    if draw(st.booleans()):
+        doc["distinguished"] = draw(st.integers(-1, 7))
+    if draw(st.booleans()):
+        key = draw(st.sampled_from(["schema", "k", "n", "lambdas", "labels", "distinguished",
+                                    "partition", "surprise"]))
+        doc[key] = draw(_JUNK)
+    return doc
+
+
+_COMMANDS = st.sampled_from([
+    ["check"], ["dual-complex"], ["homology"], ["homology", "--max-n", "4"], ["classify"],
+    ["open-book", "--variant", "complex"], ["open-book", "--variant", "real"],
+    ["open-book", "--facet", "2"], ["check", "--distinguished", "9"],
+])
+
+
+@given(doc=_documents(), command=_COMMANDS, structured=st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_cli_fuzz_exit_codes(doc, command, structured, tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "doc.json"
+    path.write_text(json.dumps(doc))
+    argv = [command[0], "--config", str(path), *command[1:]]
+    if structured:
+        argv += ["--format", "structured"]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in range(5)
+    assert "Traceback" not in err.getvalue()

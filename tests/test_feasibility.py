@@ -1,11 +1,8 @@
 import itertools
 import random
 
-import pytest
-from hypothesis import given, settings, strategies as st
-
 import quadbook as qb
-from quadbook import LinearSystem
+from quadbook.complexes import dual_face_masks
 
 import helpers
 
@@ -18,27 +15,14 @@ TRIANGLE = qb.partition_configuration((1, 1, 1))
 PENTAGON_VERTEX_PAIRS = {(1, 3), (1, 4), (2, 4), (2, 5), (3, 5)}
 
 
-def test_feasible_simplex_segment():
-    assert qb.feasible(LinearSystem(((1, 1),), (1,), frozenset({1, 2})))
+def _mask(indices) -> int:
+    return sum(1 << (i - 1) for i in indices)
 
 
-def test_feasible_forced_negative():
-    assert not qb.feasible(LinearSystem(((1, 1), (1, -1)), (1, 3), frozenset({1, 2})))
-
-
-def test_feasible_free_variable():
-    # x free, y >= 0: x + y = -5 still feasible through negative x
-    assert qb.feasible(LinearSystem(((1, 1),), (-5,), frozenset({2})))
-    # both pinned to zero: only b = 0 works
-    assert not qb.feasible(LinearSystem(((1, 1),), (1,), frozenset(), frozenset({1, 2})))
-    assert qb.feasible(LinearSystem(((1, 1),), (0,), frozenset(), frozenset({1, 2})))
-
-
-def test_zero_overrides_nonnegativity():
-    system = LinearSystem(((1, 0), (0, 1)), (0, 1), frozenset({1, 2}), frozenset({1}))
-    assert qb.feasible(system)
-    system = LinearSystem(((1, 0),), (1,), frozenset({1, 2}), frozenset({1}))
-    assert not qb.feasible(system)
+def _face_oracle(cfg, pinned) -> bool:
+    """The face pinning these facets is nonempty iff the other vectors span the origin."""
+    rest = [cfg.vector(i) for i in range(1, cfg.n + 1) if i not in pinned]
+    return helpers.brute_origin_in_hull(rest)
 
 
 def test_origin_in_convex_hull_examples():
@@ -60,59 +44,38 @@ def test_origin_in_convex_hull_matches_brute_force():
 
 
 def test_face_nonempty_empty_subset():
-    assert qb.face_nonempty(PENTAGON, [])
-    assert qb.face_nonempty(TRIANGLE, [])
+    assert 0 in dual_face_masks(PENTAGON)
+    assert 0 in dual_face_masks(TRIANGLE)
 
 
 def test_pentagon_vertex_pairs():
-    feasible_pairs = {
-        pair for pair in itertools.combinations(range(1, 6), 2)
-        if qb.face_nonempty(PENTAGON, pair)
-    }
-    assert feasible_pairs == PENTAGON_VERTEX_PAIRS
-    # the literal defining system agrees, facet by facet
+    masks = set(dual_face_masks(PENTAGON))
+    pairs = {pair for pair in itertools.combinations(range(1, 6), 2) if _mask(pair) in masks}
+    assert pairs == PENTAGON_VERTEX_PAIRS
     for pair in itertools.combinations(range(1, 6), 2):
-        assert qb.feasible(qb.polytope_system(PENTAGON, pair)) == (pair in PENTAGON_VERTEX_PAIRS)
+        assert _face_oracle(PENTAGON, pair) == (pair in PENTAGON_VERTEX_PAIRS)
 
 
 def test_triangle_facets_all_empty():
     for i in range(1, 4):
-        assert not qb.face_nonempty(TRIANGLE, [i])
+        assert _mask([i]) not in dual_face_masks(TRIANGLE)
+        assert not _face_oracle(TRIANGLE, [i])
 
 
 def test_face_monotonicity():
     rng = random.Random(23)
     for _ in range(40):
         cfg = helpers.random_valid_configuration(rng, 2, rng.randint(4, 6))
+        masks = set(dual_face_masks(cfg))
         L = frozenset(rng.sample(range(1, cfg.n + 1), rng.randint(0, cfg.n - 1)))
-        if not qb.face_nonempty(cfg, L):
+        if _mask(L) not in masks:
             extra = rng.choice([i for i in range(1, cfg.n + 1) if i not in L])
-            assert not qb.face_nonempty(cfg, L | {extra})
+            assert _mask(L | {extra}) not in masks
 
 
-def test_polytope_system_matches_face_predicate():
+def test_defining_system_matches_face_masks():
     rng = random.Random(5)
     for _ in range(30):
         cfg = helpers.random_valid_configuration(rng, rng.choice((2, 3)), rng.randint(4, 7))
         L = frozenset(rng.sample(range(1, cfg.n + 1), rng.randint(0, cfg.n)))
-        assert qb.feasible(qb.polytope_system(cfg, L)) == qb.face_nonempty(cfg, L)
-
-
-@st.composite
-def standard_form_systems(draw):
-    n = draw(st.integers(1, 6))
-    m = draw(st.integers(1, 3))
-    rows = tuple(
-        tuple(draw(st.integers(-4, 4)) for _ in range(n)) for _ in range(m)
-    )
-    rhs = tuple(draw(st.integers(-4, 4)) for _ in range(m))
-    return rows, rhs
-
-
-@given(standard_form_systems())
-@settings(max_examples=120, deadline=None)
-def test_feasible_matches_basis_enumeration(system):
-    rows, rhs = system
-    n = len(rows[0])
-    mine = qb.feasible(LinearSystem(rows, rhs, frozenset(range(1, n + 1))))
-    assert mine == helpers.brute_standard_feasible(rows, rhs)
+        assert (_mask(L) in dual_face_masks(cfg)) == _face_oracle(cfg, L)

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -132,3 +133,40 @@ def test_distinguished_override():
     by_marker = qb.homology_Zplus(PENTAGON.with_distinguished(3))
     by_argument = qb.homology_Zplus(PENTAGON, distinguished=3)
     assert by_marker == by_argument
+
+
+@pytest.mark.parametrize("distinguished", [0, PENTAGON.n + 1])
+def test_distinguished_out_of_range_is_refused(distinguished):
+    with pytest.raises(qb.ConfigurationError):
+        qb.homology_Zplus(PENTAGON, distinguished=distinguished)
+    with pytest.raises(qb.ConfigurationError):
+        qb.splitting_ledger(PENTAGON, "Zplus", distinguished=distinguished)
+
+
+def _ledger_corpus():
+    configs = [qb.partition_configuration(p) for p in helpers.partitions_up_to(6)]
+    configs += [qb.duplicate_coordinate(PENTAGON, i) for i in range(1, 6)]
+    configs += [qb.duplicate_coordinate(TRIANGLE, 2), qb.complexify(TRIANGLE)]
+    # positive multiples of one ray are distinct vectors, hence distinct classes
+    configs.append(qb.make_configuration(
+        [(1, 0), (2, 0), (-1, 1), ("-1/2", "1/2"), (-1, -1), (-3, -3)], distinguished=2))
+    return configs
+
+
+def test_ledger_matches_brute_force_pair_sums():
+    for cfg in _ledger_corpus():
+        subsets = [J for size in range(cfg.n + 1)
+                   for J in itertools.combinations(range(1, cfg.n + 1), size)]
+        pairs = {J: qb.pair_homology(cfg, J) for J in subsets}
+        expected = {
+            "Z": pairs,
+            "ZC": {J: g.shift(len(J)) for J, g in pairs.items()},
+            "Zplus": {J: g for J, g in pairs.items() if cfg.distinguished not in J},
+        }
+        for space, contributions in expected.items():
+            ledger = qb.splitting_ledger(cfg, space)
+            nonzero = {J: g for J, g in contributions.items() if not g.is_zero}
+            # every ledger entry is the pair homology of its subset, and every
+            # subset absent from the ledger contributes nothing
+            assert dict(ledger.entries) == nonzero, (cfg, space)
+            assert ledger.total == GradedGroup.sum(contributions.values()), (cfg, space)
