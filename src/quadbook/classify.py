@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key, lru_cache
-from math import gcd
 from typing import Sequence
 
 from .complexes import GradedGroup, dual_face_masks
@@ -22,6 +21,8 @@ from .configuration import (
     ConfigurationError,
     NormalFormError,
     OracleMismatchError,
+    coordinate_classes,
+    primitive_ray,
     require_valid,
 )
 
@@ -105,14 +106,6 @@ def d_values(partition: CyclicPartition | Sequence[int]) -> tuple[int, ...]:
 # angular combinatorics
 
 
-def _primitive(vec: tuple[Fraction, Fraction]) -> tuple[int, int]:
-    x, y = vec
-    scale = x.denominator * y.denominator // gcd(x.denominator, y.denominator)
-    a, b = int(x * scale), int(y * scale)
-    g = gcd(abs(a), abs(b))
-    return (a // g, b // g)
-
-
 def _half(d: tuple[int, int]) -> int:
     x, y = d
     return 0 if y > 0 or (y == 0 and x > 0) else 1
@@ -145,9 +138,8 @@ def normal_form_labelled(cfg: Configuration) -> tuple[CyclicPartition, tuple[tup
     if cfg.k != 2:
         raise NormalFormError(f"cyclic normal forms require k = 2, got k = {cfg.k}")
     require_valid(cfg)
-    dirs: dict[tuple[int, int], list[int]] = {}
-    for i in range(1, cfg.n + 1):
-        dirs.setdefault(_primitive(cfg.vector(i)), []).append(i)
+    dirs = {primitive_ray(cfg.vector(members[0])): members
+            for members in coordinate_classes(cfg)}
     rays = sorted(dirs, key=cmp_to_key(_ray_cmp))
     antipodes = {(-x, -y) for (x, y) in dirs}
     if antipodes & set(rays):

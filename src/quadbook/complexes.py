@@ -11,6 +11,7 @@ in degree -1.
 from __future__ import annotations
 
 import heapq
+import itertools
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
@@ -23,7 +24,7 @@ from .configuration import (
     coordinate_classes,
     require_valid,
 )
-from .feasibility import _present_spanning
+from .feasibility import origin_in_convex_hull
 
 
 # ---------------------------------------------------------------------------
@@ -544,39 +545,59 @@ def reduced_homology(K: SimplicialComplex) -> GradedGroup:
 # the dual complex of a configuration
 
 
+def _mask(coordinates: Iterable[int]) -> int:
+    """Bitmask of 1-based coordinates: bit i-1 for coordinate i."""
+    return sum(1 << (i - 1) for i in coordinates)
+
+
+@lru_cache(maxsize=None)
+def class_face_masks(cfg: Configuration) -> tuple[int, ...]:
+    """The dual complex on the ray classes, as bitmasks (bit c for class c + 1).
+
+    A class set T is a face iff the origin lies in the convex hull of the rays
+    outside T.  Faces are closed under subsets, so a monotone search finds
+    them all: children of a face extend it past its top class, which tests
+    every class subset at most once.
+    """
+    require_valid(cfg)
+    rays = [cfg.vector(members[0]) for members in coordinate_classes(cfg)]
+
+    def is_face(t: int) -> bool:
+        rest = [ray for c, ray in enumerate(rays) if not t >> c & 1]
+        return bool(rest) and origin_in_convex_hull(rest)
+
+    if not is_face(0):
+        return ()
+    out = [0]
+    stack = [(0, -1)]  # (face, top class)
+    while stack:
+        t, top = stack.pop()
+        for c in range(top + 1, len(rays)):
+            child = t | 1 << c
+            if is_face(child):
+                out.append(child)
+                stack.append((child, c))
+    return tuple(sorted(out))
+
+
 @lru_cache(maxsize=None)
 def dual_face_masks(cfg: Configuration) -> tuple[int, ...]:
     """All index sets with a nonempty face, as bitmasks (bit i-1 for coordinate i).
 
-    Enumerated by monotone search: children of a face extend it past its top
-    bit, and the emptiness test is memoised on surviving vector classes.
+    The wedge rule: a coordinate set is a face iff the classes it contains
+    whole form a class face.  So each class face expands to itself plus any
+    proper part of every class outside it.
     """
-    require_valid(cfg)
-    classes = coordinate_classes(cfg)
-    m = len(classes)
-    class_masks = [sum(1 << (i - 1) for i in members) for members in classes]
-    class_of = {}
-    for c, members in enumerate(classes):
-        for i in members:
-            class_of[i - 1] = c
-    all_present = frozenset(range(m))
-    if not _present_spanning(cfg, all_present):
-        return ()
-    out = [0]
-    queue: list[tuple[int, int, int]] = [(0, 0, -1)]  # (mask, swallowed classes, top bit)
-    n = cfg.n
-    while queue:
-        mask, swallowed, top = queue.pop()
-        for bit in range(top + 1, n):
-            child = mask | (1 << bit)
-            c = class_of[bit]
-            new_swallowed = swallowed
-            if class_masks[c] & ~child == 0:
-                new_swallowed |= 1 << c
-            present = frozenset(cc for cc in range(m) if not new_swallowed >> cc & 1)
-            if _present_spanning(cfg, present):
-                out.append(child)
-                queue.append((child, new_swallowed, bit))
+    # per class: the whole class, and every proper part of it
+    choices = [([_mask(members)], [_mask(part) for size in range(len(members))
+                                   for part in itertools.combinations(members, size)])
+               for members in coordinate_classes(cfg)]
+    out: list[int] = []
+    for t in class_face_masks(cfg):
+        layer = [0]
+        for c, (whole, proper) in enumerate(choices):
+            layer = [f | s for f in layer for s in (whole if t >> c & 1 else proper)]
+        out.extend(layer)
     return tuple(sorted(out))
 
 

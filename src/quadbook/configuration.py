@@ -9,6 +9,7 @@ floating point never enters any predicate.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -167,12 +168,24 @@ def make_configuration(vectors: Iterable[Sequence], *, k: int | None = None,
     return Configuration(kk, vecs, tuple(labels) if labels else (), distinguished)
 
 
+def primitive_ray(vec: Sequence[Fraction]) -> tuple[int, ...]:
+    """The primitive integer vector on the ray through vec; the zero vector stays zero."""
+    scale = math.lcm(*(x.denominator for x in vec))
+    ints = [int(x * scale) for x in vec]
+    return tuple(a // (math.gcd(*ints) or 1) for a in ints)
+
+
 @lru_cache(maxsize=None)
 def coordinate_classes(cfg: Configuration) -> tuple[tuple[int, ...], ...]:
-    """Coordinates grouped by exact vector equality, in first-occurrence order."""
-    groups: dict[tuple, list[int]] = {}
+    """Coordinates grouped by primitive ray, in first-occurrence order.
+
+    Every predicate on a configuration is invariant under positive scaling of
+    a vector, so the coordinates of one class are interchangeable.  This is
+    the only place that decides which coordinates share a class.
+    """
+    groups: dict[tuple[int, ...], list[int]] = {}
     for i in range(1, cfg.n + 1):
-        groups.setdefault(cfg.lambdas[i - 1], []).append(i)
+        groups.setdefault(primitive_ray(cfg.lambdas[i - 1]), []).append(i)
     return tuple(tuple(members) for members in groups.values())
 
 

@@ -8,16 +8,9 @@ smallest-index rule, so every answer is exact and every run deterministic.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .configuration import (
-    Configuration,
-    ConfigurationError,
-    OracleMismatchError,
-    as_rational,
-    coordinate_classes,
-)
+from .configuration import ConfigurationError, OracleMismatchError, as_rational
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -79,14 +72,3 @@ def origin_in_convex_hull(vectors: Iterable[Sequence]) -> bool:
     rows.append([_ONE] * len(vecs))
     rhs = [_ZERO] * k + [_ONE]
     return _phase_one(rows, rhs)
-
-
-@lru_cache(maxsize=None)
-def _present_spanning(cfg: Configuration, present: frozenset[int]) -> bool:
-    # Face tests only depend on which equality classes of vectors survive,
-    # so they are memoised per class subset.
-    if not present:
-        return False
-    classes = coordinate_classes(cfg)
-    reps = [cfg.vector(classes[c][0]) for c in sorted(present)]
-    return origin_in_convex_hull(reps)

@@ -34,8 +34,9 @@ from .configuration import (
     ConfigurationError,
     NormalFormError,
     OpenBookError,
-    delete_coordinate,
     complexify,
+    coordinate_classes,
+    delete_coordinate,
     require_valid,
     validate,
 )
@@ -416,14 +417,16 @@ def _partition_page(cfg: Configuration, coordinate: int, complex_case: bool):
 def open_book_real(cfg: Configuration, i: int) -> OpenBookStructure:
     """Open book on the real variety of a configuration with coordinate i duplicated.
 
+    A twin is any other coordinate on the same ray, a positive multiple of
+    lambda_i included, since scaling a vector leaves the variety unchanged.
     The binding removes the duplicated vector twice, the page is the half
     manifold of the variety with it removed once, and the monodromy is trivial.
     """
     require_valid(cfg)
     if not 1 <= i <= cfg.n:
         raise ConfigurationError(f"coordinate {i} out of range 1..{cfg.n}")
-    vec = cfg.vector(i)
-    twins = [j for j in range(1, cfg.n + 1) if j != i and cfg.vector(j) == vec]
+    ray_class = next(members for members in coordinate_classes(cfg) if i in members)
+    twins = [j for j in ray_class if j != i]
     if not twins:
         raise OpenBookError(f"coordinate {i} is not part of a duplicated pair; duplicate it first")
     partner = next((j for j in (i - 1, i + 1) if j in twins), twins[0])

@@ -9,11 +9,12 @@ to the full subcomplex of the dual complex on J.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
-from .complexes import GradedGroup, _homology_from_masks, dual_face_masks
+from .complexes import GradedGroup, _homology_from_masks, _mask, class_face_masks, dual_face_masks
 from .configuration import (
     Configuration,
     ConfigurationError,
@@ -25,49 +26,29 @@ from .configuration import (
 DEFAULT_SUBSET_CAP = 20
 
 
-def _mask_to_subset(mask: int) -> tuple[int, ...]:
-    return tuple(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
-
-
 @lru_cache(maxsize=None)
-def _pair_table(cfg: Configuration) -> tuple[tuple[int, GradedGroup], ...]:
-    """Nonzero pair homologies H(P, P_J), already indexed in final Z-degrees.
+def _pair_table(cfg: Configuration) -> tuple[tuple[tuple[int, ...], GradedGroup], ...]:
+    """Nonzero pair homologies H(P, P_J) in Z-degrees, sorted by size then content of J.
 
-    Only subsets that are unions of equal-vector classes can contribute: if J
-    splits a class, the restricted dual complex is a cone on any included copy
-    whose twin was left out, hence acyclic.  The table is therefore indexed by
-    class subsets; everything else contributes zero.
+    Only unions J of ray classes can contribute: if J splits a class, the
+    restricted dual complex is a cone on any included copy whose twin was left
+    out, hence acyclic.  For J the union of a class set T, the restriction is
+    the simplicial wedge of the class complex on T, which suspends it once per
+    extra copy: H(P, P_J) is the reduced homology of the class complex on T
+    shifted by 1 + sum over c in T of (|c| - 1).
     """
-    faces = dual_face_masks(cfg)
-    if not faces:
+    class_faces = class_face_masks(cfg)
+    if not class_faces:
         return ()  # empty polytope: empty variety, no cells
     classes = coordinate_classes(cfg)
-    m = len(classes)
-    class_masks = [sum(1 << (i - 1) for i in members) for members in classes]
-    buckets: dict[int, list[int]] = {}
-    for f in faces:
-        smask = 0
-        for c in range(m):
-            if f & class_masks[c]:
-                smask |= 1 << c
-        buckets.setdefault(smask, []).append(f)
-    bucket_keys = sorted(buckets)
     entries = []
-    for t in range(1 << m):
-        j_mask = 0
-        for c in range(m):
-            if t >> c & 1:
-                j_mask |= class_masks[c]
-        sub: list[int] = []
-        for s in bucket_keys:
-            if s & ~t == 0:
-                sub.extend(buckets[s])
-        sub.sort()
-        group = _homology_from_masks(sub).shift(1)
+    for t in range(1 << len(classes)):
+        chosen = [members for c, members in enumerate(classes) if t >> c & 1]
+        sub = [f for f in class_faces if f & ~t == 0]
+        group = _homology_from_masks(sub).shift(1 + sum(len(members) - 1 for members in chosen))
         if not group.is_zero:
-            entries.append((j_mask, group))
-    entries.sort(key=lambda e: (e[0].bit_count(), e[0]))
-    return tuple(entries)
+            entries.append((tuple(sorted(itertools.chain(*chosen))), group))
+    return tuple(sorted(entries, key=lambda entry: (len(entry[0]), entry[0])))
 
 
 def pair_homology(cfg: Configuration, J: Iterable[int]) -> GradedGroup:
@@ -81,7 +62,7 @@ def pair_homology(cfg: Configuration, J: Iterable[int]) -> GradedGroup:
     for j in Jset:
         if not 1 <= j <= cfg.n:
             raise ConfigurationError(f"index {j} out of range 1..{cfg.n}")
-    j_mask = sum(1 << (j - 1) for j in Jset)
+    j_mask = _mask(Jset)
     faces = [f for f in dual_face_masks(cfg) if f & ~j_mask == 0]
     return _homology_from_masks(faces).shift(1)
 
@@ -147,13 +128,6 @@ def splitting_ledger(cfg: Configuration, space: str = "Z", *,
     dist = cfg.distinguished if distinguished is None else distinguished
     if not 1 <= dist <= cfg.n:
         raise ConfigurationError(f"distinguished coordinate {dist} out of range")
-    bit = 1 << (dist - 1)
-    rows = []
-    for mask, group in _pair_table(cfg):
-        if space == "Zplus" and mask & bit:
-            continue
-        if space == "ZC":
-            group = group.shift(mask.bit_count())
-        rows.append((_mask_to_subset(mask), group))
-    rows.sort(key=lambda row: (len(row[0]), row[0]))
-    return SplittingLedger(space, tuple(rows), GradedGroup.sum(g for _, g in rows))
+    rows = tuple((J, group.shift(len(J)) if space == "ZC" else group)
+                 for J, group in _pair_table(cfg) if not (space == "Zplus" and dist in J))
+    return SplittingLedger(space, rows, GradedGroup.sum(g for _, g in rows))

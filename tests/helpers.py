@@ -88,6 +88,36 @@ def betti(group: qb.GradedGroup, top: int) -> tuple[int, ...]:
     return tuple(group.rank(d) for d in range(top + 1))
 
 
+def reference_homology_Z(cfg: qb.Configuration) -> qb.GradedGroup:
+    """H(Z) summed from coordinate-level pair homologies, without ray classes.
+
+    Coordinates are grouped by exact vector equality here; a subset that
+    splits such a group restricts the dual complex to a cone and contributes
+    nothing, so only unions of groups are visited.  Each restriction of
+    `dual_face_masks` goes to the homology engine as it is, shifted by one for
+    the pair and by nothing else.
+    """
+    from quadbook.complexes import _homology_from_masks, dual_face_masks
+
+    faces = dual_face_masks(cfg)
+    if not faces:
+        return qb.GradedGroup.zero()
+    groups: dict[tuple, int] = {}
+    for i, vec in enumerate(cfg.lambdas):
+        groups[vec] = groups.get(vec, 0) | 1 << i
+
+    def restrictions(kept, masks):
+        # each group is either in J or out of it; leaving it out drops its faces
+        if not masks:
+            yield kept
+            return
+        yield from restrictions(kept, masks[1:])
+        yield from restrictions([f for f in kept if not f & masks[0]], masks[1:])
+
+    return qb.GradedGroup.sum(_homology_from_masks(sub).shift(1)
+                              for sub in restrictions(list(faces), list(groups.values())))
+
+
 def kunneth_sphere_ranks(dims) -> dict[int, int]:
     """Rank table of a product of spheres, computed by plain convolution."""
     acc = {0: 1}

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import quadbook as qb
+from quadbook import reporting
 from quadbook.cli import main
 from quadbook.reporting import config_document, load_document
 
@@ -71,9 +72,25 @@ def test_parse_errors_exit_one(tmp_path, capsys):
     assert "schema" in err
 
 
-def test_cap_exit_code(capsys):
+def test_cap_exit_code(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "homology", "--partition", "1,1,1,1,1", "--max-n", "3")
     assert code == 3
+
+    def no_face_enumeration(cfg):
+        raise AssertionError("faces enumerated before the cap check")
+
+    # n = 21 is over the default cap; it must be refused before any face is listed
+    monkeypatch.setattr(reporting, "euler_cellcount", no_face_enumeration)
+    code, out, _ = run_cli(capsys, "homology", "--partition", ",".join(["1"] * 21))
+    assert (code, out) == (3, "")
+
+
+def test_cross_validate_family_cap(capsys):
+    with pytest.raises(qb.SizeCapError):
+        reporting.parse_family("partitions:n<=40")
+    assert reporting.parse_family("partitions:n<=9") == 9
+    code, out, _ = run_cli(capsys, "cross-validate", "--family", "partitions:n<=40")
+    assert (code, out) == (3, "")
 
 
 def test_invalid_config_blocks_homology(tmp_path, capsys):

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 import quadbook as qb
 from quadbook import ConfigurationError
+from quadbook.configuration import primitive_ray
 
 import helpers
 
@@ -144,3 +145,7 @@ def test_coordinate_classes():
     doubled = qb.complexify(TRIANGLE)
     classes = qb.coordinate_classes(doubled)
     assert classes == ((1, 2), (3, 4), (5, 6))
+    # a positive multiple shares the ray of its vector; the antipode does not
+    cfg = qb.make_configuration([(1, 0), (-1, 1), ("5/2", 0), (2, -2), (-1, -1), (-3, "3/2")])
+    assert qb.coordinate_classes(cfg) == ((1, 3), (2,), (4,), (5,), (6,))
+    assert primitive_ray(cfg.vector(6)) == (-2, 1)

@@ -79,3 +79,17 @@ def test_defining_system_matches_face_masks():
         cfg = helpers.random_valid_configuration(rng, rng.choice((2, 3)), rng.randint(4, 7))
         L = frozenset(rng.sample(range(1, cfg.n + 1), rng.randint(0, cfg.n)))
         assert (_mask(L) in dual_face_masks(cfg)) == _face_oracle(cfg, L)
+    # positive-multiple copies share a ray class; every subset is checked
+    for _ in range(10):
+        k = rng.choice((2, 3))
+        base = helpers.random_valid_configuration(rng, k, rng.randint(k + 1, 5))
+        copies = []
+        for _ in range(rng.randint(1, 2)):
+            factor = rng.randint(1, 4)
+            copies.append(tuple(factor * x for x in base.vector(rng.randint(1, base.n))))
+        cfg = qb.make_configuration(list(base.lambdas) + copies, k=k)
+        assert len(qb.coordinate_classes(cfg)) < cfg.n
+        masks = set(dual_face_masks(cfg))
+        for size in range(cfg.n + 1):
+            for L in itertools.combinations(range(1, cfg.n + 1), size):
+                assert (_mask(L) in masks) == _face_oracle(cfg, L), (cfg, L)

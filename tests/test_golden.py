@@ -7,6 +7,9 @@ rebuild them through the package.  Regenerate the data only when an output
 change is intended:
 
     PYTHONPATH=src python tests/test_golden.py
+
+The script names every case whose exit code or stdout changed (new cases
+included), so each intended change can be reviewed on its own.
 """
 
 import contextlib
@@ -104,5 +107,9 @@ if __name__ == "__main__":
 
     with tempfile.TemporaryDirectory() as tmp:
         generated = _generate(Path(tmp) / "input.json")
+    old = {c["name"]: (c["exit"], c["stdout"]) for c in CASES}
+    for case in generated:
+        if old.get(case["name"]) != (case["exit"], case["stdout"]):
+            print(f"changed: {case['name']}")
     DATA.write_text(json.dumps({"cases": generated}, indent=1, sort_keys=True) + "\n")
     print(f"wrote {len(generated)} cases to {DATA}")

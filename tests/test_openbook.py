@@ -154,6 +154,16 @@ def test_open_book_real_triangle():
     assert qb.page_homology(book.page) == GradedGroup.from_parts({0: 4})
 
 
+def test_open_book_real_takes_a_positive_multiple_twin():
+    exact = qb.open_book_real(qb.duplicate_coordinate(PENTAGON, 1), 2)
+    vectors = list(PENTAGON.lambdas)
+    vectors.insert(1, tuple(3 * x for x in PENTAGON.vector(1)))
+    scaled = qb.open_book_real(qb.make_configuration(vectors), 2)
+    assert scaled.binding.lambdas == exact.binding.lambdas
+    assert scaled.page == exact.page
+    assert qb.boundary_consistency(scaled) == qb.boundary_consistency(exact)
+
+
 def test_open_book_real_strict_mode():
     with pytest.raises(qb.OpenBookError):
         qb.open_book_real(PENTAGON, 1)

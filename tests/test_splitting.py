@@ -147,7 +147,7 @@ def _ledger_corpus():
     configs = [qb.partition_configuration(p) for p in helpers.partitions_up_to(6)]
     configs += [qb.duplicate_coordinate(PENTAGON, i) for i in range(1, 6)]
     configs += [qb.duplicate_coordinate(TRIANGLE, 2), qb.complexify(TRIANGLE)]
-    # positive multiples of one ray are distinct vectors, hence distinct classes
+    # positive multiples of one ray are distinct vectors but share a ray class
     configs.append(qb.make_configuration(
         [(1, 0), (2, 0), (-1, 1), ("-1/2", "1/2"), (-1, -1), (-3, -3)], distinguished=2))
     return configs
