@@ -21,8 +21,7 @@ from .configuration import (
     ConfigurationError,
     NormalFormError,
     OracleMismatchError,
-    coordinate_classes,
-    primitive_ray,
+    ray_classes,
     require_valid,
 )
 
@@ -48,10 +47,6 @@ class CyclicPartition:
     @property
     def ell(self) -> int:
         return (len(self.parts) - 1) // 2
-
-    @property
-    def num_classes(self) -> int:
-        return len(self.parts)
 
     def __str__(self):
         return "(" + ",".join(str(p) for p in self.parts) + ")"
@@ -138,8 +133,7 @@ def normal_form_labelled(cfg: Configuration) -> tuple[CyclicPartition, tuple[tup
     if cfg.k != 2:
         raise NormalFormError(f"cyclic normal forms require k = 2, got k = {cfg.k}")
     require_valid(cfg)
-    dirs = {primitive_ray(cfg.vector(members[0])): members
-            for members in coordinate_classes(cfg)}
+    dirs = dict(ray_classes(cfg))
     rays = sorted(dirs, key=cmp_to_key(_ray_cmp))
     antipodes = {(-x, -y) for (x, y) in dirs}
     if antipodes & set(rays):
@@ -383,16 +377,13 @@ def classify_real(partition: CyclicPartition) -> ManifoldDescription:
 
 
 def classify_complex(partition: CyclicPartition) -> ManifoldDescription:
-    """Diffeomorphism type of the complex variety; unconditional in every case."""
-    parts = partition.parts
-    n = partition.n
-    hyp = Hypotheses(complex_case=True)
-    if partition.ell == 1:
-        dims = (2 * parts[0] - 1, 2 * parts[1] - 1, 2 * parts[2] - 1)
-        return ManifoldDescription(KIND_SPHERE_PRODUCT, (SphereProduct(dims),), hyp)
-    ds = d_values(partition)
-    summands = tuple(SphereProduct((2 * d - 1, 2 * n - 2 * d - 2)) for d in ds)
-    return ManifoldDescription(KIND_CONNECTED_SUM, summands, hyp)
+    """Diffeomorphism type of the complex variety; unconditional in every case.
+
+    Z^C is the real variety of the doubled configuration, whose partition
+    doubles every part, so the real formula applies without its hypotheses.
+    """
+    real = classify_real(CyclicPartition(tuple(2 * p for p in partition.parts)))
+    return ManifoldDescription(real.kind, real.summands, Hypotheses(complex_case=True))
 
 
 def expected_homology(description: ManifoldDescription) -> GradedGroup:

@@ -2,9 +2,9 @@
 
 A thin shell over the core modules: every numerical fact in a report comes
 from a core operation.  Exit codes: 0 ok, 1 parse error or an open book the
-input does not carry (no twin for a real book, a non-smooth binding), 2
-invalid configuration (weak hyperbolicity fails), 3 size-cap refusal, 4
-internal oracle mismatch or failed cross-validation.
+input does not carry (no twin for a real book), 2 invalid configuration (weak
+hyperbolicity fails), 3 size-cap refusal, 4 internal oracle mismatch or failed
+cross-validation.
 """
 
 from __future__ import annotations

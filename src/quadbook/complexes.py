@@ -14,6 +14,7 @@ import heapq
 import itertools
 from collections import deque
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 from typing import Iterable, Mapping, Sequence
@@ -22,6 +23,7 @@ from .configuration import (
     Configuration,
     ConfigurationError,
     coordinate_classes,
+    ray_classes,
     require_valid,
 )
 from .feasibility import origin_in_convex_hull
@@ -550,20 +552,25 @@ def _mask(coordinates: Iterable[int]) -> int:
     return sum(1 << (i - 1) for i in coordinates)
 
 
-@lru_cache(maxsize=None)
 def class_face_masks(cfg: Configuration) -> tuple[int, ...]:
-    """The dual complex on the ray classes, as bitmasks (bit c for class c + 1).
+    """The dual complex on the ray classes, as bitmasks (bit c for class c + 1)."""
+    require_valid(cfg)
+    return _class_faces(tuple(ray for ray, _ in ray_classes(cfg)))
+
+
+@lru_cache(maxsize=None)
+def _class_faces(rays: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
+    """The class face masks of rays in this order; labels, scale and multiplicity drop out.
 
     A class set T is a face iff the origin lies in the convex hull of the rays
     outside T.  Faces are closed under subsets, so a monotone search finds
     them all: children of a face extend it past its top class, which tests
     every class subset at most once.
     """
-    require_valid(cfg)
-    rays = [cfg.vector(members[0]) for members in coordinate_classes(cfg)]
+    vectors = [tuple(map(Fraction, ray)) for ray in rays]  # converted once, not per test
 
     def is_face(t: int) -> bool:
-        rest = [ray for c, ray in enumerate(rays) if not t >> c & 1]
+        rest = [vec for c, vec in enumerate(vectors) if not t >> c & 1]
         return bool(rest) and origin_in_convex_hull(rest)
 
     if not is_face(0):

@@ -8,7 +8,6 @@ floating point never enters any predicate.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -41,7 +40,7 @@ class NormalFormError(QuadbookError):
 
 
 class OpenBookError(QuadbookError):
-    """Open book construction rejected: bad coordinate or non-smooth binding."""
+    """Open book construction rejected: the coordinate carries no book."""
 
 
 class OracleMismatchError(QuadbookError):
@@ -176,8 +175,8 @@ def primitive_ray(vec: Sequence[Fraction]) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def coordinate_classes(cfg: Configuration) -> tuple[tuple[int, ...], ...]:
-    """Coordinates grouped by primitive ray, in first-occurrence order.
+def ray_classes(cfg: Configuration) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """(primitive ray, coordinates) per ray class, in first-occurrence order.
 
     Every predicate on a configuration is invariant under positive scaling of
     a vector, so the coordinates of one class are interchangeable.  This is
@@ -186,7 +185,12 @@ def coordinate_classes(cfg: Configuration) -> tuple[tuple[int, ...], ...]:
     groups: dict[tuple[int, ...], list[int]] = {}
     for i in range(1, cfg.n + 1):
         groups.setdefault(primitive_ray(cfg.lambdas[i - 1]), []).append(i)
-    return tuple(tuple(members) for members in groups.values())
+    return tuple((ray, tuple(members)) for ray, members in groups.items())
+
+
+def coordinate_classes(cfg: Configuration) -> tuple[tuple[int, ...], ...]:
+    """The coordinates of each ray class, in first-occurrence order."""
+    return tuple(members for _, members in ray_classes(cfg))
 
 
 @dataclass(frozen=True)
@@ -204,21 +208,44 @@ class ValidationReport:
         return self.ok
 
 
+def _lex_subsets(m: int, k: int, prefix: tuple[int, ...] = ()):
+    """Subsets of range(m) with at most k elements, lazily, in lexicographic order."""
+    for c in range(prefix[-1] + 1 if prefix else 0, m):
+        subset = prefix + (c,)
+        yield subset
+        if len(subset) < k:
+            yield from _lex_subsets(m, k, subset)
+
+
 @lru_cache(maxsize=None)
 def validate(cfg: Configuration) -> ValidationReport:
-    """Check weak hyperbolicity: no J with |J| <= k has the origin in conv(lambda_J)."""
+    """Check weak hyperbolicity: no J with |J| <= k has the origin in conv(lambda_J).
+
+    Whether conv(lambda_J) holds the origin depends only on the ray classes J
+    meets, so the search runs over class subsets of size <= k and stops at the
+    first that fails.  Only then is the failure mapped back to coordinates.
+    """
     from .feasibility import origin_in_convex_hull
 
-    indices = range(1, cfg.n + 1)
-    subsets = sorted(
-        itertools.chain.from_iterable(
-            itertools.combinations(indices, size) for size in range(1, cfg.k + 1)
-        )
-    )
-    for subset in subsets:
-        if origin_in_convex_hull([cfg.vector(i) for i in subset]):
-            return ValidationReport(False, subset)
-    return ValidationReport(True)
+    rays = [tuple(map(Fraction, ray)) for ray, _ in ray_classes(cfg)]
+
+    def fails(class_subset) -> bool:
+        return origin_in_convex_hull([rays[c] for c in class_subset])
+
+    first = next((s for s in _lex_subsets(len(rays), cfg.k) if fails(s)), None)
+    if first is None:
+        return ValidationReport(True)
+    if len(rays) == cfg.n:  # one coordinate per class: class c is coordinate c + 1
+        return ValidationReport(False, tuple(c + 1 for c in first))
+    # the least coordinate tuple whose class set fails; one exists, as `first` does
+    cls = {i - 1: c for c, (_, members) in enumerate(ray_classes(cfg)) for i in members}
+    known: dict[tuple[int, ...], bool] = {}
+    for J in _lex_subsets(cfg.n, cfg.k):
+        class_subset = tuple(sorted({cls[j] for j in J}))
+        if class_subset not in known:
+            known[class_subset] = fails(class_subset)
+        if known[class_subset]:
+            return ValidationReport(False, tuple(j + 1 for j in J))
 
 
 def require_valid(cfg: Configuration) -> None:

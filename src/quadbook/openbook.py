@@ -38,9 +38,7 @@ from .configuration import (
     coordinate_classes,
     delete_coordinate,
     require_valid,
-    validate,
 )
-from .feasibility import origin_in_convex_hull
 from .splitting import euler_cellcount, homology_Z, homology_Zplus
 
 
@@ -250,67 +248,46 @@ def page_topology(partition: CyclicPartition | Iterable[int], class_index: int =
 
     Case selection: (a) one window; (b) more windows, distinguished multiplicity
     above one; (c) multiplicity one with at least three windows; (d)
-    multiplicity one with exactly two windows.
+    multiplicity one with exactly two windows.  The complex page is the real
+    page of the doubled partition, without the real case's hypotheses.
     """
     base = partition.parts if isinstance(partition, CyclicPartition) else tuple(partition)
     parts = rotate_parts(base, class_index)
     m = len(parts)
     if m < 3 or m % 2 == 0 or any(p < 1 for p in parts):
         raise ConfigurationError(f"not an odd cyclic partition: {parts}")
+    real = double_partition(parts) if complex_case else parts
     ell = (m - 1) // 2
-    n = sum(parts)
-    ds = d_values(parts)
+    n = sum(real)
+    ds = d_values(real)
 
     def nn(i: int) -> int:
-        return parts[(i - 1) % m]
+        return real[(i - 1) % m]
 
     def dd(i: int) -> int:
         return ds[(i - 1) % m]
 
-    page_dim = (2 * n - 4) if complex_case else (n - 3)
     pieces: list[PagePiece] = []
     if ell == 1:
         case = "a"
-        if complex_case:
-            pieces.append(SphereSphereDisk(2 * nn(2) - 1, 2 * nn(3) - 1, 2 * nn(1) - 2))
-        else:
-            pieces.append(SphereSphereDisk(nn(2) - 1, nn(3) - 1, nn(1) - 1))
-    elif parts[0] > 1:
+        pieces.append(SphereSphereDisk(nn(2) - 1, nn(3) - 1, nn(1) - 1))
+    elif real[0] > 1:
         case = "b"
         for i in range(2, ell + 3):
-            if complex_case:
-                pieces.append(SphereTimesDisk(2 * dd(i) - 1, 2 * n - 2 * dd(i) - 3))
-            else:
-                pieces.append(SphereTimesDisk(dd(i) - 1, n - dd(i) - 2))
+            pieces.append(SphereTimesDisk(dd(i) - 1, n - dd(i) - 2))
         for i in _cyclic_indices(ell + 3, 1, m):
-            if complex_case:
-                pieces.append(DiskTimesSphere(2 * dd(i) - 2, 2 * n - 2 * dd(i) - 2))
-            else:
-                pieces.append(DiskTimesSphere(dd(i) - 1, n - dd(i) - 2))
+            pieces.append(DiskTimesSphere(dd(i) - 1, n - dd(i) - 2))
     elif ell > 2:
         case = "c"
         for i in range(3, ell + 2):
-            if complex_case:
-                pieces.append(SphereTimesDisk(2 * dd(i) - 1, 2 * n - 2 * dd(i) - 3))
-            else:
-                pieces.append(SphereTimesDisk(dd(i) - 1, n - dd(i) - 2))
+            pieces.append(SphereTimesDisk(dd(i) - 1, n - dd(i) - 2))
         for i in _cyclic_indices(ell + 3, 1, m):
-            if complex_case:
-                pieces.append(DiskTimesSphere(2 * dd(i) - 2, 2 * n - 2 * dd(i) - 2))
-            else:
-                pieces.append(DiskTimesSphere(dd(i) - 1, n - dd(i) - 2))
-        if complex_case:
-            pieces.append(PuncturedProduct(2 * dd(2) - 1, 2 * dd(ell + 2) - 1, 2 * n - 4))
-        else:
-            pieces.append(PuncturedProduct(dd(2) - 1, dd(ell + 2) - 1, n - 3))
+            pieces.append(DiskTimesSphere(dd(i) - 1, n - dd(i) - 2))
+        pieces.append(PuncturedProduct(dd(2) - 1, dd(ell + 2) - 1, n - 3))
     else:
         case = "d"
-        if complex_case:
-            pieces.append(PuncturedProduct(2 * dd(2) - 1, 2 * dd(4) - 1, 2 * n - 4))
-            pieces.append(ExteriorSpace(2 * nn(2) - 1, 2 * nn(5) - 1, 2 * n - 4))
-        else:
-            pieces.append(PuncturedProduct(dd(2) - 1, dd(4) - 1, n - 3))
-            pieces.append(ExteriorSpace(nn(2) - 1, nn(5) - 1, n - 3))
+        pieces.append(PuncturedProduct(dd(2) - 1, dd(4) - 1, n - 3))
+        pieces.append(ExteriorSpace(nn(2) - 1, nn(5) - 1, n - 3))
 
     flags: list[str] = []
     if not complex_case and ell > 1:
@@ -326,7 +303,7 @@ def page_topology(partition: CyclicPartition | Iterable[int], class_index: int =
                 f"exterior {piece.render()} outside the recognition lemma regime "
                 "(needs p, q, m-p-q-1 >= 2)"
             )
-    return PageDescription(case, tuple(pieces), page_dim, complex_case, parts, tuple(flags))
+    return PageDescription(case, tuple(pieces), n - 3, complex_case, parts, tuple(flags))
 
 
 def page_homology(page: PageDescription) -> GradedGroup:
@@ -379,16 +356,12 @@ class OpenBookStructure:
 
 
 def _deleted_or_empty(cfg: Configuration, i: int) -> Configuration | None:
-    """Delete coordinate i; None when the result is provably an empty variety."""
-    if cfg.n - 1 >= cfg.k + 1:
-        return delete_coordinate(cfg, i)
-    rest = [cfg.vector(j) for j in range(1, cfg.n + 1) if j != i]
-    if origin_in_convex_hull(rest):
-        raise OpenBookError(
-            f"deleting coordinate {i} leaves n = {cfg.n - 1} <= k = {cfg.k} with a "
-            "nonempty zero set; such degenerate bindings are not representable"
-        )
-    return None
+    """Delete coordinate i; None when the result is an empty variety.
+
+    That happens when n - 1 <= k: the remaining vectors are at most k, and a
+    weakly hyperbolic configuration has no such set with the origin in its hull.
+    """
+    return delete_coordinate(cfg, i) if cfg.n - 1 >= cfg.k + 1 else None
 
 
 def _partition_page(cfg: Configuration, coordinate: int, complex_case: bool):
@@ -407,10 +380,7 @@ def _partition_page(cfg: Configuration, coordinate: int, complex_case: bool):
         return None, (None if complex_case else real_model)
     class_index = next(c + 1 for c, members in enumerate(classes) if coordinate in members)
     page = page_topology(partition, class_index, complex_case=complex_case)
-    if complex_case:
-        model = partition_configuration(double_partition(rotate_parts(partition.parts, class_index)))
-    else:
-        model = real_model
+    model = partition_configuration(double_partition(page.partition)) if complex_case else real_model
     return page, model
 
 
@@ -442,18 +412,13 @@ def open_book_real(cfg: Configuration, i: int) -> OpenBookStructure:
 def open_book_complex(cfg: Configuration, i: int) -> OpenBookStructure:
     """Open book on the complex variety with binding at coordinate i.
 
-    The binding is the complex variety of the configuration without lambda_i;
-    it must itself be weakly hyperbolic, otherwise the book is rejected.
+    The binding is the complex variety of the configuration without lambda_i,
+    which is weakly hyperbolic because every subset of it is one of the input.
     """
     require_valid(cfg)
     if not 1 <= i <= cfg.n:
         raise ConfigurationError(f"coordinate {i} out of range 1..{cfg.n}")
     deleted = _deleted_or_empty(cfg, i)
-    if deleted is not None and not validate(deleted).ok:
-        raise OpenBookError(
-            f"binding not smooth; open book invalid for facet {i} "
-            f"(witness {validate(deleted).witness})"
-        )
     total = complexify(cfg)
     binding = complexify(deleted) if deleted is not None else None
     page, model = _partition_page(cfg, i, complex_case=True)

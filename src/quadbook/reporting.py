@@ -151,17 +151,16 @@ def dual_complex_report(cfg: Configuration) -> dict:
 
 
 def homology_report(cfg: Configuration, spaces: Iterable[str] = ("Z", "ZC", "Zplus"), *,
-                    cap: int = DEFAULT_SUBSET_CAP, ledger: bool = True) -> dict:
+                    cap: int = DEFAULT_SUBSET_CAP) -> dict:
     out = {"command": "homology", "input": config_document(cfg), "spaces": {}}
     for space in spaces:
         led = splitting_ledger(cfg, space, cap=cap)
-        entry = {"table": graded_document(led.total)}
-        if ledger:
-            entry["contributing_subsets"] = [
-                {"subset": list(J), "groups": graded_document(g)}
-                for J, g in led.entries
-            ]
-        out["spaces"][space] = entry
+        out["spaces"][space] = {
+            "table": graded_document(led.total),
+            "contributing_subsets": [
+                {"subset": list(J), "groups": graded_document(g)} for J, g in led.entries
+            ],
+        }
     # only after the ledgers, which refuse an input over the cap before any face is listed
     out["euler"] = euler_cellcount(cfg)
     return out
@@ -358,8 +357,7 @@ def render_text(report: dict) -> str:
         for space, entry in sorted(report["spaces"].items()):
             lines.append(f"space {space}:")
             lines.extend(_graded_lines(entry["table"]))
-            if "contributing_subsets" in entry:
-                lines.append(f"  contributing subsets: {len(entry['contributing_subsets'])}")
+            lines.append(f"  contributing subsets: {len(entry['contributing_subsets'])}")
     elif command == "classify":
         lines.append(f"normal form: {tuple(report['normal_form'])}")
         lines.append(f"d values: {tuple(report['d_values'])}")
@@ -393,8 +391,6 @@ def render_text(report: dict) -> str:
         for failure in report["failures"]:
             bad = [k for k, v in failure["checks"].items() if v == "fail"]
             lines.append(f"  partition {tuple(failure['partition'])}: failed {bad}")
-    else:
-        lines.append(str(report))
     return "\n".join(lines) + "\n"
 
 

@@ -149,3 +149,79 @@ def test_coordinate_classes():
     cfg = qb.make_configuration([(1, 0), (-1, 1), ("5/2", 0), (2, -2), (-1, -1), (-3, "3/2")])
     assert qb.coordinate_classes(cfg) == ((1, 3), (2,), (4,), (5,), (6,))
     assert primitive_ray(cfg.vector(6)) == (-2, 1)
+
+
+def _count_predicate_calls(monkeypatch, module, limit=None):
+    """Route `module.origin_in_convex_hull` through a counter; returns the count list."""
+    original = module.origin_in_convex_hull
+    calls = [0]
+
+    def counted(vectors):
+        calls[0] += 1
+        assert limit is None or calls[0] <= limit, f"more than {limit} predicate calls"
+        return original(vectors)
+
+    monkeypatch.setattr(module, "origin_in_convex_hull", counted)
+    return calls
+
+
+def test_validate_calls_the_predicate_once_per_class_subset(monkeypatch):
+    import quadbook.feasibility
+
+    cfg = qb.partition_configuration((2000, 1, 1))
+    calls = _count_predicate_calls(monkeypatch, quadbook.feasibility, limit=6)
+    assert qb.validate(cfg).ok
+    # three classes, k = 2: three singletons and three pairs
+    assert calls[0] == 6
+
+
+def test_class_complex_search_is_shared_by_equal_geometry(monkeypatch):
+    import quadbook.complexes
+
+    # a linear image of the pentagon that no other test builds
+    cfg = qb.make_configuration([(7 * x + 3 * y, 2 * x + 5 * y) for x, y in PENTAGON.lambdas])
+    relabelled = qb.Configuration(cfg.k, cfg.lambdas, tuple(f"y{i}" for i in range(1, 6)))
+    rescaled = qb.make_configuration([[3 * x for x in vec] for vec in cfg.lambdas])
+    copies = (qb.complexify(cfg), cfg.with_distinguished(2), relabelled, rescaled)
+    for other in (cfg,) + copies:
+        assert qb.validate(other).ok
+    calls = _count_predicate_calls(monkeypatch, quadbook.complexes)
+    first = quadbook.complexes.class_face_masks(cfg)
+    searched = calls[0]
+    assert searched > 0
+    for other in copies:
+        assert quadbook.complexes.class_face_masks(other) == first
+    assert calls[0] == searched
+
+
+def _planted_configuration(rng, k):
+    """Random vectors plus planted positive multiples, antipodes and a zero vector."""
+    vectors = helpers.random_vectors(rng, k, rng.randint(2, 4))
+    for _ in range(rng.randint(1, 4)):
+        kind = rng.choice(("multiple", "multiple", "antipode", "zero"))
+        if kind == "zero":
+            vec = (0,) * k
+        else:
+            scale = rng.randint(1, 3) * (1 if kind == "multiple" else -1)
+            vec = tuple(scale * x for x in rng.choice(vectors))
+        vectors.insert(rng.randint(0, len(vectors)), vec)
+    while len(vectors) < k + 1:
+        vectors.append(tuple(2 * x for x in rng.choice(vectors)))
+    return qb.make_configuration(vectors, k=k)
+
+
+def test_validate_witness_is_least_with_repeated_rays():
+    import itertools
+
+    rng = random.Random(11)
+    mapped = 0
+    for _ in range(120):
+        cfg = _planted_configuration(rng, rng.choice((2, 3, 4)))
+        tuples = itertools.chain.from_iterable(
+            itertools.combinations(range(1, cfg.n + 1), size) for size in range(1, cfg.k + 1))
+        least = min((J for J in tuples
+                     if helpers.brute_origin_in_hull([cfg.vector(i) for i in J])), default=None)
+        assert qb.validate(cfg).witness == least
+        mapped += least is not None and len(qb.coordinate_classes(cfg)) < cfg.n
+    # most draws repeat a ray and fail, so the witness is mapped back from classes
+    assert mapped >= 60
