@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cmp_to_key, lru_cache
 from typing import Sequence
 
@@ -239,8 +238,7 @@ def partition_configuration(partition: CyclicPartition | Sequence[int], *,
     vectors = []
     for mult, vert in zip(parts, verts):
         vectors.extend([vert] * mult)
-    return Configuration(2, tuple(tuple(Fraction(c) for c in v) for v in vectors),
-                         (), distinguished)
+    return Configuration(2, tuple(vectors), (), distinguished)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ import heapq
 import itertools
 from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 from typing import Iterable, Mapping, Sequence
@@ -567,10 +566,8 @@ def _class_faces(rays: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
     them all: children of a face extend it past its top class, which tests
     every class subset at most once.
     """
-    vectors = [tuple(map(Fraction, ray)) for ray in rays]  # converted once, not per test
-
     def is_face(t: int) -> bool:
-        rest = [vec for c, vec in enumerate(vectors) if not t >> c & 1]
+        rest = [ray for c, ray in enumerate(rays) if not t >> c & 1]
         return bool(rest) and origin_in_convex_hull(rest)
 
     if not is_face(0):

@@ -8,6 +8,7 @@ floating point never enters any predicate.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -218,6 +219,18 @@ def _lex_subsets(m: int, k: int, prefix: tuple[int, ...] = ()):
 
 
 @lru_cache(maxsize=None)
+def _first_failure(rays: tuple[tuple[int, ...], ...], k: int) -> tuple[int, ...] | None:
+    """The least class subset of size <= k whose rays hold the origin, or None.
+
+    Keyed on geometry alone, so labels, scale and multiplicity share one walk.
+    """
+    from .feasibility import origin_in_convex_hull
+
+    return next((s for s in _lex_subsets(len(rays), k)
+                 if origin_in_convex_hull([rays[c] for c in s])), None)
+
+
+@lru_cache(maxsize=None)
 def validate(cfg: Configuration) -> ValidationReport:
     """Check weak hyperbolicity: no J with |J| <= k has the origin in conv(lambda_J).
 
@@ -227,25 +240,35 @@ def validate(cfg: Configuration) -> ValidationReport:
     """
     from .feasibility import origin_in_convex_hull
 
-    rays = [tuple(map(Fraction, ray)) for ray, _ in ray_classes(cfg)]
-
-    def fails(class_subset) -> bool:
-        return origin_in_convex_hull([rays[c] for c in class_subset])
-
-    first = next((s for s in _lex_subsets(len(rays), cfg.k) if fails(s)), None)
+    classes = ray_classes(cfg)
+    rays = tuple(ray for ray, _ in classes)
+    first = _first_failure(rays, cfg.k)
     if first is None:
         return ValidationReport(True)
     if len(rays) == cfg.n:  # one coordinate per class: class c is coordinate c + 1
         return ValidationReport(False, tuple(c + 1 for c in first))
-    # the least coordinate tuple whose class set fails; one exists, as `first` does
-    cls = {i - 1: c for c, (_, members) in enumerate(ray_classes(cfg)) for i in members}
-    known: dict[tuple[int, ...], bool] = {}
-    for J in _lex_subsets(cfg.n, cfg.k):
-        class_subset = tuple(sorted({cls[j] for j in J}))
-        if class_subset not in known:
-            known[class_subset] = fails(class_subset)
-        if known[class_subset]:
-            return ValidationReport(False, tuple(j + 1 for j in J))
+
+    @lru_cache(maxsize=None)
+    def fails(s: tuple[int, ...]) -> bool:  # the class sets before `first` all hold up
+        return s == first if s <= first else origin_in_convex_hull([rays[c] for c in s])
+
+    def least(prefix: tuple[int, ...], class_set: tuple[int, ...]) -> tuple[int, ...] | None:
+        """The least tuple of at most k coordinates extending prefix whose class set fails.
+
+        A class offers only its least coordinate past the prefix: a later one
+        gives the same class set in a larger tuple.
+        """
+        if prefix and fails(class_set):
+            return prefix
+        if len(prefix) == cfg.k:
+            return None
+        last = prefix[-1] if prefix else 0
+        nxt = sorted((members[bisect.bisect(members, last)], c)
+                     for c, (_, members) in enumerate(classes) if members[-1] > last)
+        return next(filter(None, (least(prefix + (j,), tuple(sorted({*class_set, c})))
+                                  for j, c in nxt)), None)
+
+    return ValidationReport(False, least((), ()))
 
 
 def require_valid(cfg: Configuration) -> None:

@@ -1,74 +1,75 @@
 """Exact face predicate: is the origin in the convex hull of a set of vectors?
 
-This is the single geometric predicate behind weak hyperbolicity and the dual
-complex: a phase-one simplex over Fraction arithmetic with Bland's
-smallest-index rule, so every answer is exact and every run deterministic.
+The single geometric predicate behind weak hyperbolicity and the dual complex.
+It runs on integer vectors (primitive rays), by a phase-one simplex with
+fraction-free integer pivoting and Bland's rule: exact and deterministic.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .configuration import ConfigurationError, OracleMismatchError, as_rational
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+from .configuration import ConfigurationError, OracleMismatchError, as_rational, primitive_ray
 
 
-def _pivot(tab: list[list[Fraction]], row: int, col: int) -> None:
-    piv = tab[row][col]
-    tab[row] = [x / piv for x in tab[row]]
-    for i, current in enumerate(tab):
-        if i == row:
-            continue
-        factor = current[col]
-        if factor:
-            base = tab[row]
-            tab[i] = [x - factor * y for x, y in zip(current, base)]
+def _phase_one(tab: list[list[int]]) -> bool:
+    """Feasibility of {Ax = b, x >= 0} for the integer tableau [A | b], b >= 0, by Bland's rule.
 
-
-def _phase_one(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> bool:
-    """Feasibility of {Ax = b, x >= 0} for b >= 0 by a phase-one simplex with Bland's rule."""
-    m = len(rows)
-    width = len(rows[0])
-    tab = [list(row) + [b] for row, b in zip(rows, rhs)]
+    The tableau holds D * B^-1 [A | b] for the current basis B, with D = det B
+    > 0 (it starts at 1 on the artificial basis and becomes each pivot, which
+    the ratio test takes positive).  Signs and ratios are those of B^-1 [A | b],
+    so the pivots are those of the rational simplex, and every entry stays an
+    integer: the division by the previous D is exact.
+    """
+    m = len(tab)
+    width = len(tab[0]) - 1
     basis = list(range(width, width + m))  # artificial variables
+    # the sum of the artificial rows: minus the reduced costs of min(sum of
+    # artificials), and the objective value; pivots keep it that sum
+    tab.append([sum(column) for column in zip(*tab)])
+    d = 1
     while True:
-        art = [i for i in range(m) if basis[i] >= width]
-        entering = None
-        for j in range(width):
-            # reduced cost of column j for min(sum of artificials) is
-            # -sum over artificial rows; Bland: first negative wins
-            if sum(tab[i][j] for i in art) > 0:
-                entering = j
-                break
+        objective = tab[m]
+        # Bland: the first column with a negative reduced cost enters
+        entering = next((j for j in range(width) if objective[j] > 0), None)
         if entering is None:
-            return sum(tab[i][width] for i in art) == 0
+            return objective[width] == 0
         leave = None
-        best = None
         for i in range(m):
             a = tab[i][entering]
             if a > 0:
-                ratio = tab[i][width] / a
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best = ratio
+                if leave is None:
+                    leave = i
+                    continue
+                # ratio b_i / a against the best b / a, by cross-multiplication
+                cross = tab[i][width] * tab[leave][entering] - tab[leave][width] * a
+                if cross < 0 or (cross == 0 and basis[i] < basis[leave]):
                     leave = i
         if leave is None:
             raise OracleMismatchError("phase-one simplex found an unbounded direction")
-        _pivot(tab, leave, entering)
+        base = tab[leave]
+        p = base[entering]
+        for i, current in enumerate(tab):
+            if i != leave:
+                f = current[entering]
+                tab[i] = [(p * x - f * y) // d for x, y in zip(current, base)]
+        d = p
         basis[leave] = entering
 
 
 def origin_in_convex_hull(vectors: Iterable[Sequence]) -> bool:
-    """True iff some convex combination of the vectors is the origin."""
-    vecs = [tuple(as_rational(x) for x in v) for v in vectors]
+    """True iff some convex combination of the vectors is the origin.
+
+    Entries may be ints, Fractions or rational strings; a vector that is not
+    all ints is replaced by its primitive integer ray, which changes no answer.
+    """
+    vecs = [v if all(type(x) is int for x in v) else primitive_ray([as_rational(x) for x in v])
+            for v in vectors]
     if not vecs:
         raise ConfigurationError("origin_in_convex_hull needs a nonempty vector list")
     k = len(vecs[0])
     if any(len(v) != k for v in vecs):
         raise ConfigurationError("vectors of mixed lengths")
-    rows = [[v[r] for v in vecs] for r in range(k)]
-    rows.append([_ONE] * len(vecs))
-    rhs = [_ZERO] * k + [_ONE]
-    return _phase_one(rows, rhs)
+    rows = [[v[r] for v in vecs] + [0] for r in range(k)]
+    rows.append([1] * len(vecs) + [1])
+    return _phase_one(rows)

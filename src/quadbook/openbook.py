@@ -198,11 +198,7 @@ PagePiece = SphereTimesDisk | DiskTimesSphere | SphereSphereDisk | PuncturedProd
 
 def exterior_homology(p: int, q: int, m: int) -> GradedGroup:
     """Free homology of the exterior E^m_{p,q}: degrees 0, m-p-q-1, m-q-1, m-p-1."""
-    space = ExteriorSpace(p, q, m)
-    ranks = {0: 1}
-    for d, r in space.reduced_ranks().items():
-        ranks[d] = ranks.get(d, 0) + r
-    return GradedGroup.from_parts(ranks)
+    return GradedGroup.single(0) + GradedGroup.from_parts(ExteriorSpace(p, q, m).reduced_ranks())
 
 
 # ---------------------------------------------------------------------------
@@ -228,10 +224,9 @@ class PageDescription:
                 )
 
     def render(self) -> str:
-        sep = " x " if self.case == "a" else " #b "
         if self.case == "a":
             return self.pieces[0].render()
-        return sep.join(piece.render() for piece in self.pieces)
+        return " #b ".join(piece.render() for piece in self.pieces)
 
 
 def _cyclic_indices(start: int, stop: int, m: int) -> list[int]:
@@ -312,11 +307,8 @@ def page_homology(page: PageDescription) -> GradedGroup:
     A boundary connected sum is a wedge up to homotopy, so the reduced groups
     simply add; the single product piece of case a gives the same rule.
     """
-    ranks = {0: 1}
-    for piece in page.pieces:
-        for d, r in piece.reduced_ranks().items():
-            ranks[d] = ranks.get(d, 0) + r
-    return GradedGroup.from_parts(ranks)
+    pieces = [GradedGroup.from_parts(piece.reduced_ranks()) for piece in page.pieces]
+    return GradedGroup.sum([GradedGroup.single(0)] + pieces)
 
 
 # ---------------------------------------------------------------------------

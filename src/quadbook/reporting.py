@@ -324,19 +324,8 @@ def cross_validate(families: Iterable[str], *, jobs: int = 1) -> dict:
 
 
 def _graded_lines(rows: list[dict]) -> list[str]:
-    if not rows:
-        return ["  (zero)"]
-    out = []
-    for row in rows:
-        label = ""
-        if row["rank"] == 1:
-            label = "Z"
-        elif row["rank"] > 1:
-            label = f"Z^{row['rank']}"
-        torsion = " + ".join(f"Z/{t}" for t in row["torsion"])
-        text = " + ".join(x for x in (label, torsion) if x) or "0"
-        out.append(f"  H_{row['degree']} = {text}")
-    return out
+    group = GradedGroup(tuple((row["degree"], row["rank"], tuple(row["torsion"])) for row in rows))
+    return [f"  H_{d} = {group.describe(d)}" for d in group.degrees] or ["  (zero)"]
 
 
 def render_text(report: dict) -> str:

@@ -169,10 +169,45 @@ def test_validate_calls_the_predicate_once_per_class_subset(monkeypatch):
     import quadbook.feasibility
 
     cfg = qb.partition_configuration((2000, 1, 1))
+    qb.configuration._first_failure.cache_clear()  # the triangle's rays, shared with other tests
     calls = _count_predicate_calls(monkeypatch, quadbook.feasibility, limit=6)
     assert qb.validate(cfg).ok
     # three classes, k = 2: three singletons and three pairs
     assert calls[0] == 6
+
+
+def test_validate_witness_is_built_in_linear_time(monkeypatch):
+    import quadbook.feasibility
+
+    # the witness starts late: every tuple of two early coordinates holds up
+    N = 2000
+    cfg = qb.make_configuration([(1, 0)] * N + [(0, 1)] * N + [(0, -1)])
+    qb.configuration._first_failure.cache_clear()
+    calls = _count_predicate_calls(monkeypatch, quadbook.feasibility, limit=6)
+    assert qb.validate(cfg).witness == (N + 1, 2 * N + 1)
+    # the class walk and the mapping back test each of the six class subsets at most once
+    assert calls[0] <= 6
+
+
+def test_validate_walk_is_shared_by_equal_geometry(monkeypatch):
+    import quadbook.feasibility
+
+    # a linear image of the pentagon that no other test builds, and an invalid extension
+    good = qb.make_configuration([(5 * x - 2 * y, 3 * x + 4 * y) for x, y in PENTAGON.lambdas])
+    bad = qb.make_configuration(list(good.lambdas) + [[-x for x in good.vector(3)]])
+    reports = {cfg: qb.validate(cfg) for cfg in (good, bad)}
+    assert reports[good].ok and reports[bad].witness == (3, 6)
+    calls = _count_predicate_calls(monkeypatch, quadbook.feasibility)
+    for cfg, report in reports.items():
+        labels = tuple(f"y{i}" for i in range(1, cfg.n + 1))
+        relabelled = qb.Configuration(cfg.k, cfg.lambdas, labels)
+        rescaled = qb.make_configuration([[3 * x for x in vec] for vec in cfg.lambdas])
+        for other in (cfg.with_distinguished(2), relabelled, rescaled):
+            assert qb.validate(other) == report
+        doubled = qb.validate(qb.complexify(cfg))
+        assert doubled.ok == report.ok
+        assert doubled.witness == (None if report.ok else tuple(2 * i - 1 for i in report.witness))
+    assert calls[0] == 0
 
 
 def test_class_complex_search_is_shared_by_equal_geometry(monkeypatch):

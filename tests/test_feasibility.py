@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import quadbook as qb
 from quadbook.complexes import dual_face_masks
@@ -41,6 +42,46 @@ def test_origin_in_convex_hull_matches_brute_force():
         k = rng.choice((2, 3))
         vectors = helpers.random_vectors(rng, k, rng.randint(1, k + 2))
         assert qb.origin_in_convex_hull(vectors) == helpers.brute_origin_in_hull(vectors)
+
+
+def _degenerate_vectors(rng, k, scale):
+    """A few random vectors plus zero, repeated, multiple, antipodal and collinear ones."""
+    base = [tuple(rng.randint(-3, 3) * scale + rng.randint(-1, 1) for _ in range(k))
+            for _ in range(rng.randint(1, 3))]
+    vectors = list(base)
+    for _ in range(rng.randint(1, 4)):
+        u, v = rng.choice(base), rng.choice(base)
+        kind = rng.choice(("zero", "repeat", "multiple", "antipode", "collinear"))
+        if kind == "zero":
+            w = (0,) * k
+        elif kind == "repeat":
+            w = u
+        elif kind == "collinear":  # on the line through u and v
+            w = tuple(2 * b - a for a, b in zip(u, v))
+        else:
+            w = tuple((1 if kind == "multiple" else -1) * rng.randint(1, 3) * a for a in u)
+        vectors.insert(rng.randint(0, len(vectors)), w)
+    return vectors
+
+
+def test_origin_in_convex_hull_degenerate_inputs():
+    rng = random.Random(29)
+    found = 0
+    for _ in range(240):
+        k = rng.choice((2, 3, 4))
+        vectors = _degenerate_vectors(rng, k, rng.choice((1, 10 ** 40)))
+        expected = helpers.brute_origin_in_hull(vectors)
+        assert qb.origin_in_convex_hull(vectors) == expected, vectors
+        found += expected
+        # positive rational rescaling, given as Fractions and as strings, changes no answer
+        scaled = [[Fraction(a, d) for a in v] for v, d in
+                  zip(vectors, (rng.randint(1, 10 ** 6) for _ in vectors))]
+        assert qb.origin_in_convex_hull(scaled) == expected
+        assert qb.origin_in_convex_hull([[str(a) for a in v] for v in scaled]) == expected
+    assert qb.origin_in_convex_hull([(0, 0)])
+    assert qb.origin_in_convex_hull([("1/3", "-2/7"), ("-5/3", "10/7")])
+    assert not qb.origin_in_convex_hull([("1/3", "-2/7"), ("5/3", "-10/7")])
+    assert 40 < found < 200  # both answers are well represented
 
 
 def test_face_nonempty_empty_subset():
