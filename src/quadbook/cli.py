@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 
 from .configuration import (
     InvalidConfigurationError,
@@ -40,7 +41,9 @@ EXIT_CAP = 3
 EXIT_MISMATCH = 4
 
 
+@lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
+    """The command line parser; built once, since parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="quadbook",
         description="homology and open book structures of generic intersections of quadrics",

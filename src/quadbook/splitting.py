@@ -5,6 +5,15 @@ H(P, P_J); the half manifold drops the summands whose J contains the
 distinguished coordinate, and the complex variety shifts each summand by |J|.
 Pair homology is computed through the nerve model: P_J is homotopy equivalent
 to the full subcomplex of the dual complex on J.
+
+Only unions of ray classes contribute, and each is read off the class complex
+K with the wedge shift.  Classes whose facet is empty (ghosts) are no vertex
+of K and change no restriction.  On its vertices V, K is the boundary of a
+simplicial polytope, a d-sphere, so combinatorial Alexander duality gives the
+restriction to S from the one to V - S, in degree d - 1 - i for ranks and
+d - 2 - i for torsion.  Only restrictions to at most half of V are computed,
+each built from its parent in a depth-first walk.  K_V must have the reduced
+homology of a d-sphere; any other outcome is an OracleMismatchError.
 """
 
 from __future__ import annotations
@@ -18,6 +27,7 @@ from .complexes import GradedGroup, _homology_from_masks, _mask, class_face_mask
 from .configuration import (
     Configuration,
     ConfigurationError,
+    OracleMismatchError,
     SizeCapError,
     coordinate_classes,
     require_valid,
@@ -33,21 +43,71 @@ def _pair_table(cfg: Configuration) -> tuple[tuple[tuple[int, ...], GradedGroup]
     Only unions J of ray classes can contribute: if J splits a class, the
     restricted dual complex is a cone on any included copy whose twin was left
     out, hence acyclic.  For J the union of a class set T, the restriction is
-    the simplicial wedge of the class complex on T, which suspends it once per
-    extra copy: H(P, P_J) is the reduced homology of the class complex on T
-    shifted by 1 + sum over c in T of (|c| - 1).
+    the simplicial wedge of the class complex K on T, which suspends it once
+    per extra copy: H(P, P_J) is the reduced homology of K_T shifted by
+    1 + sum over c in T of (|c| - 1).
+
+    The classes whose singleton is a face are the vertices V; the others
+    (ghosts, empty facets) carry no face, so K_T = K_S with S = T & V.  Only
+    the restrictions with |S| <= |V| // 2 are computed, depth first with
+    classes added in increasing order: the faces of K_{S+c} are those of K_S
+    plus every f | c that is a class face, so each restriction is built from
+    its parent.  K_V is the boundary of the simplicial polytope dual to the
+    (simple) class polytope, a sphere of dimension d = largest face size - 1,
+    so Alexander duality gives every larger restriction from its complement:
+    H_i(K_S) has the rank of H_{d-1-i}(K_{V-S}) and the torsion of
+    H_{d-2-i}(K_{V-S}), all reduced.  The sphere property is checked once;
+    anything but Z in degree d raises OracleMismatchError.
     """
     class_faces = class_face_masks(cfg)
     if not class_faces:
         return ()  # empty polytope: empty variety, no cells
     classes = coordinate_classes(cfg)
+    is_face = frozenset(class_faces)
+    vertices = [c for c in range(len(classes)) if 1 << c in is_face]
+    d = max(f.bit_count() for f in class_faces) - 1
+    sphere = _homology_from_masks(class_faces)  # ghosts are in no face: this is K_V
+    if sphere != GradedGroup.single(d):
+        raise OracleMismatchError(
+            f"the class complex on its vertices is not a {d}-sphere: reduced homology {sphere}")
+
+    half = len(vertices) // 2
+    small: dict[int, GradedGroup] = {}
+
+    def walk(s: int, faces: list[tuple[int, int]], start: int) -> None:
+        # faces of K_S as (class mask, mask over the positions of S in order),
+        # the second keeping the engine's tables as small as S
+        small[s] = _homology_from_masks([q for _, q in faces])
+        size = s.bit_count()
+        if size == half:
+            return
+        for pos in range(start, len(vertices)):
+            bit = 1 << vertices[pos]
+            walk(s | bit, faces + [(f | bit, q | 1 << size) for f, q in faces if f | bit in is_face],
+                 pos + 1)
+
+    walk(0, [(0, 0)], 0)
+    v_mask = sum(1 << c for c in vertices)
+    restrictions = dict(small)
+    for rest, group in small.items():
+        s = v_mask ^ rest
+        if s not in small:
+            restrictions[s] = GradedGroup.from_parts(
+                {d - 1 - i: group.rank(i) for i in group.degrees},
+                {d - 2 - i: group.torsion(i) for i in group.degrees})
+
+    ghost_sets = [0]
+    for c in range(len(classes)):
+        if not v_mask >> c & 1:
+            ghost_sets += [g | 1 << c for g in ghost_sets]
     entries = []
-    for t in range(1 << len(classes)):
-        chosen = [members for c, members in enumerate(classes) if t >> c & 1]
-        sub = [f for f in class_faces if f & ~t == 0]
-        group = _homology_from_masks(sub).shift(1 + sum(len(members) - 1 for members in chosen))
-        if not group.is_zero:
-            entries.append((tuple(sorted(itertools.chain(*chosen))), group))
+    for s, group in restrictions.items():
+        if group.is_zero:
+            continue
+        for g in ghost_sets:
+            chosen = [members for c, members in enumerate(classes) if (s | g) >> c & 1]
+            J = tuple(sorted(itertools.chain(*chosen)))
+            entries.append((J, group.shift(1 + len(J) - len(chosen))))
     return tuple(sorted(entries, key=lambda entry: (len(entry[0]), entry[0])))
 
 
@@ -87,15 +147,21 @@ def euler_cellcount(cfg: Configuration) -> int:
     """Euler characteristic of the real variety from its reflected cell decomposition.
 
     Each nonempty face with |L| pinned facets has dimension n-k-1-|L| and
-    2^(n-|L|) reflected copies.
+    2^(n-|L|) reflected copies, so chi(Z) = (-1)^(n-k-1) times the sum over
+    faces of the product over coordinates of -1 (pinned) or 2 (free).  By the
+    wedge rule the faces over a class face T pin each class of T whole and any
+    proper part of each other class c; summing over those parts gives
+    (2 - 1)^|c| - (-1)^|c|, so the sum runs over class faces alone.
     """
     require_valid(cfg)
-    n, k = cfg.n, cfg.k
+    sizes = [len(members) for members in coordinate_classes(cfg)]
     total = 0
-    for f in dual_face_masks(cfg):
-        size = f.bit_count()
-        total += (-1) ** (n - k - 1 - size) * (1 << (n - size))
-    return total
+    for t in class_face_masks(cfg):
+        term = 1
+        for c, size in enumerate(sizes):
+            term *= (-1) ** size if t >> c & 1 else 1 - (-1) ** size
+        total += term
+    return (-1) ** (cfg.n - cfg.k - 1) * total
 
 
 @dataclass(frozen=True)

@@ -118,6 +118,42 @@ def reference_homology_Z(cfg: qb.Configuration) -> qb.GradedGroup:
                               for sub in restrictions(list(faces), list(groups.values())))
 
 
+def reference_pair_table(cfg: qb.Configuration):
+    """The splitting's nonzero class restrictions, each computed directly.
+
+    Every class subset T filters the whole class face list, goes to the
+    homology engine as it is and takes the wedge shift 1 + sum of (|c| - 1)
+    over c in T: no ghost shortcut, no incremental build and no duality.
+    """
+    from quadbook.complexes import _homology_from_masks, class_face_masks
+
+    class_faces = class_face_masks(cfg)
+    if not class_faces:
+        return ()
+    classes = qb.coordinate_classes(cfg)
+    entries = []
+    for t in range(1 << len(classes)):
+        chosen = [members for c, members in enumerate(classes) if t >> c & 1]
+        group = _homology_from_masks([f for f in class_faces if f & ~t == 0])
+        group = group.shift(1 + sum(len(members) - 1 for members in chosen))
+        if not group.is_zero:
+            entries.append((tuple(sorted(itertools.chain(*chosen))), group))
+    return tuple(sorted(entries, key=lambda entry: (len(entry[0]), entry[0])))
+
+
+def reference_euler_cellcount(cfg: qb.Configuration) -> int:
+    """chi(Z) summed over the coordinate faces of `dual_face_masks`.
+
+    A face pinning |L| facets has dimension n-k-1-|L| and 2^(n-|L|)
+    reflected copies; no class-level product formula is used.
+    """
+    from quadbook.complexes import dual_face_masks
+
+    n, k = cfg.n, cfg.k
+    return sum((-1) ** (n - k - 1 - f.bit_count()) * (1 << (n - f.bit_count()))
+               for f in dual_face_masks(cfg))
+
+
 def kunneth_sphere_ranks(dims) -> dict[int, int]:
     """Rank table of a product of spheres, computed by plain convolution."""
     acc = {0: 1}

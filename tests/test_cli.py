@@ -255,3 +255,20 @@ def test_cli_fuzz_exit_codes(doc, command, structured, tmp_path_factory):
         code = main(argv)
     assert code in range(5)
     assert "Traceback" not in err.getvalue()
+
+
+def test_parser_state_does_not_leak_between_calls(capsys, monkeypatch):
+    code, out, _ = run_cli(capsys, "homology", "--partition", "2,2,2",
+                           "--space", "Z", "--format", "structured")
+    assert code == 0 and set(json.loads(out)["spaces"]) == {"Z"}
+    code, out, _ = run_cli(capsys, "homology", "--partition", "2,2,2", "--format", "structured")
+    assert code == 0 and set(json.loads(out)["spaces"]) == {"Z", "ZC", "Zplus"}
+
+    seen = []
+    monkeypatch.setattr("quadbook.cli.cross_validate",
+                        lambda families, jobs: seen.append(families) or {"ok": True})
+    monkeypatch.setattr("quadbook.cli._emit", lambda report, fmt, stream: None)
+    assert main(["cross-validate", "--family", "partitions:n<=4"]) == 0
+    assert main(["cross-validate"]) == 0
+    assert main(["cross-validate", "--family", "partitions:n<=5"]) == 0
+    assert seen == [["partitions:n<=4"], ["partitions:n<=6"], ["partitions:n<=5"]]

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -170,3 +171,92 @@ def test_ledger_matches_brute_force_pair_sums():
             # subset absent from the ledger contributes nothing
             assert dict(ledger.entries) == nonzero, (cfg, space)
             assert ledger.total == GradedGroup.sum(contributions.values()), (cfg, space)
+
+
+def _with_repeated_rays(rng, cfg, copies):
+    """Insert `copies` extra coordinates, each an exact or a scaled copy of an existing one."""
+    vectors = list(cfg.lambdas)
+    for _ in range(copies):
+        i = rng.randrange(len(vectors))
+        scale = rng.choice((1, 1, 2, 3))
+        vectors.insert(i + 1, tuple(scale * x for x in vectors[i]))
+    return qb.make_configuration(vectors, k=cfg.k)
+
+
+def _duality_corpus():
+    configs = [qb.partition_configuration(p) for p in helpers.partitions_up_to(8)]
+    rng = random.Random(41)
+    for k in (3, 4, 5):
+        for _ in range(8):
+            cfg = helpers.random_valid_configuration(rng, k, rng.randint(k + 2, 9))
+            configs.append(_with_repeated_rays(rng, cfg, rng.randint(0, 11 - cfg.n)))
+    return configs
+
+
+def test_pair_table_matches_direct_restrictions():
+    from quadbook.complexes import class_face_masks
+    from quadbook.splitting import _pair_table
+
+    saw_ghost = saw_large_class = False
+    for cfg in _duality_corpus():
+        faces = set(class_face_masks(cfg))
+        classes = qb.coordinate_classes(cfg)
+        saw_ghost |= bool(faces) and any(1 << c not in faces for c in range(len(classes)))
+        saw_large_class |= any(len(members) >= 2 for members in classes)
+        assert _pair_table(cfg) == helpers.reference_pair_table(cfg), cfg
+    # the corpus reaches both shortcuts the table takes over the direct sum
+    assert saw_ghost and saw_large_class
+
+
+@pytest.mark.parametrize("cfg", [
+    qb.partition_configuration((1,) * 11),
+    helpers.random_valid_configuration(random.Random(7), 4, 11),
+], ids=["ones-11", "dense-k4"])
+def test_pair_table_work_bound(monkeypatch, cfg):
+    from quadbook import splitting
+    from quadbook.complexes import class_face_masks
+
+    engine = splitting._homology_from_masks
+    calls = []
+    monkeypatch.setattr(splitting, "_homology_from_masks",
+                        lambda faces: calls.append(faces) or engine(faces))
+    splitting._pair_table.cache_clear()
+    splitting._pair_table(cfg)
+    faces = set(class_face_masks(cfg))
+    vertices = sum(1 for c in range(len(qb.coordinate_classes(cfg))) if 1 << c in faces)
+    # one reduction per restriction of at most half the vertices, plus the sphere check
+    bound = sum(math.comb(vertices, j) for j in range(vertices // 2 + 1)) + 1
+    assert len(calls) <= bound < 1 << vertices
+
+
+# a disk (one filled triangle) and two points plus an edge: neither is a sphere
+@pytest.mark.parametrize("faces", [(0, 1, 2, 3, 4, 5, 6, 7), (0, 1, 2, 4, 8, 12)],
+                         ids=["disk", "points-and-edge"])
+def test_sphere_guard(monkeypatch, capsys, faces):
+    from quadbook import splitting
+    from quadbook.cli import main
+
+    monkeypatch.setattr(splitting, "class_face_masks", lambda cfg: faces)
+    splitting._pair_table.cache_clear()
+    try:
+        with pytest.raises(qb.OracleMismatchError):
+            qb.homology_Z(PENTAGON)
+        code = main(["homology", "--partition", "1,1,1,1,1", "--format", "structured"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (4, "")
+        assert "Traceback" not in captured.err
+        assert "sphere" in captured.err
+    finally:
+        splitting._pair_table.cache_clear()
+
+
+def test_euler_cellcount_matches_coordinate_sum():
+    configs = [qb.partition_configuration(p) for p in helpers.partitions_up_to(9)]
+    rng = random.Random(53)
+    for k in (2, 3, 4):
+        for _ in range(8):
+            cfg = helpers.random_valid_configuration(rng, k, rng.randint(k + 2, 8),
+                                                     require_nonempty=False)
+            configs.append(_with_repeated_rays(rng, cfg, rng.randint(0, 3)))
+    for cfg in configs:
+        assert qb.euler_cellcount(cfg) == helpers.reference_euler_cellcount(cfg), cfg
