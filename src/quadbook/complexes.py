@@ -25,7 +25,7 @@ from .configuration import (
     ray_classes,
     require_valid,
 )
-from .feasibility import origin_in_convex_hull
+from .feasibility import hull_support
 
 
 # ---------------------------------------------------------------------------
@@ -562,25 +562,38 @@ def _class_faces(rays: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
     """The class face masks of rays in this order; labels, scale and multiplicity drop out.
 
     A class set T is a face iff the origin lies in the convex hull of the rays
-    outside T.  Faces are closed under subsets, so a monotone search finds
-    them all: children of a face extend it past its top class, which tests
-    every class subset at most once.
+    outside T.  The search decides all faces of one size before the next, each
+    candidate a face extended past its top class.  Faces are closed under
+    subsets, so a candidate with a facet that is no face is skipped.  Each
+    face keeps a witness, the classes of one hull point outside it; a
+    candidate that the witness of its parent or of a facet misses is a face
+    with that witness.  Only the rest run the phase one, whose support is the
+    new witness, so the phase ones that fail are the minimal non-faces.
     """
-    def is_face(t: int) -> bool:
-        rest = [ray for c, ray in enumerate(rays) if not t >> c & 1]
-        return bool(rest) and origin_in_convex_hull(rest)
+    def support(t: int) -> int | None:
+        rest = [c for c in range(len(rays)) if not t >> c & 1]
+        found = hull_support([rays[c] for c in rest]) if rest else None
+        return None if found is None else sum(1 << rest[i] for i in found)
 
-    if not is_face(0):
+    witness = support(0)
+    if witness is None:
         return ()
     out = [0]
-    stack = [(0, -1)]  # (face, top class)
-    while stack:
-        t, top = stack.pop()
-        for c in range(top + 1, len(rays)):
-            child = t | 1 << c
-            if is_face(child):
-                out.append(child)
-                stack.append((child, c))
+    level = {0: witness}  # the faces of one size, each with its witness
+    while level:
+        nxt: dict[int, int] = {}
+        for t, seen in level.items():
+            for c in range(t.bit_length(), len(rays)):
+                child = t | 1 << c
+                facets = [level.get(child & ~(1 << x)) for x in range(c) if t >> x & 1]
+                if None in facets:
+                    continue
+                reuse = next((w for w in [seen, *facets] if not w & child), None)
+                witness = support(child) if reuse is None else reuse
+                if witness is not None:
+                    nxt[child] = witness
+        out.extend(nxt)
+        level = nxt
     return tuple(sorted(out))
 
 

@@ -3,6 +3,8 @@
 The single geometric predicate behind weak hyperbolicity and the dual complex.
 It runs on integer vectors (primitive rays), by a phase-one simplex with
 fraction-free integer pivoting and Bland's rule: exact and deterministic.
+`hull_support` also returns the support of the point it finds, which the
+class-face search reuses as a witness for other class sets.
 """
 
 from __future__ import annotations
@@ -12,8 +14,11 @@ from typing import Iterable, Sequence
 from .configuration import ConfigurationError, OracleMismatchError, as_rational, primitive_ray
 
 
-def _phase_one(tab: list[list[int]]) -> bool:
-    """Feasibility of {Ax = b, x >= 0} for the integer tableau [A | b], b >= 0, by Bland's rule.
+def _phase_one(tab: list[list[int]]) -> tuple[int, ...] | None:
+    """Solve {Ax = b, x >= 0} for the integer tableau [A | b], b >= 0, by Bland's rule.
+
+    Returns the columns of the positive basic variables at the feasible point
+    where the simplex stops, in increasing order, or None if there is none.
 
     The tableau holds D * B^-1 [A | b] for the current basis B, with D = det B
     > 0 (it starts at 1 on the artificial basis and becomes each pivot, which
@@ -33,7 +38,9 @@ def _phase_one(tab: list[list[int]]) -> bool:
         # Bland: the first column with a negative reduced cost enters
         entering = next((j for j in range(width) if objective[j] > 0), None)
         if entering is None:
-            return objective[width] == 0
+            if objective[width]:
+                return None
+            return tuple(sorted(basis[i] for i in range(m) if basis[i] < width and tab[i][width] > 0))
         leave = None
         for i in range(m):
             a = tab[i][entering]
@@ -57,6 +64,21 @@ def _phase_one(tab: list[list[int]]) -> bool:
         basis[leave] = entering
 
 
+def hull_support(rays: Sequence[Sequence[int]]) -> tuple[int, ...] | None:
+    """Positions of integer vectors whose hull holds the origin, or None if the hull misses it.
+
+    The positions are the support of the convex combination at which the phase
+    one stops: the vectors there alone hold the origin in their hull.
+    """
+    if not rays:
+        raise ConfigurationError("the convex hull test needs a nonempty vector list")
+    if len(set(map(len, rays))) > 1:
+        raise ConfigurationError("vectors of mixed lengths")
+    rows = [[*column, 0] for column in zip(*rays)]
+    rows.append([1] * (len(rays) + 1))
+    return _phase_one(rows)
+
+
 def origin_in_convex_hull(vectors: Iterable[Sequence]) -> bool:
     """True iff some convex combination of the vectors is the origin.
 
@@ -65,11 +87,4 @@ def origin_in_convex_hull(vectors: Iterable[Sequence]) -> bool:
     """
     vecs = [v if all(type(x) is int for x in v) else primitive_ray([as_rational(x) for x in v])
             for v in vectors]
-    if not vecs:
-        raise ConfigurationError("origin_in_convex_hull needs a nonempty vector list")
-    k = len(vecs[0])
-    if any(len(v) != k for v in vecs):
-        raise ConfigurationError("vectors of mixed lengths")
-    rows = [[v[r] for v in vecs] + [0] for r in range(k)]
-    rows.append([1] * len(vecs) + [1])
-    return _phase_one(rows)
+    return hull_support(vecs) is not None

@@ -285,3 +285,35 @@ def test_dual_complex_requires_validity():
     bad = qb.make_configuration([(1, 0), (-1, 0), (0, 1)], k=2)
     with pytest.raises(qb.InvalidConfigurationError):
         qb.dual_complex(bad)
+
+
+def _minimal_non_faces(masks, m):
+    """Class sets that are no face while each of their facets is one."""
+    faces = set(masks)
+    above = {f | 1 << c for f in faces for c in range(m) if not f >> c & 1} - faces
+    return [s for s in above if all(s & ~(1 << x) in faces for x in range(m) if s >> x & 1)]
+
+
+def test_class_search_solves_only_minimal_non_faces(monkeypatch):
+    import quadbook.complexes
+    from quadbook.configuration import ray_classes
+
+    rng = random.Random(17)
+    configs = [qb.partition_configuration((1,) * 11), qb.partition_configuration((1,) * 13)]
+    configs += [helpers.random_valid_configuration(rng, k, k + 7) for k in (3, 4, 5)]
+    original = quadbook.complexes.hull_support
+    for cfg in configs:
+        found = []  # per phase one: did it return a support?
+
+        def counted(vectors):
+            support = original(vectors)
+            found.append(support is not None)
+            return support
+
+        monkeypatch.setattr(quadbook.complexes, "hull_support", counted)
+        rays = tuple(ray for ray, _ in ray_classes(cfg))
+        masks = quadbook.complexes._class_faces.__wrapped__(rays)  # past the memo
+        # a phase one that fails proves a minimal non-face; facet pruning skips every other non-face
+        assert found.count(False) == len(_minimal_non_faces(masks, len(rays)))
+        # witness reuse decides most faces without a phase one
+        assert 0 < found.count(True) <= len(masks) // 4

@@ -151,9 +151,9 @@ def test_coordinate_classes():
     assert primitive_ray(cfg.vector(6)) == (-2, 1)
 
 
-def _count_predicate_calls(monkeypatch, module, limit=None):
-    """Route `module.origin_in_convex_hull` through a counter; returns the count list."""
-    original = module.origin_in_convex_hull
+def _count_predicate_calls(monkeypatch, module, limit=None, name="origin_in_convex_hull"):
+    """Route the predicate `module.<name>` through a counter; returns the count list."""
+    original = getattr(module, name)
     calls = [0]
 
     def counted(vectors):
@@ -161,7 +161,7 @@ def _count_predicate_calls(monkeypatch, module, limit=None):
         assert limit is None or calls[0] <= limit, f"more than {limit} predicate calls"
         return original(vectors)
 
-    monkeypatch.setattr(module, "origin_in_convex_hull", counted)
+    monkeypatch.setattr(module, name, counted)
     return calls
 
 
@@ -220,7 +220,7 @@ def test_class_complex_search_is_shared_by_equal_geometry(monkeypatch):
     copies = (qb.complexify(cfg), cfg.with_distinguished(2), relabelled, rescaled)
     for other in (cfg,) + copies:
         assert qb.validate(other).ok
-    calls = _count_predicate_calls(monkeypatch, quadbook.complexes)
+    calls = _count_predicate_calls(monkeypatch, quadbook.complexes, name="hull_support")
     first = quadbook.complexes.class_face_masks(cfg)
     searched = calls[0]
     assert searched > 0

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import quadbook as qb
 from quadbook.complexes import dual_face_masks
+from quadbook.feasibility import hull_support
 
 import helpers
 
@@ -73,6 +74,10 @@ def test_origin_in_convex_hull_degenerate_inputs():
         expected = helpers.brute_origin_in_hull(vectors)
         assert qb.origin_in_convex_hull(vectors) == expected, vectors
         found += expected
+        # the support is a real witness: its vectors alone hold the origin
+        support = hull_support(vectors)
+        assert (support is not None) == expected, vectors
+        assert support is None or helpers.brute_origin_in_hull([vectors[i] for i in support])
         # positive rational rescaling, given as Fractions and as strings, changes no answer
         scaled = [[Fraction(a, d) for a in v] for v, d in
                   zip(vectors, (rng.randint(1, 10 ** 6) for _ in vectors))]
@@ -120,6 +125,13 @@ def test_defining_system_matches_face_masks():
         cfg = helpers.random_valid_configuration(rng, rng.choice((2, 3)), rng.randint(4, 7))
         L = frozenset(rng.sample(range(1, cfg.n + 1), rng.randint(0, cfg.n)))
         assert (_mask(L) in dual_face_masks(cfg)) == _face_oracle(cfg, L)
+    # higher k, where facet pruning and witness reuse decide most faces: every subset
+    for k in (4, 5):
+        cfg = helpers.random_valid_configuration(rng, k, 8)
+        masks = set(dual_face_masks(cfg))
+        for size in range(cfg.n + 1):
+            for L in itertools.combinations(range(1, cfg.n + 1), size):
+                assert (_mask(L) in masks) == _face_oracle(cfg, L), (cfg, L)
     # positive-multiple copies share a ray class; every subset is checked
     for _ in range(10):
         k = rng.choice((2, 3))
