@@ -22,15 +22,7 @@ from .configuration import (
     validate,
 )
 from .feasibility import origin_in_convex_hull
-from .complexes import (
-    GradedGroup,
-    SimplicialComplex,
-    dual_complex,
-    full_subcomplex,
-    invariant_chain,
-    reduced_homology,
-    smith_normal_form,
-)
+from .complexes import GradedGroup, invariant_chain
 from .splitting import (
     DEFAULT_SUBSET_CAP,
     SplittingLedger,

@@ -14,12 +14,13 @@ from dataclasses import dataclass
 from functools import cmp_to_key, lru_cache
 from typing import Sequence
 
-from .complexes import GradedGroup, dual_face_masks
+from .complexes import GradedGroup, class_face_masks
 from .configuration import (
     Configuration,
     ConfigurationError,
     NormalFormError,
     OracleMismatchError,
+    coordinate_classes,
     ray_classes,
     require_valid,
 )
@@ -169,21 +170,29 @@ def normal_form_labelled(cfg: Configuration) -> tuple[CyclicPartition, tuple[tup
 
 
 def _self_check(cfg: Configuration, parts: tuple[int, ...], groups: list[list[int]]) -> None:
-    realization = partition_configuration(parts)
-    position = {}
-    offset = 0
-    for group in groups:
-        for step, coord in enumerate(sorted(group)):
-            position[coord] = offset + step + 1
-        offset += len(group)
-    relabeled = set()
-    for mask in dual_face_masks(cfg):
-        new = 0
-        for bit in range(cfg.n):
-            if mask >> bit & 1:
-                new |= 1 << (position[bit + 1] - 1)
-        relabeled.add(new)
-    if relabeled != set(dual_face_masks(realization)):
+    """Raise unless the polygon realisation of parts has the dual complex of cfg.
+
+    Each group must be a union of whole ray classes of cfg; group p becomes
+    part p, which is class p of the realisation.  A coordinate set is a face
+    iff the classes it contains whole form a class face, so the two
+    coordinate complexes agree iff, for every class set T of cfg, T is a face
+    exactly when parts(T), the parts whose classes all lie in T, is one.
+    parts is monotone and both complexes are closed under subsets, so it is
+    enough to test the class faces and the non-faces one class above a face;
+    with three or more groups the empty set is a face.
+    """
+    realization = set(class_face_masks(partition_configuration(parts)))
+    faces = set(class_face_masks(cfg))
+    classes = coordinate_classes(cfg)
+    index = {coord: c for c, members in enumerate(classes) for coord in members}
+    needs = [sum(1 << c for c in {index[coord] for coord in group}) for group in groups]
+
+    def covered(t: int) -> int:
+        return sum(1 << p for p, need in enumerate(needs) if need & ~t == 0)
+
+    above = {t | 1 << c for t in faces for c in range(len(classes))}
+    if (any(covered(t) not in realization for t in faces)
+            or any(covered(t) in realization for t in above.difference(faces))):
         raise OracleMismatchError(
             f"normal form self-check failed: dual complex of {parts} realisation "
             "does not match the configuration"

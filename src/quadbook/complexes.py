@@ -1,11 +1,11 @@
-"""Abstract simplicial complexes, Smith normal form, and integral homology.
+"""The dual complex of a configuration, Smith normal form, and integral homology.
 
-Complexes are stored as sorted, downward-closed bitmask face lists over a
-ground set of 1-based labels, the form the homology engine works on.
-Boundary matrices use lexicographic vertex orientation.  Reduced homology is
-indexed from degree -1 with two fixed conventions: the void complex (no faces
-at all) and the complex whose only face is the empty one both have a single Z
-in degree -1.
+A complex is a sorted, downward-closed list of face bitmasks, bit i for
+vertex i + 1; the engine reads it on ray classes, and the coordinate faces
+follow by the wedge rule.  Boundary matrices use lexicographic vertex
+orientation.  Reduced homology is indexed from degree -1 with two fixed
+conventions: the void complex (no faces at all) and the complex whose only
+face is the empty one both have a single Z in degree -1.
 """
 
 from __future__ import annotations
@@ -272,122 +272,6 @@ def _rank_and_torsion(cols: dict[int, dict[int, int]]) -> tuple[int, tuple[int, 
     return rank, invariant_chain(torsion)
 
 
-def smith_normal_form(matrix: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], int]:
-    """Canonical Smith normal form diagonal (d1 | d2 | ... , all positive) and rank."""
-    rows = [list(map(int, row)) for row in matrix]
-    widths = {len(row) for row in rows}
-    if len(widths) > 1:
-        raise ConfigurationError("ragged matrix")
-    cols: dict[int, dict[int, int]] = {}
-    for i, row in enumerate(rows):
-        for j, v in enumerate(row):
-            if v:
-                cols.setdefault(j, {})[i] = v
-    rank, chain = _rank_and_torsion(cols)
-    diagonal = (1,) * (rank - len(chain)) + chain
-    return diagonal, rank
-
-
-# ---------------------------------------------------------------------------
-# simplicial complexes
-
-
-def _downward_closure(masks: Iterable[int]) -> list[int]:
-    seen: set[int] = set()
-    stack = list(masks)
-    while stack:
-        f = stack.pop()
-        if f in seen:
-            continue
-        seen.add(f)
-        bits = f
-        while bits:
-            low = bits & -bits
-            stack.append(f ^ low)
-            bits ^= low
-    return sorted(seen)
-
-
-def _face_key(face: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
-    return len(face), face
-
-
-@dataclass(frozen=True)
-class SimplicialComplex:
-    """Abstract complex on a ground set of 1-based labels, stored as face bitmasks.
-
-    Bit i of a mask stands for ``ground[i]``; ``masks`` holds every face, the
-    empty one included, sorted and closed under taking subsets, which is the
-    form the homology engine consumes.  The void complex has no faces at all;
-    the complex {0} consisting of the empty face alone is distinct from it, and
-    both are legal values here.
-    """
-
-    ground: tuple[int, ...]
-    masks: tuple[int, ...]
-
-    @staticmethod
-    def from_faces(ground: Iterable[int], faces: Iterable[Iterable[int]]) -> "SimplicialComplex":
-        ground_t = tuple(sorted(set(ground)))
-        position = {v: i for i, v in enumerate(ground_t)}
-        generators = []
-        for face in faces:
-            labels = set(face)
-            if not labels <= position.keys():
-                raise ConfigurationError(f"face {sorted(labels)} leaves the ground set")
-            generators.append(sum(1 << position[v] for v in labels))
-        return SimplicialComplex(ground_t, tuple(_downward_closure(generators)))
-
-    @staticmethod
-    def void(ground: Iterable[int] = ()) -> "SimplicialComplex":
-        return SimplicialComplex(tuple(sorted(set(ground))), ())
-
-    @property
-    def is_void(self) -> bool:
-        return not self.masks
-
-    @property
-    def dim(self) -> int:
-        """Dimension; -1 for the empty-face complex and for the void complex."""
-        return max((f.bit_count() for f in self.masks), default=0) - 1
-
-    def _labels(self, mask: int) -> tuple[int, ...]:
-        return tuple(v for i, v in enumerate(self.ground) if mask >> i & 1)
-
-    @property
-    def maximal_faces(self) -> tuple[frozenset[int], ...]:
-        """Faces contained in no other face, sorted by (size, labels)."""
-        present = set(self.masks)
-        bits = [1 << i for i in range(len(self.ground))]
-        top = [self._labels(f) for f in self.masks
-               if not any(f & b == 0 and f | b in present for b in bits)]
-        return tuple(frozenset(f) for f in sorted(top, key=_face_key))
-
-    def faces(self) -> list[frozenset[int]]:
-        """Every face, the empty one included, sorted by (size, labels)."""
-        return [frozenset(f) for f in sorted(map(self._labels, self.masks), key=_face_key)]
-
-    def has_face(self, face: Iterable[int]) -> bool:
-        labels = set(face)
-        mask = sum(1 << i for i, v in enumerate(self.ground) if v in labels)
-        return labels <= set(self.ground) and mask in self.masks
-
-    def relabel(self, mapping: Mapping[int, int]) -> "SimplicialComplex":
-        return SimplicialComplex.from_faces(
-            (mapping[v] for v in self.ground),
-            ([mapping[v] for v in self._labels(f)] for f in self.masks),
-        )
-
-
-def full_subcomplex(K: SimplicialComplex, J: Iterable[int]) -> SimplicialComplex:
-    """The faces of K contained in J, on ground set J."""
-    Jset = set(J)
-    if not Jset <= set(K.ground):
-        raise ConfigurationError("J leaves the ground set")
-    keep = sum(1 << i for i, v in enumerate(K.ground) if v in Jset)
-    return SimplicialComplex.from_faces(Jset, (K._labels(f) for f in K.masks if f & ~keep == 0))
-
-
 # ---------------------------------------------------------------------------
 # homology of bitmask face lists
 
@@ -537,11 +421,6 @@ def _homology_from_masks(faces: Sequence[int]) -> GradedGroup:
     return GradedGroup.from_parts(rank_by_degree, torsion_by_degree)
 
 
-def reduced_homology(K: SimplicialComplex) -> GradedGroup:
-    """Reduced integral homology of K, indexed from degree -1."""
-    return _homology_from_masks(K.masks)
-
-
 # ---------------------------------------------------------------------------
 # the dual complex of a configuration
 
@@ -616,8 +495,3 @@ def dual_face_masks(cfg: Configuration) -> tuple[int, ...]:
             layer = [f | s for f in layer for s in (whole if t >> c & 1 else proper)]
         out.extend(layer)
     return tuple(sorted(out))
-
-
-def dual_complex(cfg: Configuration) -> SimplicialComplex:
-    """The complex of index sets whose facet intersection is nonempty."""
-    return SimplicialComplex(tuple(range(1, cfg.n + 1)), dual_face_masks(cfg))

@@ -24,7 +24,7 @@ from .classify import (
     partition_configuration,
     rotate_parts,
 )
-from .complexes import GradedGroup, dual_complex
+from .complexes import GradedGroup, dual_face_masks
 from .configuration import (
     Configuration,
     ConfigurationError,
@@ -137,16 +137,19 @@ def check_report(cfg: Configuration) -> dict:
 
 
 def dual_complex_report(cfg: Configuration) -> dict:
-    K = dual_complex(cfg)
-    faces = [sorted(f) for f in K.faces()]
+    masks = dual_face_masks(cfg)
+    labels = {f: [i + 1 for i in range(cfg.n) if f >> i & 1] for f in masks}
+    order = sorted(masks, key=lambda f: (len(labels[f]), labels[f]))
+    # a face is maximal iff it is a facet of no other face
+    covered = {f & ~(1 << i) for f in masks for i in range(cfg.n) if f >> i & 1}
     return {
         "command": "dual-complex",
         "input": config_document(cfg),
-        "void": K.is_void,
-        "dim": K.dim,
-        "maximal_faces": sorted([sorted(f) for f in K.maximal_faces], key=lambda f: (len(f), f)),
-        "face_count": len(faces),
-        "faces": faces,
+        "void": not masks,
+        "dim": max((f.bit_count() for f in masks), default=0) - 1,
+        "maximal_faces": [labels[f] for f in order if f not in covered],
+        "face_count": len(masks),
+        "faces": [labels[f] for f in order],
     }
 
 

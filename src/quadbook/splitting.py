@@ -115,7 +115,10 @@ def pair_homology(cfg: Configuration, J: Iterable[int]) -> GradedGroup:
     """H(P, P_J): the reduced homology of the dual complex on J, shifted up by one.
 
     An empty restriction gives Z in degree 0, matching the homology of the
-    contractible polytope itself.
+    contractible polytope itself.  This reads the coordinate faces, not the
+    class complex with the wedge shift, on purpose: it is the independent
+    side of the doubling check in `cross-validate`, which would prove nothing
+    if both sides ran through the wedge shift.
     """
     require_valid(cfg)
     Jset = frozenset(J)

@@ -1,9 +1,10 @@
-"""Independent oracles and corpus builders shared by the test modules.
+"""Independent oracles, corpus builders and engine adapters shared by the test modules.
 
-Everything here is deliberately written from scratch against the definitions,
+The oracles are deliberately written from scratch against the definitions,
 not by calling the package's own code paths: exhaustive enumeration for
 convex-position and feasibility questions, plain rank arithmetic for homology
-cross-checks.
+cross-checks.  The adapters (`closure_masks`, `snf`) only put test data into
+the form the homology engine reads.
 """
 
 from __future__ import annotations
@@ -86,6 +87,56 @@ def matrix_rank(rows) -> int:
 
 def betti(group: qb.GradedGroup, top: int) -> tuple[int, ...]:
     return tuple(group.rank(d) for d in range(top + 1))
+
+
+def closure_masks(faces) -> list[int]:
+    """The downward closure of faces given as label sets, as sorted bitmasks (bit i-1 for label i)."""
+    seen: set[int] = set()
+    stack = [sum(1 << (v - 1) for v in set(face)) for face in faces]
+    while stack:
+        f = stack.pop()
+        if f not in seen:
+            seen.add(f)
+            stack.extend(f & ~(1 << i) for i in range(f.bit_length()) if f >> i & 1)
+    return sorted(seen)
+
+
+def snf(matrix) -> tuple[tuple[int, ...], int]:
+    """Smith normal form diagonal (d1 | d2 | ..., all positive) and rank, by the engine's elimination."""
+    from quadbook.complexes import _rank_and_torsion
+
+    cols: dict[int, dict[int, int]] = {}
+    for i, row in enumerate(matrix):
+        for j, v in enumerate(row):
+            if v:
+                cols.setdefault(j, {})[i] = v
+    rank, chain = _rank_and_torsion(cols)
+    return (1,) * (rank - len(chain)) + chain, rank
+
+
+def reference_self_check(cfg: qb.Configuration, parts, groups) -> bool:
+    """Whether the polygon realisation of parts has the dual complex of cfg, coordinate by coordinate.
+
+    Group p goes to part p in order; every coordinate face of cfg is relabelled
+    onto the realisation and the two face sets are compared whole.
+    """
+    from quadbook.complexes import dual_face_masks
+
+    realization = qb.partition_configuration(parts)
+    position = {}
+    offset = 0
+    for group in groups:
+        for step, coord in enumerate(sorted(group)):
+            position[coord] = offset + step + 1
+        offset += len(group)
+    relabeled = set()
+    for mask in dual_face_masks(cfg):
+        new = 0
+        for bit in range(cfg.n):
+            if mask >> bit & 1:
+                new |= 1 << (position[bit + 1] - 1)
+        relabeled.add(new)
+    return relabeled == set(dual_face_masks(realization))
 
 
 def reference_homology_Z(cfg: qb.Configuration) -> qb.GradedGroup:

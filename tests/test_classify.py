@@ -1,9 +1,12 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 import quadbook as qb
 from quadbook import CyclicPartition, GradedGroup
+from quadbook.classify import _self_check
+from quadbook.cli import main
 
 import helpers
 
@@ -90,6 +93,75 @@ def test_normal_form_requires_k2_and_nonempty():
     invalid = qb.make_configuration([(1, 0), (-1, 0), (0, 1)], k=2)
     with pytest.raises(qb.InvalidConfigurationError):
         qb.normal_form(invalid)
+
+
+def _groupings(cfg, found, rng):
+    """Groupings of whole ray classes: the found one, two groups swapped, one class
+    moved to another group, three groups merged into one, and one group split in three."""
+    classes = qb.coordinate_classes(cfg)
+    out = [list(found)]
+    i, j = rng.sample(range(len(found)), 2)
+    swapped = list(found)
+    swapped[i], swapped[j] = swapped[j], swapped[i]
+    out.append(swapped)
+    movable = [(g, members) for g, group in enumerate(found) for members in classes
+               if set(members) < set(group)]
+    if movable:
+        g, members = rng.choice(movable)
+        target = rng.choice([h for h in range(len(found)) if h != g])
+        moved = [[x for x in group if x not in members] for group in found]
+        moved[target] += members
+        out.append(moved)
+    if len(found) >= 5:
+        out.append([found[0] + found[1] + found[2], *found[3:]])
+    whole = [[members for members in classes if set(members) <= set(group)] for group in found]
+    wide = [g for g, parts in enumerate(whole) if len(parts) >= 3]
+    if wide:
+        g = rng.choice(wide)
+        first, second, *rest = whole[g]
+        out.append([*found[:g], list(first), list(second), sum(rest, ()), *found[g + 1:]])
+    return out
+
+
+def test_self_check_matches_coordinate_reference():
+    rng = random.Random(23)
+    verdicts = []
+    for _ in range(60):
+        vectors = list(helpers.random_valid_configuration(rng, 2, rng.randint(3, 8)).lambdas)
+        for _ in range(rng.randint(1, 3)):  # repeated and scaled rays
+            scale = Fraction(rng.randint(1, 3), rng.randint(1, 2))
+            vectors.append(tuple(scale * x for x in rng.choice(vectors)))
+        rng.shuffle(vectors)
+        cfg = qb.make_configuration(vectors, k=2)
+        _, found = qb.normal_form_labelled(cfg)
+        for groups in _groupings(cfg, found, rng):
+            parts = tuple(len(group) for group in groups)
+            try:
+                _self_check(cfg, parts, groups)
+                verdict = True
+            except qb.OracleMismatchError:
+                verdict = False
+            assert verdict == helpers.reference_self_check(cfg, parts, groups), (cfg, groups)
+            verdicts.append(verdict)
+    assert True in verdicts and False in verdicts
+
+
+# a polygon with two more or two fewer classes has another class complex: it
+# has faces the pentagon lacks, or lacks faces the pentagon has
+@pytest.mark.parametrize("wrong", [lambda parts: parts + (1, 1), lambda parts: parts[:-2]],
+                         ids=["more-classes", "fewer-classes"])
+def test_self_check_raises_on_a_mismatched_realisation(wrong, monkeypatch, capsys):
+    import quadbook.classify
+
+    original = qb.partition_configuration
+    monkeypatch.setattr(quadbook.classify, "partition_configuration",
+                        lambda parts: original(wrong(tuple(parts))))
+    with pytest.raises(qb.OracleMismatchError, match="self-check failed"):
+        qb.normal_form(PENTAGON)
+    assert main(["classify", "--partition", "1,1,1,1,1", "--format", "structured"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "self-check failed" in captured.err and "Traceback" not in captured.err
 
 
 def test_classify_real_product_case():

@@ -98,6 +98,22 @@ def test_structured_output_matches_golden(case, tmp_path):
     assert stdout == case["stdout"]
 
 
+def test_golden_cases_list_no_coordinate_faces(monkeypatch, tmp_path):
+    """Every command but dual-complex and cross-validate runs on the class complex alone."""
+    import sys
+
+    def refuse(cfg):
+        raise AssertionError("coordinate faces listed")
+
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] == "quadbook" and hasattr(module, "dual_face_masks"):
+            monkeypatch.setattr(module, "dual_face_masks", refuse)
+    cases = [c for c in CASES if c["argv"][0] in ("check", "homology", "classify", "open-book")]
+    assert len(cases) == 5 * (len(PARTITIONS) + 6)
+    for case in cases:
+        assert _run(_argv(case, tmp_path / "input.json")) == (case["exit"], case["stdout"]), case["name"]
+
+
 def test_golden_corpus_is_present():
     assert len(CASES) == 1 + 6 * (len(PARTITIONS) + 6)
 

@@ -6,6 +6,7 @@ import pytest
 
 import quadbook as qb
 from quadbook import GradedGroup
+from quadbook.complexes import dual_face_masks
 
 import helpers
 
@@ -124,7 +125,7 @@ def test_empty_variety_has_zero_homology():
     # all vectors in an open half plane: weakly hyperbolic but the polytope is empty
     cfg = qb.make_configuration([(1, 0), (1, 1), (0, 1)], k=2)
     assert qb.validate(cfg).ok
-    assert qb.dual_complex(cfg).is_void
+    assert not dual_face_masks(cfg)
     assert qb.homology_Z(cfg).is_zero
     assert qb.homology_ZC(cfg).is_zero
     assert qb.euler_cellcount(cfg) == 0
