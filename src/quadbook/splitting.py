@@ -12,8 +12,9 @@ of K and change no restriction.  On its vertices V, K is the boundary of a
 simplicial polytope, a d-sphere, so combinatorial Alexander duality gives the
 restriction to S from the one to V - S, in degree d - 1 - i for ranks and
 d - 2 - i for torsion.  Only restrictions to at most half of V are computed,
-each built from its parent in a depth-first walk.  K_V must have the reduced
-homology of a d-sphere; any other outcome is an OracleMismatchError.
+each built from its parent in a depth-first walk, and one that is a simplex
+or a cone is contractible and decided without a reduction.  K_V must have the
+reduced homology of a d-sphere; any other outcome is an OracleMismatchError.
 """
 
 from __future__ import annotations
@@ -52,12 +53,15 @@ def _pair_table(cfg: Configuration) -> tuple[tuple[tuple[int, ...], GradedGroup]
     the restrictions with |S| <= |V| // 2 are computed, depth first with
     classes added in increasing order: the faces of K_{S+c} are those of K_S
     plus every f | c that is a class face, so each restriction is built from
-    its parent.  K_V is the boundary of the simplicial polytope dual to the
-    (simple) class polytope, a sphere of dimension d = largest face size - 1,
-    so Alexander duality gives every larger restriction from its complement:
-    H_i(K_S) has the rank of H_{d-1-i}(K_{V-S}) and the torsion of
-    H_{d-2-i}(K_{V-S}), all reduced.  The sphere property is checked once;
-    anything but Z in degree d raises OracleMismatchError.
+    its parent.  A nonempty K_S that is a simplex (S is a face) or a cone
+    (some v in S has f | v a face for every face f) is contractible and
+    contributes zero without a reduction.  K_V is the boundary of the
+    simplicial polytope dual to the (simple) class polytope, a sphere of
+    dimension d = largest face size - 1, so Alexander duality gives every
+    larger restriction from its complement: H_i(K_S) has the rank of
+    H_{d-1-i}(K_{V-S}) and the torsion of H_{d-2-i}(K_{V-S}), all reduced.
+    The sphere property is checked once; anything but Z in degree d raises
+    OracleMismatchError.
     """
     class_faces = class_face_masks(cfg)
     if not class_faces:
@@ -76,8 +80,14 @@ def _pair_table(cfg: Configuration) -> tuple[tuple[tuple[int, ...], GradedGroup]
 
     def walk(s: int, faces: list[tuple[int, int]], start: int) -> None:
         # faces of K_S as (class mask, mask over the positions of S in order),
-        # the second keeping the engine's tables as small as S
-        small[s] = _homology_from_masks([q for _, q in faces])
+        # the second keeping the engine's tables as small as S.  A simplex or
+        # a cone is contractible; K_S is full, so f | v is a face of it iff
+        # one of K.  The children still need the face list.
+        if s and (s in is_face or any(all(f | 1 << v in is_face for f, _ in faces)
+                                      for v in vertices if s >> v & 1)):
+            small[s] = GradedGroup.zero()
+        else:
+            small[s] = _homology_from_masks([q for _, q in faces])
         size = s.bit_count()
         if size == half:
             return
@@ -91,7 +101,7 @@ def _pair_table(cfg: Configuration) -> tuple[tuple[tuple[int, ...], GradedGroup]
     restrictions = dict(small)
     for rest, group in small.items():
         s = v_mask ^ rest
-        if s not in small:
+        if s not in small and not group.is_zero:  # duality maps zero to zero
             restrictions[s] = GradedGroup.from_parts(
                 {d - 1 - i: group.rank(i) for i in group.degrees},
                 {d - 2 - i: group.torsion(i) for i in group.degrees})

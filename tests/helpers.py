@@ -101,6 +101,20 @@ def closure_masks(faces) -> list[int]:
     return sorted(seen)
 
 
+def is_cone(faces) -> bool:
+    """Whether a complex given by all its face bitmasks is a cone: f | v is a face for every face f.
+
+    A simplex is a cone on each of its vertices.  The empty complex [0] has no
+    vertex to be an apex, and a sphere has none either.
+    """
+    face_set = set(faces)
+    support = 0
+    for f in face_set:
+        support |= f
+    return any(all(f | 1 << v in face_set for f in face_set)
+               for v in range(support.bit_length()) if support >> v & 1)
+
+
 def snf(matrix) -> tuple[tuple[int, ...], int]:
     """Smith normal form diagonal (d1 | d2 | ..., all positive) and rank, by the engine's elimination."""
     from quadbook.complexes import _rank_and_torsion

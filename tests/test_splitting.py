@@ -191,43 +191,71 @@ def _duality_corpus():
         for _ in range(8):
             cfg = helpers.random_valid_configuration(rng, k, rng.randint(k + 2, 9))
             configs.append(_with_repeated_rays(rng, cfg, rng.randint(0, 11 - cfg.n)))
+    # the dense-k34 shape: general position, where most restrictions are
+    # simplices or cones and skip the reduction
+    for k in (3, 3, 3, 4, 4, 4):
+        configs.append(helpers.random_valid_configuration(rng, k, rng.randint(10, 11)))
     return configs
 
 
-def test_pair_table_matches_direct_restrictions():
-    from quadbook.complexes import class_face_masks
-    from quadbook.splitting import _pair_table
-
-    saw_ghost = saw_large_class = False
-    for cfg in _duality_corpus():
-        faces = set(class_face_masks(cfg))
-        classes = qb.coordinate_classes(cfg)
-        saw_ghost |= bool(faces) and any(1 << c not in faces for c in range(len(classes)))
-        saw_large_class |= any(len(members) >= 2 for members in classes)
-        assert _pair_table(cfg) == helpers.reference_pair_table(cfg), cfg
-    # the corpus reaches both shortcuts the table takes over the direct sum
-    assert saw_ghost and saw_large_class
-
-
-@pytest.mark.parametrize("cfg", [
-    qb.partition_configuration((1,) * 11),
-    helpers.random_valid_configuration(random.Random(7), 4, 11),
-], ids=["ones-11", "dense-k4"])
-def test_pair_table_work_bound(monkeypatch, cfg):
+@pytest.fixture
+def reductions(monkeypatch):
+    """The face lists `_pair_table` hands to the homology engine, in order."""
     from quadbook import splitting
-    from quadbook.complexes import class_face_masks
 
     engine = splitting._homology_from_masks
     calls = []
     monkeypatch.setattr(splitting, "_homology_from_masks",
                         lambda faces: calls.append(faces) or engine(faces))
     splitting._pair_table.cache_clear()
+    yield calls
+    splitting._pair_table.cache_clear()
+
+
+def test_pair_table_matches_direct_restrictions(reductions):
+    from quadbook import splitting
+    from quadbook.complexes import class_face_masks
+
+    saw_ghost = saw_large_class = False
+    walked = reduced = 0
+    for cfg in _duality_corpus():
+        faces = set(class_face_masks(cfg))
+        classes = qb.coordinate_classes(cfg)
+        saw_ghost |= bool(faces) and any(1 << c not in faces for c in range(len(classes)))
+        saw_large_class |= any(len(members) >= 2 for members in classes)
+        reductions.clear()
+        assert splitting._pair_table(cfg) == helpers.reference_pair_table(cfg), cfg
+        if cfg.n >= 10 and len(classes) == cfg.n:  # the general-position inputs
+            vertices = sum(1 for c in range(len(classes)) if 1 << c in faces)
+            walked += sum(math.comb(vertices, j) for j in range(vertices // 2 + 1))
+            reduced += len(reductions) - 1
+    # the corpus reaches every shortcut the table takes over the direct sum,
+    # the contractible one on most restrictions of the general-position inputs
+    assert saw_ghost and saw_large_class
+    assert reduced < walked / 10
+
+
+@pytest.mark.parametrize("cfg", [
+    qb.partition_configuration((1,) * 11),
+    qb.partition_configuration((1,) * 15),
+    helpers.random_valid_configuration(random.Random(7), 4, 11),
+], ids=["ones-11", "ones-15", "dense-k4"])
+def test_pair_table_work_bound(reductions, cfg):
+    from quadbook import splitting
+    from quadbook.complexes import class_face_masks
+
     splitting._pair_table(cfg)
     faces = set(class_face_masks(cfg))
     vertices = sum(1 for c in range(len(qb.coordinate_classes(cfg))) if 1 << c in faces)
-    # one reduction per restriction of at most half the vertices, plus the sphere check
+    # at most one reduction per restriction of at most half the vertices, plus
+    # the sphere check; simplices and cones are contractible and get none, so
+    # ones-11, dense-k4 and ones-15 reduce 13, 89 and 17 lists of these 1,025,
+    # 1,025 and 16,385
     bound = sum(math.comb(vertices, j) for j in range(vertices // 2 + 1)) + 1
-    assert len(calls) <= bound < 1 << vertices
+    assert len(reductions) <= bound < 1 << vertices
+    # what is reduced is K_V (a sphere), the empty restriction [0] and
+    # restrictions that are neither a simplex nor a cone
+    assert not [faces for faces in reductions if helpers.is_cone(faces)]
 
 
 # a disk (one filled triangle) and two points plus an edge: neither is a sphere
