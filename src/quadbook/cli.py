@@ -3,8 +3,8 @@
 A thin shell over the core modules: every numerical fact in a report comes
 from a core operation.  Exit codes: 0 ok, 1 parse error or an open book the
 input does not carry (no twin for a real book), 2 invalid configuration (weak
-hyperbolicity fails), 3 size-cap refusal, 4 internal oracle mismatch or failed
-cross-validation.
+hyperbolicity fails), 3 size-cap refusal, 4 internal oracle mismatch, failed
+cross-validation or a cross-validation worker that died.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from concurrent.futures import BrokenExecutor
 from functools import lru_cache
 
 from .configuration import (
@@ -158,6 +159,9 @@ def main(argv=None) -> int:
         return EXIT_CAP
     except OracleMismatchError as exc:
         print(f"internal oracle mismatch (this is a bug): {exc}", file=sys.stderr)
+        return EXIT_MISMATCH
+    except BrokenExecutor as exc:  # the base of BrokenProcessPool, which would import multiprocessing
+        print(f"cross-validate: a worker process died: {exc}", file=sys.stderr)
         return EXIT_MISMATCH
     except QuadbookError as exc:
         print(f"error: {exc}", file=sys.stderr)

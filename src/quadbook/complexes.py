@@ -2,15 +2,15 @@
 
 A complex is a sorted, downward-closed list of face bitmasks, bit i for
 vertex i + 1; the engine reads it on ray classes, and the coordinate faces
-follow by the wedge rule.  Boundary matrices use lexicographic vertex
-orientation.  Reduced homology is indexed from degree -1 with two fixed
-conventions: the void complex (no faces at all) and the complex whose only
-face is the empty one both have a single Z in degree -1.
+follow by the wedge rule.  Homology cancels a complex to its Morse core and
+reads the core's boundary matrices, in lexicographic vertex orientation, off
+one Smith normal form routine.  Reduced homology is indexed from degree -1
+with two fixed conventions: the void complex (no faces at all) and the
+complex whose only face is the empty one both have a single Z in degree -1.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
 from collections import deque
 from dataclasses import dataclass
@@ -157,23 +157,22 @@ class GradedGroup:
 # ---------------------------------------------------------------------------
 # Smith normal form
 
-def _dense_snf_diagonal(matrix: list[list[int]]) -> list[int]:
-    """Diagonal entries (positive, unordered) of a small dense integer matrix."""
+def _snf_diagonal(matrix: list[list[int]]) -> list[int]:
+    """Nonzero diagonal (positive, unordered) of an integer matrix diagonalised by unimodular steps.
+
+    Their count is the rank, and `invariant_chain` of them is the torsion of
+    the cokernel.  Each step pivots on a least nonzero entry and clears its
+    row and column by remainders.
+    """
     m = [row[:] for row in matrix]
     n_rows = len(m)
     n_cols = len(m[0]) if m else 0
-    t = 0
     diag: list[int] = []
-    while t < n_rows and t < n_cols:
-        best = None
-        for i in range(t, n_rows):
-            for j in range(t, n_cols):
-                v = m[i][j]
-                if v and (best is None or abs(v) < abs(m[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
+    for t in range(min(n_rows, n_cols)):
+        entries = [(abs(m[i][j]), i, j) for i in range(t, n_rows) for j in range(t, n_cols) if m[i][j]]
+        if not entries:
             break
-        bi, bj = best
+        _, bi, bj = min(entries)
         m[t], m[bi] = m[bi], m[t]
         for row in m:
             row[t], row[bj] = row[bj], row[t]
@@ -198,78 +197,7 @@ def _dense_snf_diagonal(matrix: list[list[int]]) -> list[int]:
             if not moved:
                 break
         diag.append(abs(m[t][t]))
-        t += 1
     return diag
-
-
-def _rank_and_torsion(cols: dict[int, dict[int, int]]) -> tuple[int, tuple[int, ...]]:
-    """Rank and torsion of a sparse integer matrix by unimodular elimination.
-
-    Unit pivots are eliminated first with a Markowitz fill heuristic; whatever
-    is left (rare, and only for torsion-carrying complexes) goes to the dense
-    routine.  The diagonal multiset is then normalised to a divisor chain.
-    """
-    rows: dict[int, set[int]] = {}
-    for j, col in cols.items():
-        for i in col:
-            rows.setdefault(i, set()).add(j)
-    heap: list[tuple[int, int, int]] = []
-
-    def consider(j: int, i: int, v: int) -> None:
-        if v == 1 or v == -1:
-            cost = (len(rows[i]) - 1) * (len(cols[j]) - 1)
-            heapq.heappush(heap, (cost, j, i))
-
-    for j, col in cols.items():
-        for i, v in col.items():
-            consider(j, i, v)
-    rank = 0
-    while heap:
-        _, j, i = heapq.heappop(heap)
-        col = cols.get(j)
-        if col is None:
-            continue
-        v = col.get(i)
-        if v is None or (v != 1 and v != -1):
-            continue
-        rank += 1
-        pivot = cols.pop(j)
-        for r in pivot:
-            rows[r].discard(j)
-        touched = rows.pop(i, set())
-        for jj in touched:
-            target = cols[jj]
-            factor = target[i] * v
-            del target[i]
-            for r, pv in pivot.items():
-                if r == i:
-                    continue
-                nv = target.get(r, 0) - factor * pv
-                if nv:
-                    if r not in target:
-                        rows[r].add(jj)
-                    target[r] = nv
-                    consider(jj, r, nv)
-                elif r in target:
-                    del target[r]
-                    rows[r].discard(jj)
-            if not target:
-                del cols[jj]
-    torsion: list[int] = []
-    if cols:
-        row_ids = sorted({i for col in cols.values() for i in col})
-        col_ids = sorted(cols)
-        rindex = {r: t for t, r in enumerate(row_ids)}
-        dense = [[0] * len(col_ids) for _ in row_ids]
-        for t, j in enumerate(col_ids):
-            for i, v in cols[j].items():
-                dense[rindex[i]][t] = v
-        for d in _dense_snf_diagonal(dense):
-            if d:
-                rank += 1
-                if d > 1:
-                    torsion.append(d)
-    return rank, invariant_chain(torsion)
 
 
 # ---------------------------------------------------------------------------
@@ -367,10 +295,12 @@ def _morse_reduce(faces: Sequence[int]) -> list[int]:
 
 
 def _homology_from_masks(faces: Sequence[int]) -> GradedGroup:
-    """Reduced integral homology of a downward-closed bitmask face list.
+    """Reduced integral homology of a downward-closed bitmask face list: a Morse core, then one SNF.
 
-    The empty list is the void complex and yields Z in degree -1, matching the
-    stated convention.
+    `_morse_reduce` cancels the complex down to a small core, and each boundary
+    matrix of the core goes to `_snf_diagonal` as dense rows.  The empty list
+    is the void complex and yields Z in degree -1, matching the stated
+    convention.
     """
     if not faces:
         return GradedGroup.single(-1, 1)
@@ -378,7 +308,6 @@ def _homology_from_masks(faces: Sequence[int]) -> GradedGroup:
     # restriction of the original incidences, so counts and ranks of the core
     # alone give the homology.
     core = _morse_reduce(faces)
-    core_set = set(core)
     by_size: dict[int, list[int]] = {}
     for f in core:
         by_size.setdefault(f.bit_count(), []).append(f)
@@ -389,25 +318,23 @@ def _homology_from_masks(faces: Sequence[int]) -> GradedGroup:
         sources = by_size.get(s, [])
         targets = by_size.get(s - 1, [])
         if not sources or not targets:
-            ranks[s] = 0
-            torsion[s] = ()
             continue
         index = {mask: pos for pos, mask in enumerate(targets)}
-        cols: dict[int, dict[int, int]] = {}
-        for pos, f in enumerate(sources):
-            col: dict[int, int] = {}
+        rows = []
+        for f in sources:
+            row = [0] * len(targets)
             sign = 1
             bits = f
             while bits:
                 low = bits & -bits
-                sub = f ^ low
-                if sub in core_set:
-                    col[index[sub]] = sign
+                pos = index.get(f ^ low)
+                if pos is not None:
+                    row[pos] = sign
                 sign = -sign
                 bits ^= low
-            if col:
-                cols[pos] = col
-        ranks[s], torsion[s] = _rank_and_torsion(cols)
+            rows.append(row)
+        diagonal = _snf_diagonal(rows)
+        ranks[s], torsion[s] = len(diagonal), invariant_chain(diagonal)
     rank_by_degree: dict[int, int] = {}
     torsion_by_degree: dict[int, tuple[int, ...]] = {}
     for d in range(-1, max_size):

@@ -306,8 +306,9 @@ def cross_validate(families: Iterable[str], *, jobs: int = 1) -> dict:
     """Run the oracle battery over partition families; deterministic output."""
     limit = max(parse_family(f) for f in families)
     items = odd_partitions(limit)
-    if jobs > 1:
-        with futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, (len(items) + 3) // 4)  # one per chunk that pool.map hands out
+    if workers > 1:
+        with futures.ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_cross_validate_item, items, chunksize=4))
     else:
         results = [_cross_validate_item(parts) for parts in items]

@@ -85,6 +85,35 @@ def matrix_rank(rows) -> int:
     return rank
 
 
+def rational_betti(masks) -> dict[int, int]:
+    """Reduced Betti numbers over Q, by degree, of a complex given by all its face bitmasks.
+
+    Each is the cell count less the ranks of the boundary maps into and out of
+    the degree, found by `matrix_rank` on the full boundary matrices in
+    lexicographic vertex orientation; no cells are cancelled first.  The
+    empty face is the cell of degree -1, so the numbers are reduced.  Zero
+    numbers are left out.
+    """
+    by_dim: dict[int, list[int]] = {}
+    for f in masks:
+        by_dim.setdefault(f.bit_count() - 1, []).append(f)
+
+    def boundary_rank(d):
+        sources, targets = by_dim.get(d, []), by_dim.get(d - 1, [])
+        if not sources or not targets:
+            return 0
+        index = {t: i for i, t in enumerate(targets)}
+        rows = [[0] * len(sources) for _ in targets]
+        for j, f in enumerate(sources):
+            vertices = [v for v in range(f.bit_length()) if f >> v & 1]
+            for t, v in enumerate(vertices):
+                rows[index[f & ~(1 << v)]][j] = (-1) ** t
+        return matrix_rank(rows)
+
+    numbers = {d: len(cells) - boundary_rank(d) - boundary_rank(d + 1) for d, cells in by_dim.items()}
+    return {d: b for d, b in numbers.items() if b}
+
+
 def betti(group: qb.GradedGroup, top: int) -> tuple[int, ...]:
     return tuple(group.rank(d) for d in range(top + 1))
 
@@ -117,15 +146,11 @@ def is_cone(faces) -> bool:
 
 def snf(matrix) -> tuple[tuple[int, ...], int]:
     """Smith normal form diagonal (d1 | d2 | ..., all positive) and rank, by the engine's elimination."""
-    from quadbook.complexes import _rank_and_torsion
+    from quadbook.complexes import _snf_diagonal
 
-    cols: dict[int, dict[int, int]] = {}
-    for i, row in enumerate(matrix):
-        for j, v in enumerate(row):
-            if v:
-                cols.setdefault(j, {})[i] = v
-    rank, chain = _rank_and_torsion(cols)
-    return (1,) * (rank - len(chain)) + chain, rank
+    diagonal = _snf_diagonal(matrix)
+    chain = qb.invariant_chain(diagonal)
+    return (1,) * (len(diagonal) - len(chain)) + chain, len(diagonal)
 
 
 def reference_self_check(cfg: qb.Configuration, parts, groups) -> bool:

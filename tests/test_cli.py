@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -139,6 +140,55 @@ def test_cross_validate_passes_and_is_parallel_invariant(capsys):
                              "--format", "structured", "--jobs", "8")
     assert code2 == 0
     assert out1 == out2
+
+
+class _FakePool:
+    """Stands in for ProcessPoolExecutor: records its size and maps in-process, or breaks."""
+
+    sizes: list[int] = []
+    broken = False
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items, chunksize):
+        if self.broken:
+            raise BrokenProcessPool("a process in the pool was terminated abruptly")
+        return map(fn, items)
+
+
+@pytest.fixture
+def fake_pool(monkeypatch):
+    monkeypatch.setattr(_FakePool, "sizes", [])
+    monkeypatch.setattr(reporting.futures, "ProcessPoolExecutor", _FakePool)
+    monkeypatch.setattr(reporting, "_cross_validate_item",
+                        lambda parts: {"partition": list(parts), "checks": {}, "ok": True})
+    return _FakePool
+
+
+def test_cross_validate_pool_has_one_worker_per_chunk(fake_pool):
+    # pool.map(chunksize=4) hands out ceil(items / 4) chunks; more workers would idle
+    assert len(reporting.odd_partitions(9)) == 247
+    assert reporting.cross_validate(["partitions:n<=9"], jobs=5000)["cases"] == 247
+    assert len(reporting.odd_partitions(5)) == 11
+    reporting.cross_validate(["partitions:n<=5"], jobs=8)
+    reporting.cross_validate(["partitions:n<=5"], jobs=2)
+    reporting.cross_validate(["partitions:n<=9"], jobs=1)
+    assert fake_pool.sizes == [62, 3, 2]
+
+
+def test_cross_validate_broken_pool_exits_4(fake_pool, monkeypatch, capsys):
+    monkeypatch.setattr(fake_pool, "broken", True)
+    code, out, err = run_cli(capsys, "cross-validate", "--family", "partitions:n<=5", "--jobs", "8")
+    assert (code, out) == (4, "")
+    assert len(err.splitlines()) == 1 and "worker process died" in err
+    assert "Traceback" not in err
 
 
 def test_document_round_trip():

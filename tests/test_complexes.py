@@ -163,29 +163,17 @@ def test_homology_octahedron():
     assert _homology_from_masks(OCTAHEDRON) == GradedGroup.single(2)
 
 
-def test_homology_octahedron_matches_rank_oracle():
+def _free_ranks(group):
+    return {d: r for d, r, _ in group.groups if r}
+
+
+def test_homology_matches_rank_oracle():
     # independent check over Q: Betti from boundary ranks by Gaussian elimination
-    by_dim = {}
-    for f in OCTAHEDRON:
-        by_dim.setdefault(f.bit_count() - 1, []).append(_labels(f))
-    for d in by_dim:
-        by_dim[d].sort()
-    def boundary_rank(d):
-        if d not in by_dim or (d - 1) not in by_dim and d != 0:
-            return 0
-        targets = by_dim.get(d - 1, [()])
-        index = {t: i for i, t in enumerate(targets)}
-        rows = [[0] * len(by_dim[d]) for _ in targets]
-        for j, f in enumerate(by_dim[d]):
-            for t, v in enumerate(f):
-                sub = f[:t] + f[t + 1:]
-                rows[index[sub]][j] = (-1) ** t
-        return helpers.matrix_rank(rows) if rows else 0
-    # the empty face is part of the chain complex, so these are reduced ranks
-    b2 = len(by_dim[2]) - boundary_rank(2)
-    b1 = len(by_dim[1]) - boundary_rank(1) - boundary_rank(2)
-    b0 = len(by_dim[0]) - boundary_rank(0) - boundary_rank(1)
-    assert (b0, b1, b2) == (0, 0, 1)
+    assert helpers.rational_betti(OCTAHEDRON) == {2: 1}
+    assert helpers.rational_betti(HOLLOW_TRIANGLE) == {1: 1}
+    assert helpers.rational_betti(RP2) == {}  # its only homology, Z/2 in degree 1, dies over Q
+    for masks in (OCTAHEDRON, HOLLOW_TRIANGLE, RP2):
+        assert _free_ranks(_homology_from_masks(masks)) == helpers.rational_betti(masks)
 
 
 def test_homology_torsion_projective_plane():
@@ -209,6 +197,14 @@ def small_complexes(draw):
         for _ in range(count)
     ]
     return n, faces
+
+
+@given(small_complexes())
+@settings(max_examples=60, deadline=None)
+def test_homology_matches_rank_oracle_on_random_complexes(data):
+    _, faces = data
+    K = closure_masks(faces)
+    assert _free_ranks(_homology_from_masks(K)) == helpers.rational_betti(K)
 
 
 @given(small_complexes())
