@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import cmp_to_key, lru_cache
 from typing import Sequence
 
-from .complexes import GradedGroup, class_face_masks
+from .complexes import GradedGroup, class_face_masks, class_minimal_non_faces
 from .configuration import (
     Configuration,
     ConfigurationError,
@@ -178,21 +178,18 @@ def _self_check(cfg: Configuration, parts: tuple[int, ...], groups: list[list[in
     coordinate complexes agree iff, for every class set T of cfg, T is a face
     exactly when parts(T), the parts whose classes all lie in T, is one.
     parts is monotone and both complexes are closed under subsets, so it is
-    enough to test the class faces and the non-faces one class above a face;
-    with three or more groups the empty set is a face.
+    enough to test the class faces and the minimal non-faces: every non-face
+    contains a minimal one, whose image lies inside its own.
     """
     realization = set(class_face_masks(partition_configuration(parts)))
-    faces = set(class_face_masks(cfg))
-    classes = coordinate_classes(cfg)
-    index = {coord: c for c, members in enumerate(classes) for coord in members}
+    index = {coord: c for c, members in enumerate(coordinate_classes(cfg)) for coord in members}
     needs = [sum(1 << c for c in {index[coord] for coord in group}) for group in groups]
 
     def covered(t: int) -> int:
         return sum(1 << p for p, need in enumerate(needs) if need & ~t == 0)
 
-    above = {t | 1 << c for t in faces for c in range(len(classes))}
-    if (any(covered(t) not in realization for t in faces)
-            or any(covered(t) in realization for t in above.difference(faces))):
+    if (any(covered(t) not in realization for t in class_face_masks(cfg))
+            or any(covered(t) in realization for t in class_minimal_non_faces(cfg))):
         raise OracleMismatchError(
             f"normal form self-check failed: dual complex of {parts} realisation "
             "does not match the configuration"

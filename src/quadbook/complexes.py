@@ -360,21 +360,30 @@ def _mask(coordinates: Iterable[int]) -> int:
 def class_face_masks(cfg: Configuration) -> tuple[int, ...]:
     """The dual complex on the ray classes, as bitmasks (bit c for class c + 1)."""
     require_valid(cfg)
-    return _class_faces(tuple(ray for ray, _ in ray_classes(cfg)))
+    return _class_faces(tuple(ray for ray, _ in ray_classes(cfg)))[0]
+
+
+def class_minimal_non_faces(cfg: Configuration) -> tuple[int, ...]:
+    """The class sets that are no face while each of their facets is one, as bitmasks."""
+    require_valid(cfg)
+    return _class_faces(tuple(ray for ray, _ in ray_classes(cfg)))[1]
 
 
 @lru_cache(maxsize=None)
-def _class_faces(rays: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
-    """The class face masks of rays in this order; labels, scale and multiplicity drop out.
+def _class_faces(rays: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The class faces and minimal non-faces of rays in this order, as sorted masks.
 
-    A class set T is a face iff the origin lies in the convex hull of the rays
-    outside T.  The search decides all faces of one size before the next, each
-    candidate a face extended past its top class.  Faces are closed under
-    subsets, so a candidate with a facet that is no face is skipped.  Each
-    face keeps a witness, the classes of one hull point outside it; a
-    candidate that the witness of its parent or of a facet misses is a face
-    with that witness.  Only the rest run the phase one, whose support is the
-    new witness, so the phase ones that fail are the minimal non-faces.
+    Labels, scale and multiplicity drop out.  A class set T is a face iff the
+    origin lies in the convex hull of the rays outside T.  The search decides
+    all faces of one size before the next, each candidate a face extended
+    past its top class.  Faces are closed under subsets, so a candidate with a
+    facet that is no face is skipped.  Each face keeps a witness, the classes
+    of one hull point outside it; a candidate that the witness of its parent
+    or of a facet misses is a face with that witness.  Only the rest run the
+    phase one, whose support is the new witness.  Every candidate has only
+    faces as facets, so the phase ones that fail are exactly the minimal
+    non-faces, which are returned beside the faces; the empty polytope has no
+    face and the empty set as its one minimal non-face.
     """
     def support(t: int) -> int | None:
         rest = [c for c in range(len(rays)) if not t >> c & 1]
@@ -383,8 +392,8 @@ def _class_faces(rays: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
 
     witness = support(0)
     if witness is None:
-        return ()
-    out = [0]
+        return (), (0,)
+    out, missing = [0], []
     level = {0: witness}  # the faces of one size, each with its witness
     while level:
         nxt: dict[int, int] = {}
@@ -396,11 +405,13 @@ def _class_faces(rays: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
                     continue
                 reuse = next((w for w in [seen, *facets] if not w & child), None)
                 witness = support(child) if reuse is None else reuse
-                if witness is not None:
+                if witness is None:
+                    missing.append(child)
+                else:
                     nxt[child] = witness
         out.extend(nxt)
         level = nxt
-    return tuple(sorted(out))
+    return tuple(sorted(out)), tuple(sorted(missing))
 
 
 @lru_cache(maxsize=None)

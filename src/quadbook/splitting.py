@@ -11,10 +11,12 @@ K with the wedge shift.  Classes whose facet is empty (ghosts) are no vertex
 of K and change no restriction.  On its vertices V, K is the boundary of a
 simplicial polytope, a d-sphere, so combinatorial Alexander duality gives the
 restriction to S from the one to V - S, in degree d - 1 - i for ranks and
-d - 2 - i for torsion.  Only restrictions to at most half of V are computed,
-each built from its parent in a depth-first walk, and one that is a simplex
-or a cone is contractible and decided without a reduction.  K_V must have the
-reduced homology of a d-sphere; any other outcome is an OracleMismatchError.
+d - 2 - i for torsion.  A restriction K_S is a cone on any vertex of S that
+lies in no minimal non-face inside S, so only unions of minimal non-faces
+can carry homology (Hochster's formula; Buchstaber-Panov, Toric Topology,
+ch. 3).  Only those unions on at most half of V are reduced, each built from
+S and the minimal non-faces inside it.  K_V must have the reduced homology
+of a d-sphere; any other outcome is an OracleMismatchError.
 """
 
 from __future__ import annotations
@@ -24,7 +26,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
-from .complexes import GradedGroup, _homology_from_masks, _mask, class_face_masks, dual_face_masks
+from .complexes import (GradedGroup, _homology_from_masks, _mask, class_face_masks,
+                        class_minimal_non_faces, dual_face_masks)
 from .configuration import (
     Configuration,
     ConfigurationError,
@@ -49,55 +52,45 @@ def _pair_table(cfg: Configuration) -> tuple[tuple[tuple[int, ...], GradedGroup]
     1 + sum over c in T of (|c| - 1).
 
     The classes whose singleton is a face are the vertices V; the others
-    (ghosts, empty facets) carry no face, so K_T = K_S with S = T & V.  Only
-    the restrictions with |S| <= |V| // 2 are computed, depth first with
-    classes added in increasing order: the faces of K_{S+c} are those of K_S
-    plus every f | c that is a class face, so each restriction is built from
-    its parent.  A nonempty K_S that is a simplex (S is a face) or a cone
-    (some v in S has f | v a face for every face f) is contractible and
-    contributes zero without a reduction.  K_V is the boundary of the
-    simplicial polytope dual to the (simple) class polytope, a sphere of
-    dimension d = largest face size - 1, so Alexander duality gives every
-    larger restriction from its complement: H_i(K_S) has the rank of
-    H_{d-1-i}(K_{V-S}) and the torsion of H_{d-2-i}(K_{V-S}), all reduced.
-    The sphere property is checked once; anything but Z in degree d raises
-    OracleMismatchError.
+    (ghosts, empty facets) are the minimal non-faces of size one and carry no
+    face, so K_T = K_S with S = T & V.  A nonempty K_S is a cone, hence
+    acyclic, unless S is the union of the minimal non-faces inside it, so
+    only those unions with |S| <= |V| // 2 and the empty set are reduced; the
+    faces of K_S are the subsets of S that contain none of them.  K_V is the
+    boundary of the simplicial polytope dual to the (simple) class polytope,
+    a sphere of dimension d = largest face size - 1, so Alexander duality
+    gives every larger restriction from its complement: H_i(K_S) has the
+    rank of H_{d-1-i}(K_{V-S}) and the torsion of H_{d-2-i}(K_{V-S}), all
+    reduced.  The sphere property is checked once; anything but Z in degree
+    d raises OracleMismatchError.
     """
     class_faces = class_face_masks(cfg)
     if not class_faces:
         return ()  # empty polytope: empty variety, no cells
     classes = coordinate_classes(cfg)
-    is_face = frozenset(class_faces)
-    vertices = [c for c in range(len(classes)) if 1 << c in is_face]
     d = max(f.bit_count() for f in class_faces) - 1
     sphere = _homology_from_masks(class_faces)  # ghosts are in no face: this is K_V
     if sphere != GradedGroup.single(d):
         raise OracleMismatchError(
             f"the class complex on its vertices is not a {d}-sphere: reduced homology {sphere}")
 
-    half = len(vertices) // 2
+    non_faces = class_minimal_non_faces(cfg)
+    v_mask = ((1 << len(classes)) - 1) ^ sum(m for m in non_faces if m.bit_count() == 1)
+    half = v_mask.bit_count() // 2
+    base = {m for m in non_faces if 1 < m.bit_count() <= half}
+    unions, frontier = {0} | base, base
+    while frontier:
+        frontier = {u | m for u in frontier for m in base
+                    if (u | m).bit_count() <= half and u | m not in unions}
+        unions |= frontier
     small: dict[int, GradedGroup] = {}
-
-    def walk(s: int, faces: list[tuple[int, int]], start: int) -> None:
-        # faces of K_S as (class mask, mask over the positions of S in order),
-        # the second keeping the engine's tables as small as S.  A simplex or
-        # a cone is contractible; K_S is full, so f | v is a face of it iff
-        # one of K.  The children still need the face list.
-        if s and (s in is_face or any(all(f | 1 << v in is_face for f, _ in faces)
-                                      for v in vertices if s >> v & 1)):
-            small[s] = GradedGroup.zero()
-        else:
-            small[s] = _homology_from_masks([q for _, q in faces])
-        size = s.bit_count()
-        if size == half:
-            return
-        for pos in range(start, len(vertices)):
-            bit = 1 << vertices[pos]
-            walk(s | bit, faces + [(f | bit, q | 1 << size) for f, q in faces if f | bit in is_face],
-                 pos + 1)
-
-    walk(0, [(0, 0)], 0)
-    v_mask = sum(1 << c for c in vertices)
+    for s in unions:
+        # K_S on the positions of S, keeping the engine's tables as small as S
+        where = [c for c in range(len(classes)) if s >> c & 1]
+        inside = [sum(1 << i for i, c in enumerate(where) if m >> c & 1)
+                  for m in base if m & ~s == 0]
+        small[s] = _homology_from_masks([q for q in range(1 << len(where))
+                                         if not any(q & m == m for m in inside)])
     restrictions = dict(small)
     for rest, group in small.items():
         s = v_mask ^ rest
@@ -167,13 +160,12 @@ def euler_cellcount(cfg: Configuration) -> int:
     (2 - 1)^|c| - (-1)^|c|, so the sum runs over class faces alone.
     """
     require_valid(cfg)
-    sizes = [len(members) for members in coordinate_classes(cfg)]
-    total = 0
-    for t in class_face_masks(cfg):
-        term = 1
-        for c, size in enumerate(sizes):
-            term *= (-1) ** size if t >> c & 1 else 1 - (-1) ** size
-        total += term
+    classes = coordinate_classes(cfg)
+    odd = sum(1 << c for c, members in enumerate(classes) if len(members) % 2)
+    even = ((1 << len(classes)) - 1) ^ odd
+    # an even class outside T gives the factor 0, an odd one 2, an odd one inside -1
+    total = sum((-1) ** (t & odd).bit_count() << (odd & ~t).bit_count()
+                for t in class_face_masks(cfg) if not even & ~t)
     return (-1) ** (cfg.n - cfg.k - 1) * total
 
 

@@ -144,6 +144,13 @@ def is_cone(faces) -> bool:
                for v in range(support.bit_length()) if support >> v & 1)
 
 
+def minimal_non_faces(masks, m) -> set[int]:
+    """Class sets on m classes that are no face of the complex masks while each of their facets is one."""
+    faces = set(masks)
+    above = {f | 1 << c for f in faces for c in range(m) if not f >> c & 1} - faces
+    return {s for s in above if all(s & ~(1 << x) in faces for x in range(m) if s >> x & 1)}
+
+
 def snf(matrix) -> tuple[tuple[int, ...], int]:
     """Smith normal form diagonal (d1 | d2 | ..., all positive) and rank, by the engine's elimination."""
     from quadbook.complexes import _snf_diagonal

@@ -291,13 +291,6 @@ def test_dual_complex_requires_validity():
         dual_face_masks(bad)
 
 
-def _minimal_non_faces(masks, m):
-    """Class sets that are no face while each of their facets is one."""
-    faces = set(masks)
-    above = {f | 1 << c for f in faces for c in range(m) if not f >> c & 1} - faces
-    return [s for s in above if all(s & ~(1 << x) in faces for x in range(m) if s >> x & 1)]
-
-
 def test_class_search_solves_only_minimal_non_faces(monkeypatch):
     import quadbook.complexes
     from quadbook.configuration import ray_classes
@@ -316,8 +309,9 @@ def test_class_search_solves_only_minimal_non_faces(monkeypatch):
 
         monkeypatch.setattr(quadbook.complexes, "hull_support", counted)
         rays = tuple(ray for ray, _ in ray_classes(cfg))
-        masks = quadbook.complexes._class_faces.__wrapped__(rays)  # past the memo
+        masks, non_faces = quadbook.complexes._class_faces.__wrapped__(rays)  # past the memo
         # a phase one that fails proves a minimal non-face; facet pruning skips every other non-face
-        assert found.count(False) == len(_minimal_non_faces(masks, len(rays)))
+        assert found.count(False) == len(non_faces)
+        assert non_faces == tuple(sorted(helpers.minimal_non_faces(masks, len(rays))))
         # witness reuse decides most faces without a phase one
         assert 0 < found.count(True) <= len(masks) // 4

@@ -235,26 +235,43 @@ def test_pair_table_matches_direct_restrictions(reductions):
     assert reduced < walked / 10
 
 
-@pytest.mark.parametrize("cfg", [
-    qb.partition_configuration((1,) * 11),
-    qb.partition_configuration((1,) * 15),
-    helpers.random_valid_configuration(random.Random(7), 4, 11),
+@pytest.mark.parametrize("cfg, count", [
+    (qb.partition_configuration((1,) * 11), 13),
+    (qb.partition_configuration((1,) * 15), 17),
+    (helpers.random_valid_configuration(random.Random(7), 4, 11), 89),
 ], ids=["ones-11", "ones-15", "dense-k4"])
-def test_pair_table_work_bound(reductions, cfg):
+def test_pair_table_work_bound(reductions, cfg, count):
     from quadbook import splitting
     from quadbook.complexes import class_face_masks
 
     splitting._pair_table(cfg)
-    faces = set(class_face_masks(cfg))
-    vertices = sum(1 for c in range(len(qb.coordinate_classes(cfg))) if 1 << c in faces)
-    # at most one reduction per restriction of at most half the vertices, plus
-    # the sphere check; simplices and cones are contractible and get none, so
-    # ones-11, dense-k4 and ones-15 reduce 13, 89 and 17 lists of these 1,025,
-    # 1,025 and 16,385
-    bound = sum(math.comb(vertices, j) for j in range(vertices // 2 + 1)) + 1
-    assert len(reductions) <= bound < 1 << vertices
-    # what is reduced is K_V (a sphere), the empty restriction [0] and
-    # restrictions that are neither a simplex nor a cone
+    faces = class_face_masks(cfg)
+    m = len(qb.coordinate_classes(cfg))
+    non_faces = helpers.minimal_non_faces(faces, m)
+    vertices = [c for c in range(m) if 1 << c not in non_faces]
+    # K_V (a sphere) first, then each restriction to at most half the vertices
+    # that is empty or the union of the minimal non-faces inside it, of the
+    # 1,024, 16,384 and 1,024 restrictions of that size
+    assert len(reductions) == count
+    assert list(reductions[0]) == list(faces)
+
+    def union_inside(s):
+        out = 0
+        for n in non_faces:
+            if n & ~s == 0:
+                out |= n
+        return out
+
+    def on_positions(s):
+        where = [c for c in range(m) if s >> c & 1]
+        return sorted(sum(1 << i for i, c in enumerate(where) if f >> c & 1)
+                      for f in faces if f & ~s == 0)
+
+    subsets = (sum(1 << c for c in S) for size in range(len(vertices) // 2 + 1)
+               for S in itertools.combinations(vertices, size))
+    unions = [s for s in subsets if union_inside(s) == s]
+    assert sorted(sorted(r) for r in reductions[1:]) == sorted(map(on_positions, unions))
+    # none of them is a simplex or a cone
     assert not [faces for faces in reductions if helpers.is_cone(faces)]
 
 
