@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import cmp_to_key, lru_cache
 from typing import Sequence
 
-from .complexes import GradedGroup, class_face_masks, class_minimal_non_faces
+from .complexes import GradedGroup, class_minimal_non_faces
 from .configuration import (
     Configuration,
     ConfigurationError,
@@ -127,8 +127,8 @@ def normal_form_labelled(cfg: Configuration) -> tuple[CyclicPartition, tuple[tup
 
     Classes are split wherever the counterclockwise walk between consecutive
     directions crosses an antipodal direction of some configuration vector.
-    The result is cross-checked against the dual complex of its own polygon
-    realisation; a mismatch raises rather than silently misclassifying.
+    The result is cross-checked against the minimal non-faces of the input's
+    own class complex; a mismatch raises rather than silently misclassifying.
     """
     if cfg.k != 2:
         raise NormalFormError(f"cyclic normal forms require k = 2, got k = {cfg.k}")
@@ -170,26 +170,22 @@ def normal_form_labelled(cfg: Configuration) -> tuple[CyclicPartition, tuple[tup
 
 
 def _self_check(cfg: Configuration, parts: tuple[int, ...], groups: list[list[int]]) -> None:
-    """Raise unless the polygon realisation of parts has the dual complex of cfg.
+    """Raise unless the odd polygon with these parts has the dual complex of cfg.
 
     Each group must be a union of whole ray classes of cfg; group p becomes
-    part p, which is class p of the realisation.  A coordinate set is a face
-    iff the classes it contains whole form a class face, so the two
-    coordinate complexes agree iff, for every class set T of cfg, T is a face
-    exactly when parts(T), the parts whose classes all lie in T, is one.
-    parts is monotone and both complexes are closed under subsets, so it is
-    enough to test the class faces and the minimal non-faces: every non-face
-    contains a minimal one, whose image lies inside its own.
+    part p of the polygon.  A complex is fixed by its minimal non-faces.  The
+    rays of a set of parts hold the origin in their hull iff no cyclic gap
+    between them reaches ell + 1 steps.  A set of parts is a face iff the
+    parts outside it hold the origin, so it is a non-face iff it contains ell
+    cyclically consecutive parts, and the polygon's minimal non-faces are its
+    m runs of ell consecutive parts.  Pulled back to the classes of their
+    coordinates, these runs must be exactly the minimal non-faces of cfg.
     """
-    realization = set(class_face_masks(partition_configuration(parts)))
     index = {coord: c for c, members in enumerate(coordinate_classes(cfg)) for coord in members}
     needs = [sum(1 << c for c in {index[coord] for coord in group}) for group in groups]
-
-    def covered(t: int) -> int:
-        return sum(1 << p for p, need in enumerate(needs) if need & ~t == 0)
-
-    if (any(covered(t) not in realization for t in class_face_masks(cfg))
-            or any(covered(t) in realization for t in class_minimal_non_faces(cfg))):
+    m, ell = len(parts), (len(parts) - 1) // 2
+    runs = {sum(needs[(p + t) % m] for t in range(ell)) for p in range(m)}
+    if runs != set(class_minimal_non_faces(cfg)):
         raise OracleMismatchError(
             f"normal form self-check failed: dual complex of {parts} realisation "
             "does not match the configuration"

@@ -25,7 +25,6 @@ from .classify import (
     double_partition,
     expected_homology,
     normal_form_labelled,
-    partition_configuration,
     rotate_parts,
 )
 from .complexes import GradedGroup
@@ -321,8 +320,9 @@ class OpenBookStructure:
 
     `page_model` is the configuration whose half manifold is the page: for a
     real book the variety with the duplicated coordinate removed once, for a
-    complex book the polygon realisation of the doubled partition.  A binding
-    of None means the binding is empty.
+    complex book the input with every coordinate but the binding's doubled,
+    None without a symbolic page.  A binding of None means the binding is
+    empty.
     """
 
     total: Configuration
@@ -356,24 +356,17 @@ def _deleted_or_empty(cfg: Configuration, i: int) -> Configuration | None:
     return delete_coordinate(cfg, i) if cfg.n - 1 >= cfg.k + 1 else None
 
 
-def _partition_page(cfg: Configuration, coordinate: int, complex_case: bool):
-    """Page description and model configuration through the cyclic normal form.
-
-    The model is the configuration whose half manifold is the page.  For real
-    books it exists regardless of k; the symbolic description and the complex
-    model need the k = 2 normal form.
-    """
-    real_model = cfg.with_distinguished(coordinate)
+def _partition_page(cfg: Configuration, coordinate: int,
+                    complex_case: bool) -> PageDescription | None:
+    """The symbolic page at a coordinate through the k = 2 normal form, or None."""
     if cfg.k != 2:
-        return None, (None if complex_case else real_model)
+        return None
     try:
         partition, classes = normal_form_labelled(cfg)
     except NormalFormError:
-        return None, (None if complex_case else real_model)
+        return None
     class_index = next(c + 1 for c, members in enumerate(classes) if coordinate in members)
-    page = page_topology(partition, class_index, complex_case=complex_case)
-    model = partition_configuration(double_partition(page.partition)) if complex_case else real_model
-    return page, model
+    return page_topology(partition, class_index, complex_case=complex_case)
 
 
 def open_book_real(cfg: Configuration, i: int) -> OpenBookStructure:
@@ -396,9 +389,9 @@ def open_book_real(cfg: Configuration, i: int) -> OpenBookStructure:
     partner_pos = partner if partner < i else partner - 1
     underlying = underlying.with_distinguished(partner_pos)
     binding = _deleted_or_empty(underlying, partner_pos)
-    page, model = _partition_page(underlying, partner_pos, complex_case=False)
+    page = _partition_page(underlying, partner_pos, complex_case=False)
     label = f"interior of the half manifold at {underlying.labels[partner_pos - 1]} >= 0"
-    return OpenBookStructure(cfg, binding, page, model, False, label)
+    return OpenBookStructure(cfg, binding, page, underlying, False, label)
 
 
 def open_book_complex(cfg: Configuration, i: int) -> OpenBookStructure:
@@ -413,7 +406,9 @@ def open_book_complex(cfg: Configuration, i: int) -> OpenBookStructure:
     deleted = _deleted_or_empty(cfg, i)
     total = complexify(cfg)
     binding = complexify(deleted) if deleted is not None else None
-    page, model = _partition_page(cfg, i, complex_case=True)
+    page = _partition_page(cfg, i, complex_case=True)
+    # the page is the half manifold at i of the input with every other coordinate doubled
+    model = delete_coordinate(total, 2 * i).with_distinguished(2 * i - 1) if page is not None else None
     label = f"interior of the complex half manifold at {cfg.labels[i - 1]}"
     return OpenBookStructure(total, binding, page, model, True, label)
 

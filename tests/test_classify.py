@@ -146,16 +146,16 @@ def test_self_check_matches_coordinate_reference():
     assert True in verdicts and False in verdicts
 
 
-# a polygon with two more or two fewer classes has another class complex: it
-# has faces the pentagon lacks, or lacks faces the pentagon has
+# a polygon with two more or two fewer classes has other minimal non-faces
+# than the pentagon, so the runs of the pentagon's grouping cannot match them
 @pytest.mark.parametrize("wrong", [lambda parts: parts + (1, 1), lambda parts: parts[:-2]],
                          ids=["more-classes", "fewer-classes"])
 def test_self_check_raises_on_a_mismatched_realisation(wrong, monkeypatch, capsys):
     import quadbook.classify
 
-    original = qb.partition_configuration
-    monkeypatch.setattr(quadbook.classify, "partition_configuration",
-                        lambda parts: original(wrong(tuple(parts))))
+    wrong_polygon = qb.partition_configuration(wrong((1, 1, 1, 1, 1)))
+    non_faces = quadbook.classify.class_minimal_non_faces(wrong_polygon)
+    monkeypatch.setattr(quadbook.classify, "class_minimal_non_faces", lambda cfg: non_faces)
     with pytest.raises(qb.OracleMismatchError, match="self-check failed"):
         qb.normal_form(PENTAGON)
     assert main(["classify", "--partition", "1,1,1,1,1", "--format", "structured"]) == 4

@@ -126,6 +126,63 @@ def test_open_book_command(capsys):
     assert all(c["status"] in ("pass", "skip") for c in report["consistency"])
 
 
+TEXT_OUTPUT = [
+    (["dual-complex", "--partition", "1,1,1,1,1"],
+     "dual complex: dim 1, 11 faces\nmaximal faces:\n  [1, 3]\n  [1, 4]\n  [2, 4]\n"
+     "  [2, 5]\n  [3, 5]\n"),
+    (["dual-complex", "--config", "empty-variety"],
+     "dual complex: void (the variety is empty)\n"),
+    (["homology", "--partition", "2,1,1"],
+     "euler characteristic: 0\nspace Z:\n  H_0 = Z^4\n  H_1 = Z^4\n  contributing subsets: 8\n"
+     "space ZC:\n  H_0 = Z\n  H_1 = Z^2\n  H_2 = Z\n  H_3 = Z\n  H_4 = Z^2\n  H_5 = Z\n"
+     "  contributing subsets: 8\nspace Zplus:\n  H_0 = Z^4\n  contributing subsets: 4\n"),
+    (["open-book", "--partition", "1,1,1"],
+     "open book (complex), total dimension 3\nmonodromy: trivial\nbinding: empty\n"
+     "page (case a): S(1) x S(1) x D(0)\nconsistency:\n"
+     "  [pass] binding-euler-zero: odd-dimensional binding has chi = 0\n"
+     "  [pass] page-double-euler: chi(double) = 0, 2 chi(page) = 0\n"
+     "  [pass] page-boundary-betti: closed page requires an empty binding\n"),
+    (["open-book", "--partition", "1,1,1,1,1", "--variant", "complex"],
+     "open book (complex), total dimension 7\nmonodromy: trivial\n"
+     "binding: n = 8 configuration (k = 2, labels x2a, x2b, x3a, x3b...)\n"
+     "page (case d): PP(3,3;6) #b E(1,1;6)\n"
+     "  flag: exterior E(1,1;6) outside the recognition lemma regime (needs p, q, m-p-q-1 >= 2)\n"
+     "consistency:\n"
+     "  [pass] binding-euler-zero: odd-dimensional binding has chi = 0\n"
+     "  [pass] page-double-euler: chi(double) = 0, 2 chi(page) = 0\n"
+     "  [pass] page-boundary-betti: boundary (S^5) # (S^1 x S^1 x S^3) vs binding homology\n"),
+    (["cross-validate", "--family", "partitions:n<=4"],
+     "cases: 4\nresult: all checks passed\n"),
+]
+
+
+def test_text_output_is_pinned(tmp_path, capsys):
+    """The default text format of the commands the structured tests do not render."""
+    empty = tmp_path / "empty.json"
+    empty.write_text(json.dumps({"schema": 1, "k": 2, "n": 3,
+                                 "lambdas": [["1", "0"], ["1", "1"], ["0", "1"]]}))
+    for argv, expected in TEXT_OUTPUT:
+        argv = [str(empty) if arg == "empty-variety" else arg for arg in argv]
+        assert run_cli(capsys, *argv) == (0, expected, ""), argv
+
+
+def test_distinguished_flag_on_both_input_paths(tmp_path, capsys):
+    pentagon = qb.partition_configuration((1, 1, 1, 1, 1))
+    path = tmp_path / "pentagon.json"
+    path.write_text(json.dumps(config_document(pentagon)))
+    expected = reporting.graded_document(qb.homology_Zplus(pentagon.with_distinguished(3)))
+    for source in (["--partition", "1,1,1,1,1"], ["--config", str(path)]):
+        code, out, _ = run_cli(capsys, "homology", *source, "--distinguished", "3",
+                               "--format", "structured")
+        assert code == 0
+        report = json.loads(out)
+        assert report["input"]["distinguished"] == 3
+        assert report["spaces"]["Zplus"]["table"] == expected
+        code, out, err = run_cli(capsys, "homology", *source, "--distinguished", "9")
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
 def test_report_determinism(capsys):
     first = run_cli(capsys, "homology", "--partition", "1,2,2", "--format", "structured")
     second = run_cli(capsys, "homology", "--partition", "1,2,2", "--format", "structured")

@@ -114,6 +114,23 @@ def test_golden_cases_list_no_coordinate_faces(monkeypatch, tmp_path):
         assert _run(_argv(case, tmp_path / "input.json")) == (case["exit"], case["stdout"]), case["name"]
 
 
+def test_golden_requests_build_no_polygon(monkeypatch, tmp_path):
+    """classify and open-book read a polygon only from a --partition input."""
+    import sys
+
+    def refuse(partition, **kwargs):
+        raise AssertionError("polygon realisation built inside a request")
+
+    for name, module in list(sys.modules.items()):
+        if (name.partition(".")[0] == "quadbook" and name != "quadbook.reporting"
+                and hasattr(module, "partition_configuration")):
+            monkeypatch.setattr(module, "partition_configuration", refuse)
+    cases = [c for c in CASES if c["argv"][0] in ("classify", "open-book")]
+    assert len(cases) == 3 * (len(PARTITIONS) + 6)
+    for case in cases:
+        assert _run(_argv(case, tmp_path / "input.json")) == (case["exit"], case["stdout"]), case["name"]
+
+
 def test_golden_corpus_is_present():
     assert len(CASES) == 1 + 6 * (len(PARTITIONS) + 6)
 

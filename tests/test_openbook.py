@@ -1,9 +1,14 @@
+import random
+from fractions import Fraction
+
 import pytest
 
 import quadbook as qb
 from quadbook import CyclicPartition, GradedGroup
+from quadbook.reporting import load_document
 
 import helpers
+from test_golden import _explicit_inputs
 
 
 PENTAGON = qb.partition_configuration((1, 1, 1, 1, 1))
@@ -217,6 +222,51 @@ def test_open_book_page_model_matches_page():
     assert book.page_model is not None
     assert qb.normal_form(book.page_model) == CyclicPartition((1, 2, 2, 2, 2))
     assert qb.homology_Zplus(book.page_model) == qb.page_homology(book.page)
+
+
+def _assert_complex_page_model(cfg, i):
+    """The model is the input with every coordinate but i doubled, with the page's Euler count."""
+    book = qb.open_book_complex(cfg, i)
+    model = book.page_model
+    assert model.n == 2 * cfg.n - 1
+    assert model.lambdas == tuple(vec for j, vec in enumerate(cfg.lambdas, start=1)
+                                  for _ in range(1 if j == i else 2))
+    assert model.distinguished == 2 * i - 1
+    polygon = qb.partition_configuration(qb.double_partition(book.page.partition))
+    assert helpers.reference_euler_cellcount(model) == helpers.reference_euler_cellcount(polygon)
+
+
+def test_complex_page_model_on_partitions():
+    for parts in helpers.partitions_up_to(7):
+        cfg = qb.partition_configuration(parts)
+        for i in range(1, cfg.n + 1):
+            _assert_complex_page_model(cfg, i)
+
+
+def test_complex_page_model_on_repeated_and_scaled_rays():
+    rng = random.Random(31)
+    merged = 0
+    for _ in range(40):
+        vectors = list(helpers.random_valid_configuration(rng, 2, rng.randint(3, 6)).lambdas)
+        for _ in range(rng.randint(1, 2)):
+            scale = Fraction(rng.randint(1, 3), rng.randint(1, 2))
+            vectors.append(tuple(scale * x for x in rng.choice(vectors)))
+        rng.shuffle(vectors)
+        cfg = qb.make_configuration(vectors, k=2)
+        _, classes = qb.normal_form_labelled(cfg)
+        # a part of the normal form may hold several ray classes of the input
+        merged += len(classes) < len(qb.coordinate_classes(cfg))
+        for i in range(1, cfg.n + 1):
+            _assert_complex_page_model(cfg, i)
+    assert merged
+
+
+@pytest.mark.parametrize("name", ["k3-n7", "k4-n7"])
+def test_complex_page_model_is_none_without_a_symbolic_page(name):
+    cfg = load_document(_explicit_inputs()[name])
+    book = qb.open_book_complex(cfg, 1)
+    assert book.page is None
+    assert book.page_model is None
 
 
 def test_open_book_dimension_invariants():
