@@ -25,7 +25,7 @@ from .configuration import (
     ray_classes,
     require_valid,
 )
-from .feasibility import hull_support
+from .feasibility import _phase_one
 
 
 # ---------------------------------------------------------------------------
@@ -379,18 +379,27 @@ def _class_faces(rays: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], tu
     past its top class.  Faces are closed under subsets, so a candidate with a
     facet that is no face is skipped.  Each face keeps a witness, the classes
     of one hull point outside it; a candidate that the witness of its parent
-    or of a facet misses is a face with that witness.  Only the rest run the
+    or of a facet misses is a face with that witness.  Only the rest run a
     phase one, whose support is the new witness.  Every candidate has only
     faces as facets, so the phase ones that fail are exactly the minimal
     non-faces, which are returned beside the faces; the empty polytope has no
-    face and the empty set as its one minimal non-face.
+    face and the empty set as its one minimal non-face.  Phase ones run on
+    the tableau of all rays, the candidate's classes barred; one that finds
+    a point keeps its final state under its witness, and a candidate resumes
+    from its parent's: one or two pivots in general position, not k + 1.
     """
-    def support(t: int) -> int | None:
-        rest = [c for c in range(len(rays)) if not t >> c & 1]
-        found = hull_support([rays[c] for c in rest]) if rest else None
-        return None if found is None else sum(1 << rest[i] for i in found)
+    def support(t: int, tab: list[list[int]], basis: list[int], d: int) -> int | None:
+        tab, basis = tab[:], basis[:]  # pivots replace rows, never edit them
+        found, d = _phase_one(tab, basis, d, t)
+        if found is None:
+            return None
+        witness = sum(1 << c for c in found)
+        states[witness] = tab, basis, d
+        return witness
 
-    witness = support(0)
+    states: dict[int, tuple] = {}  # per witness: the final tableau, basis and D
+    root = [[*column, 0] for column in zip(*rays)] + [[1] * (len(rays) + 1)]  # hull_support's tableau
+    witness = support(0, root, list(range(len(rays), len(rays) + len(root))), 1)
     if witness is None:
         return (), (0,)
     out, missing = [0], []
@@ -404,13 +413,14 @@ def _class_faces(rays: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], tu
                 if None in facets:
                     continue
                 reuse = next((w for w in [seen, *facets] if not w & child), None)
-                witness = support(child) if reuse is None else reuse
+                witness = support(child, *states[seen]) if reuse is None else reuse
                 if witness is None:
                     missing.append(child)
                 else:
                     nxt[child] = witness
         out.extend(nxt)
         level = nxt
+        states = {w: states[w] for w in level.values()}  # the next candidates resume from these
     return tuple(sorted(out)), tuple(sorted(missing))
 
 

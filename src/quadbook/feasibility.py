@@ -3,8 +3,8 @@
 The single geometric predicate behind weak hyperbolicity and the dual complex.
 It runs on integer vectors (primitive rays), by a phase-one simplex with
 fraction-free integer pivoting and Bland's rule: exact and deterministic.
-`hull_support` also returns the support of the point it finds, which the
-class-face search reuses as a witness for other class sets.
+`hull_support` also returns the support of the point it finds; the class-face
+search resumes each phase one from an earlier one's final state.
 """
 
 from __future__ import annotations
@@ -14,33 +14,39 @@ from typing import Iterable, Sequence
 from .configuration import ConfigurationError, OracleMismatchError, as_rational, primitive_ray
 
 
-def _phase_one(tab: list[list[int]]) -> tuple[int, ...] | None:
-    """Solve {Ax = b, x >= 0} for the integer tableau [A | b], b >= 0, by Bland's rule.
+def _phase_one(tab: list[list[int]], basis: list[int], d: int = 1,
+               barred: int = 0) -> tuple[tuple[int, ...] | None, int]:
+    """Find x >= 0 with Ax = b and the barred columns (bit j for column j) zero, by Bland's rule.
 
-    Returns the columns of the positive basic variables at the feasible point
-    where the simplex stops, in increasing order, or None if there is none.
-
-    The tableau holds D * B^-1 [A | b] for the current basis B, with D = det B
-    > 0 (it starts at 1 on the artificial basis and becomes each pivot, which
-    the ratio test takes positive).  Signs and ratios are those of B^-1 [A | b],
-    so the pivots are those of the rational simplex, and every entry stays an
-    integer: the division by the previous D is exact.
+    `tab` is D * B^-1 [A | b] for the feasible basis B in `basis` (a column
+    past A is its row's artificial), D = det B > 0; a fresh start is [A | b],
+    b >= 0, on the artificial basis with D = 1.  Both are left in their final
+    state and D is returned, so that a later solve over the same columns may
+    resume there with other columns barred.  The objective row sums the rows
+    whose basic variable is artificial or barred, or all rows if none is
+    barred (a real basic column keeps D there until a pivot, if need be a
+    null one, takes its row out).  Barred columns never enter: the result is
+    None iff no feasible point has them all zero, else the columns of the
+    positive basic variables at the end, ascending.  Signs and ratios are
+    those of B^-1 [A | b], so the pivots are the rational simplex's.  D
+    becomes each pivot p and entries stay integers: a row's division by the
+    previous D is exact, and so is the objective row's, a sum of rows in
+    which the leaving row's term (p * base - p * base) / D cancels.
     """
     m = len(tab)
     width = len(tab[0]) - 1
-    basis = list(range(width, width + m))  # artificial variables
-    # the sum of the artificial rows: minus the reduced costs of min(sum of
-    # artificials), and the objective value; pivots keep it that sum
-    tab.append([sum(column) for column in zip(*tab)])
-    d = 1
+    allowed = [j for j in range(width) if not barred >> j & 1] if barred else range(width)
+    rows = [row for row, j in zip(tab, basis) if j >= width or barred >> j & 1] if barred else tab
+    tab.append([sum(column) for column in zip(*rows)] if rows else [0] * (width + 1))
     while True:
         objective = tab[m]
         # Bland: the first column with a negative reduced cost enters
-        entering = next((j for j in range(width) if objective[j] > 0), None)
+        entering = next((j for j in allowed if objective[j] > 0), None)
         if entering is None:
+            tab.pop()
             if objective[width]:
-                return None
-            return tuple(sorted(basis[i] for i in range(m) if basis[i] < width and tab[i][width] > 0))
+                return None, d
+            return tuple(sorted(basis[i] for i in range(m) if basis[i] < width and tab[i][width] > 0)), d
         leave = None
         for i in range(m):
             a = tab[i][entering]
@@ -76,7 +82,7 @@ def hull_support(rays: Sequence[Sequence[int]]) -> tuple[int, ...] | None:
         raise ConfigurationError("vectors of mixed lengths")
     rows = [[*column, 0] for column in zip(*rays)]
     rows.append([1] * (len(rays) + 1))
-    return _phase_one(rows)
+    return _phase_one(rows, list(range(len(rays), len(rays) + len(rows))))[0]
 
 
 def origin_in_convex_hull(vectors: Iterable[Sequence]) -> bool:

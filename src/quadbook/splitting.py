@@ -55,12 +55,15 @@ def _pair_table(cfg: Configuration) -> tuple[tuple[tuple[int, ...], GradedGroup]
     (ghosts, empty facets) are the minimal non-faces of size one and carry no
     face, so K_T = K_S with S = T & V.  A nonempty K_S is a cone, hence
     acyclic, unless S is the union of the minimal non-faces inside it, so
-    only those unions with |S| <= |V| // 2 and the empty set are reduced; the
-    faces of K_S are the subsets of S that contain none of them.  K_V is the
-    boundary of the simplicial polytope dual to the (simple) class polytope,
-    a sphere of dimension d = largest face size - 1, so Alexander duality
-    gives every larger restriction from its complement: H_i(K_S) has the
-    rank of H_{d-1-i}(K_{V-S}) and the torsion of H_{d-2-i}(K_{V-S}), all
+    only those unions with |S| <= |V| // 2 and the empty set are read; the
+    faces of K_S are the subsets of S that contain none of them.  With r <= 2
+    of them, K_S has just Z in degree |S| - 1 - r and is not reduced: it is
+    empty, the boundary of the simplex on S, or the Alexander dual in S of
+    the disjoint simplices S - M1 and S - M2.  K_V is the boundary of the
+    simplicial polytope dual to the (simple) class polytope, a sphere of
+    dimension d = largest face size - 1, so Alexander duality gives every
+    larger restriction from its complement: H_i(K_S) has the rank of
+    H_{d-1-i}(K_{V-S}) and the torsion of H_{d-2-i}(K_{V-S}), all
     reduced.  The sphere property is checked once; anything but Z in degree
     d raises OracleMismatchError.
     """
@@ -85,10 +88,13 @@ def _pair_table(cfg: Configuration) -> tuple[tuple[tuple[int, ...], GradedGroup]
         unions |= frontier
     small: dict[int, GradedGroup] = {}
     for s in unions:
+        inside = [m for m in base if m & ~s == 0]
+        if len(inside) <= 2:  # a sphere: see the docstring
+            small[s] = GradedGroup.single(s.bit_count() - 1 - len(inside))
+            continue
         # K_S on the positions of S, keeping the engine's tables as small as S
         where = [c for c in range(len(classes)) if s >> c & 1]
-        inside = [sum(1 << i for i, c in enumerate(where) if m >> c & 1)
-                  for m in base if m & ~s == 0]
+        inside = [sum(1 << i for i, c in enumerate(where) if m >> c & 1) for m in inside]
         small[s] = _homology_from_masks([q for q in range(1 << len(where))
                                          if not any(q & m == m for m in inside)])
     restrictions = dict(small)

@@ -151,19 +151,47 @@ TEXT_OUTPUT = [
      "  [pass] binding-euler-zero: odd-dimensional binding has chi = 0\n"
      "  [pass] page-double-euler: chi(double) = 0, 2 chi(page) = 0\n"
      "  [pass] page-boundary-betti: boundary (S^5) # (S^1 x S^1 x S^3) vs binding homology\n"),
+    # a book without a symbolic page: the page line names the half manifold
+    (["open-book", "--config", "k3-n7", "--variant", "complex"],
+     "open book (complex), total dimension 10\nmonodromy: trivial\n"
+     "binding: n = 12 configuration (k = 3, labels x2a, x2b, x3a, x3b...)\n"
+     "page: interior of the complex half manifold at x1\nconsistency:\n"
+     "  [skip] binding-euler-zero: binding dimension is even\n"
+     "  [skip] page-double-euler: no page model\n"
+     "  [skip] page-boundary-betti: no symbolic page\n"),
     (["cross-validate", "--family", "partitions:n<=4"],
      "cases: 4\nresult: all checks passed\n"),
 ]
 
+INPUTS = {
+    "empty-variety": {"schema": 1, "k": 2, "n": 3, "lambdas": [["1", "0"], ["1", "1"], ["0", "1"]]},
+    "k3-n7": {"schema": 1, "k": 3, "n": 7, "distinguished": 1,
+              "lambdas": [["1", "-9", "-9"], ["-9", "8", "-9"], ["3", "-3", "4"], ["-9", "7", "-2"],
+                          ["5", "6", "8"], ["-2", "2", "-2"], ["-2", "5", "0"]]},
+}
+
 
 def test_text_output_is_pinned(tmp_path, capsys):
     """The default text format of the commands the structured tests do not render."""
-    empty = tmp_path / "empty.json"
-    empty.write_text(json.dumps({"schema": 1, "k": 2, "n": 3,
-                                 "lambdas": [["1", "0"], ["1", "1"], ["0", "1"]]}))
+    for name, doc in INPUTS.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
     for argv, expected in TEXT_OUTPUT:
-        argv = [str(empty) if arg == "empty-variety" else arg for arg in argv]
+        argv = [str(tmp_path / f"{arg}.json") if arg in INPUTS else arg for arg in argv]
         assert run_cli(capsys, *argv) == (0, expected, ""), argv
+
+
+def test_cross_validate_failure_text_is_pinned(monkeypatch, capsys):
+    original = reporting._cross_validate_item
+
+    def failing(parts):
+        item = original(parts)
+        if parts == (1, 1, 2):
+            item = {**item, "checks": {**item["checks"], "doubling": "fail", "pages": "fail"}, "ok": False}
+        return item
+
+    monkeypatch.setattr(reporting, "_cross_validate_item", failing)
+    assert run_cli(capsys, "cross-validate", "--family", "partitions:n<=4") == (
+        4, "cases: 4\nresult: MISMATCHES FOUND\n  partition (1, 1, 2): failed ['doubling', 'pages']\n", "")
 
 
 def test_distinguished_flag_on_both_input_paths(tmp_path, capsys):

@@ -298,16 +298,16 @@ def test_class_search_solves_only_minimal_non_faces(monkeypatch):
     rng = random.Random(17)
     configs = [qb.partition_configuration((1,) * 11), qb.partition_configuration((1,) * 13)]
     configs += [helpers.random_valid_configuration(rng, k, k + 7) for k in (3, 4, 5)]
-    original = quadbook.complexes.hull_support
+    original = quadbook.complexes._phase_one
     for cfg in configs:
-        found = []  # per phase one: did it return a support?
+        found = []  # per phase one, fresh or resumed: did it return a support?
 
-        def counted(vectors):
-            support = original(vectors)
+        def counted(*state):
+            support, d = original(*state)
             found.append(support is not None)
-            return support
+            return support, d
 
-        monkeypatch.setattr(quadbook.complexes, "hull_support", counted)
+        monkeypatch.setattr(quadbook.complexes, "_phase_one", counted)
         rays = tuple(ray for ray, _ in ray_classes(cfg))
         masks, non_faces = quadbook.complexes._class_faces.__wrapped__(rays)  # past the memo
         # a phase one that fails proves a minimal non-face; facet pruning skips every other non-face
@@ -315,3 +315,44 @@ def test_class_search_solves_only_minimal_non_faces(monkeypatch):
         assert non_faces == tuple(sorted(helpers.minimal_non_faces(masks, len(rays))))
         # witness reuse decides most faces without a phase one
         assert 0 < found.count(True) <= len(masks) // 4
+
+
+def _degenerate_valid_configuration(rng, k):
+    """A valid configuration on at most 8 coordinates with repeated, collinear and positively dependent rays."""
+    while True:
+        vectors = [tuple(int(x) for x in v) for v in helpers.random_vectors(rng, k, rng.randint(k + 1, 6))]
+        for _ in range(rng.randint(1, min(3, 8 - len(vectors)))):
+            u, v = rng.sample(vectors, 2)
+            kind = rng.choice(("repeat", "collinear", "dependent"))
+            if kind == "repeat":
+                w = tuple(rng.randint(1, 3) * a for a in u)
+            elif kind == "collinear":  # on the line through u and v
+                w = tuple(2 * b - a for a, b in zip(u, v))
+            else:  # in the cone of u and v
+                w = tuple(a + b for a, b in zip(u, v))
+            if any(w):
+                vectors.insert(rng.randint(0, len(vectors)), w)
+        cfg = qb.make_configuration(vectors, k=k)
+        if qb.validate(cfg).ok and qb.origin_in_convex_hull(vectors):
+            return cfg
+
+
+def test_class_faces_match_the_brute_hull_oracle_on_every_class_set():
+    # On a valid input a hull point needs k + 1 rays (Caratheodory), so the kept
+    # states are never degenerate here; the resume test in test_feasibility.py
+    # reaches degenerate rows and artificials basic at zero on arbitrary rays.
+    from quadbook.complexes import class_face_masks
+    from quadbook.configuration import ray_classes
+
+    rng = random.Random(43)
+    shared = 0
+    for k, count in ((2, 6), (3, 5), (4, 3), (5, 2)):  # the oracle's cost grows fast with k
+        for _ in range(count):
+            cfg = _degenerate_valid_configuration(rng, k)
+            rays = [ray for ray, _ in ray_classes(cfg)]
+            shared += len(rays) < cfg.n
+            faces = set(class_face_masks(cfg))
+            for t in range(1 << len(rays)):
+                outside = [ray for c, ray in enumerate(rays) if not t >> c & 1]
+                assert (t in faces) == helpers.brute_origin_in_hull(outside), (cfg, t)
+    assert shared  # some inputs repeat a ray

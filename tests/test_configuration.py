@@ -156,10 +156,10 @@ def _count_predicate_calls(monkeypatch, module, limit=None, name="origin_in_conv
     original = getattr(module, name)
     calls = [0]
 
-    def counted(vectors):
+    def counted(*args):
         calls[0] += 1
         assert limit is None or calls[0] <= limit, f"more than {limit} predicate calls"
-        return original(vectors)
+        return original(*args)
 
     monkeypatch.setattr(module, name, counted)
     return calls
@@ -220,7 +220,7 @@ def test_class_complex_search_is_shared_by_equal_geometry(monkeypatch):
     copies = (qb.complexify(cfg), cfg.with_distinguished(2), relabelled, rescaled)
     for other in (cfg,) + copies:
         assert qb.validate(other).ok
-    calls = _count_predicate_calls(monkeypatch, quadbook.complexes, name="hull_support")
+    calls = _count_predicate_calls(monkeypatch, quadbook.complexes, name="_phase_one")
     first = quadbook.complexes.class_face_masks(cfg)
     searched = calls[0]
     assert searched > 0

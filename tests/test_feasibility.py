@@ -2,9 +2,11 @@ import itertools
 import random
 from fractions import Fraction
 
+from hypothesis import given, settings, strategies as st
+
 import quadbook as qb
 from quadbook.complexes import dual_face_masks
-from quadbook.feasibility import hull_support
+from quadbook.feasibility import _phase_one, hull_support
 
 import helpers
 
@@ -87,6 +89,33 @@ def test_origin_in_convex_hull_degenerate_inputs():
     assert qb.origin_in_convex_hull([("1/3", "-2/7"), ("-5/3", "10/7")])
     assert not qb.origin_in_convex_hull([("1/3", "-2/7"), ("5/3", "-10/7")])
     assert 40 < found < 200  # both answers are well represented
+
+
+@st.composite
+def _resumed_solves(draw):
+    """Small integer rays (zero, repeated, antipodal and collinear ones come up often) and two barred masks."""
+    k = draw(st.integers(2, 4))
+    rays = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * k), min_size=1, max_size=7))
+    masks = st.integers(0, (1 << len(rays)) - 1)
+    return rays, draw(masks), draw(masks)
+
+
+@given(_resumed_solves())
+@settings(max_examples=300, deadline=None)
+def test_resumed_phase_one_matches_a_fresh_solve(data):
+    rays, first, second = data
+    # a kept state: the final tableau, basis and D of a solve with the first mask
+    # barred, which may have failed and may hold artificials basic at zero
+    tab = [[*column, 0] for column in zip(*rays)] + [[1] * (len(rays) + 1)]
+    basis = list(range(len(rays), len(rays) + len(tab)))  # the artificial basis
+    _, d = _phase_one(tab, basis, 1, first)
+    support, _ = _phase_one(tab[:], basis[:], d, second)
+    unbarred = [i for i in range(len(rays)) if not second >> i & 1]
+    fresh = hull_support([rays[i] for i in unbarred]) if unbarred else None
+    assert (support is None) == (fresh is None)
+    if support is not None:
+        assert all(not second >> i & 1 for i in support)
+        assert helpers.brute_origin_in_hull([rays[i] for i in support])
 
 
 def test_face_nonempty_empty_subset():

@@ -236,9 +236,9 @@ def test_pair_table_matches_direct_restrictions(reductions):
 
 
 @pytest.mark.parametrize("cfg, count", [
-    (qb.partition_configuration((1,) * 11), 13),
-    (qb.partition_configuration((1,) * 15), 17),
-    (helpers.random_valid_configuration(random.Random(7), 4, 11), 89),
+    (qb.partition_configuration((1,) * 11), 1),
+    (qb.partition_configuration((1,) * 15), 1),
+    (helpers.random_valid_configuration(random.Random(7), 4, 11), 37),
 ], ids=["ones-11", "ones-15", "dense-k4"])
 def test_pair_table_work_bound(reductions, cfg, count):
     from quadbook import splitting
@@ -250,16 +250,21 @@ def test_pair_table_work_bound(reductions, cfg, count):
     non_faces = helpers.minimal_non_faces(faces, m)
     vertices = [c for c in range(m) if 1 << c not in non_faces]
     # K_V (a sphere) first, then each restriction to at most half the vertices
-    # that is empty or the union of the minimal non-faces inside it, of the
-    # 1,024, 16,384 and 1,024 restrictions of that size
+    # that is the union of at least three minimal non-faces inside it, of the
+    # 1,024, 16,384 and 1,024 restrictions of that size; the empty set and
+    # unions of one or two are spheres read without a reduction
     assert len(reductions) == count
     assert list(reductions[0]) == list(faces)
+    for faces_s in reductions[1:]:
+        assert len(helpers.minimal_non_faces(faces_s, max(faces_s).bit_length())) >= 3
+
+    def inside(s):
+        return [n for n in non_faces if n & ~s == 0]
 
     def union_inside(s):
         out = 0
-        for n in non_faces:
-            if n & ~s == 0:
-                out |= n
+        for n in inside(s):
+            out |= n
         return out
 
     def on_positions(s):
@@ -269,10 +274,36 @@ def test_pair_table_work_bound(reductions, cfg, count):
 
     subsets = (sum(1 << c for c in S) for size in range(len(vertices) // 2 + 1)
                for S in itertools.combinations(vertices, size))
-    unions = [s for s in subsets if union_inside(s) == s]
+    unions = [s for s in subsets if union_inside(s) == s and len(inside(s)) >= 3]
     assert sorted(sorted(r) for r in reductions[1:]) == sorted(map(on_positions, unions))
     # none of them is a simplex or a cone
     assert not [faces for faces in reductions if helpers.is_cone(faces)]
+
+
+def test_unions_of_at_most_two_minimal_non_faces_are_spheres():
+    from quadbook import splitting
+    from quadbook.complexes import _homology_from_masks, class_face_masks
+
+    configs = _duality_corpus() + [qb.partition_configuration((1,) * m) for m in (7, 9, 11)]
+    seen = set()
+    for cfg in configs:
+        faces = class_face_masks(cfg)
+        if not faces:
+            continue
+        classes = qb.coordinate_classes(cfg)
+        non_faces = [m for m in helpers.minimal_non_faces(faces, len(classes)) if m.bit_count() > 1]
+        table = dict(splitting._pair_table(cfg))
+        for s in {0} | {a | b for a in non_faces for b in non_faces}:
+            r = sum(1 for m in non_faces if m & ~s == 0)
+            if r > 2:
+                continue
+            seen.add(r)
+            sphere = GradedGroup.single(s.bit_count() - 1 - r)
+            assert _homology_from_masks([f for f in faces if f & ~s == 0]) == sphere, (cfg, s)
+            # the table holds the same group, wedge-shifted, on the coordinates of S
+            J = tuple(sorted(itertools.chain(*(classes[c] for c in range(len(classes)) if s >> c & 1))))
+            assert table[J] == sphere.shift(1 + len(J) - s.bit_count()), (cfg, s)
+    assert seen == {0, 1, 2}
 
 
 # a disk (one filled triangle) and two points plus an edge: neither is a sphere
