@@ -197,7 +197,7 @@ def normal_form(cfg: Configuration) -> CyclicPartition:
     return normal_form_labelled(cfg)[0]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _polygon_vertices(m: int) -> tuple[tuple[int, int], ...]:
     """Integer direction approximants of a regular odd m-gon, exactly verified.
 

@@ -16,6 +16,7 @@ from concurrent.futures import BrokenExecutor
 from functools import lru_cache
 
 from .configuration import (
+    ConfigurationError,
     InvalidConfigurationError,
     OracleMismatchError,
     ParseError,
@@ -85,25 +86,39 @@ def _load_input(args) -> "Configuration":
     if len(sources) != 1:
         raise ParseError("exactly one of --partition or --config is required")
     if args.partition:
+        cfg = _parse_input(args.partition, partition=True)
         try:
-            parts = [int(p) for p in args.partition.split(",") if p.strip()]
-        except ValueError as exc:
-            raise ParseError(f"bad partition {args.partition!r}") from exc
-        doc = {"schema": 1, "partition": parts}
-        if args.distinguished is not None:
-            doc["distinguished"] = args.distinguished
-        return load_document(doc)
+            return cfg if args.distinguished is None else cfg.with_distinguished(args.distinguished)
+        except ConfigurationError as exc:
+            raise ParseError(str(exc)) from exc
     try:
         with open(args.config, "r", encoding="utf-8") as handle:
-            doc = json.load(handle)
+            text = handle.read()
+        cfg = _parse_input(text, partition=False)
     except OSError as exc:
         raise ParseError(f"cannot read {args.config}: {exc}") from exc
     except ValueError as exc:  # bad JSON, bad UTF-8, or an integer too long to parse
         raise ParseError(f"invalid JSON in {args.config}: {exc}") from exc
-    cfg = load_document(doc)
     if args.distinguished is not None:
         cfg = cfg.with_distinguished(args.distinguished)
     return cfg
+
+
+@lru_cache(maxsize=4)
+def _parse_input(text: str, partition: bool) -> "Configuration":
+    """The configuration of a --partition value or a --config document's text.
+
+    Memoised on the text, so the commands of one session share one object and
+    hit every engine memo by identity; a rewritten file is parsed again, and
+    a failure raises and is not kept.
+    """
+    if partition:
+        try:
+            parts = [int(p) for p in text.split(",") if p.strip()]
+        except ValueError as exc:
+            raise ParseError(f"bad partition {text!r}") from exc
+        return load_document({"schema": 1, "partition": parts})
+    return load_document(json.loads(text))
 
 
 def _emit(report: dict, fmt: str, stream) -> None:

@@ -18,13 +18,7 @@ from functools import lru_cache
 from math import gcd
 from typing import Iterable, Mapping, Sequence
 
-from .configuration import (
-    Configuration,
-    ConfigurationError,
-    coordinate_classes,
-    ray_classes,
-    require_valid,
-)
+from .configuration import Configuration, ConfigurationError, _ray_classes, require_valid
 from .feasibility import _phase_one
 
 
@@ -360,16 +354,21 @@ def _mask(coordinates: Iterable[int]) -> int:
 def class_face_masks(cfg: Configuration) -> tuple[int, ...]:
     """The dual complex on the ray classes, as bitmasks (bit c for class c + 1)."""
     require_valid(cfg)
-    return _class_faces(tuple(ray for ray, _ in ray_classes(cfg)))[0]
+    return _class_complex(cfg.rays)[0]
 
 
 def class_minimal_non_faces(cfg: Configuration) -> tuple[int, ...]:
     """The class sets that are no face while each of their facets is one, as bitmasks."""
     require_valid(cfg)
-    return _class_faces(tuple(ray for ray, _ in ray_classes(cfg)))[1]
+    return _class_complex(cfg.rays)[1]
 
 
-@lru_cache(maxsize=None)
+def _class_complex(rays: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Class faces and minimal non-faces of a valid configuration with these per-coordinate rays."""
+    return _class_faces(tuple(ray for ray, _ in _ray_classes(rays)))
+
+
+@lru_cache(maxsize=64)
 def _class_faces(rays: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The class faces and minimal non-faces of rays in this order, as sorted masks.
 
@@ -424,7 +423,6 @@ def _class_faces(rays: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], tu
     return tuple(sorted(out)), tuple(sorted(missing))
 
 
-@lru_cache(maxsize=None)
 def dual_face_masks(cfg: Configuration) -> tuple[int, ...]:
     """All index sets with a nonempty face, as bitmasks (bit i-1 for coordinate i).
 
@@ -432,12 +430,19 @@ def dual_face_masks(cfg: Configuration) -> tuple[int, ...]:
     whole form a class face.  So each class face expands to itself plus any
     proper part of every class outside it.
     """
+    require_valid(cfg)
+    return _dual_faces(cfg.rays)
+
+
+@lru_cache(maxsize=64)
+def _dual_faces(rays: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
+    """`dual_face_masks` keyed on the per-coordinate rays, so labels, scale and marking drop out."""
     # per class: the whole class, and every proper part of it
     choices = [([_mask(members)], [_mask(part) for size in range(len(members))
                                    for part in itertools.combinations(members, size)])
-               for members in coordinate_classes(cfg)]
+               for _, members in _ray_classes(rays)]
     out: list[int] = []
-    for t in class_face_masks(cfg):
+    for t in _class_complex(rays)[0]:
         layer = [0]
         for c, (whole, proper) in enumerate(choices):
             layer = [f | s for f in layer for s in (whole if t >> c & 1 else proper)]

@@ -82,7 +82,8 @@ class Configuration:
     """n rational vectors in Q^k with one distinguished coordinate (1-based).
 
     The distinguished coordinate is the one the half manifold is cut along.
-    It defaults to coordinate 1.
+    It defaults to coordinate 1.  Each coordinate's primitive integer ray is
+    computed once, in ``rays``; equality and the hash compare integers only.
     """
 
     k: int
@@ -110,9 +111,31 @@ class Configuration:
             raise ConfigurationError(f"{len(labels)} labels for {n} coordinates")
         if not 1 <= self.distinguished <= n:
             raise ConfigurationError(f"distinguished coordinate {self.distinguished} out of range")
-        object.__setattr__(self, "lambdas", vectors)
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "_hash", hash((self.k, vectors, labels, self.distinguished)))
+        rays, coords = zip(*map(_ray_and_key, vectors))
+        self._seal(vectors, labels, self.distinguished, rays, coords)
+
+    def _seal(self, lambdas, labels, distinguished, rays, coords) -> None:
+        """Set the fields from checked parts; `coords` holds each coordinate's integer key."""
+        key = (self.k, coords, labels, distinguished)
+        fields = {"lambdas": lambdas, "labels": labels, "distinguished": distinguished,
+                  "rays": rays, "_key": key, "_hash": hash(key)}
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    def _derive(self, labels: tuple[str, ...], distinguished: int,
+                positions: Sequence[int] | None = None) -> "Configuration":
+        """The coordinates at 0-based positions (default all, repeats allowed), relabelled.
+
+        Rays and keys are reused, so no rational is read again.
+        """
+        parts = (self.lambdas, self.rays, self._key[1])
+        if positions is not None:
+            parts = [tuple(seq[p] for p in positions) for seq in parts]
+        lambdas, rays, coords = parts
+        out = object.__new__(Configuration)
+        object.__setattr__(out, "k", self.k)
+        out._seal(lambdas, labels, distinguished, rays, coords)
+        return out
 
     def __hash__(self):
         return self._hash
@@ -120,12 +143,7 @@ class Configuration:
     def __eq__(self, other):
         if not isinstance(other, Configuration):
             return NotImplemented
-        return (
-            self.k == other.k
-            and self.lambdas == other.lambdas
-            and self.labels == other.labels
-            and self.distinguished == other.distinguished
-        )
+        return self._key == other._key
 
     @property
     def n(self) -> int:
@@ -150,7 +168,9 @@ class Configuration:
     def with_distinguished(self, i: int) -> "Configuration":
         if i == self.distinguished:
             return self
-        return Configuration(self.k, self.lambdas, self.labels, i)
+        if not 1 <= i <= self.n:
+            raise ConfigurationError(f"distinguished coordinate {i} out of range")
+        return self._derive(self.labels, i)
 
     def __repr__(self):
         vecs = ", ".join("(" + ",".join(str(x) for x in v) + ")" for v in self.lambdas)
@@ -168,14 +188,24 @@ def make_configuration(vectors: Iterable[Sequence], *, k: int | None = None,
     return Configuration(kk, vecs, tuple(labels) if labels else (), distinguished)
 
 
+def _ray_and_key(vec: Sequence[Fraction]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The primitive integer ray of vec, and a key of integers: the ray, then g and s.
+
+    vec = ray * g / s with g / s in lowest terms, so equal vectors, and only
+    they, have equal keys.
+    """
+    scale = math.lcm(*(x.denominator for x in vec))
+    ints = [x.numerator * (scale // x.denominator) for x in vec]
+    g = math.gcd(*ints)
+    ray = tuple(a // g for a in ints) if g > 1 else tuple(ints)
+    return ray, (*ray, g, scale)
+
+
 def primitive_ray(vec: Sequence[Fraction]) -> tuple[int, ...]:
     """The primitive integer vector on the ray through vec; the zero vector stays zero."""
-    scale = math.lcm(*(x.denominator for x in vec))
-    ints = [int(x * scale) for x in vec]
-    return tuple(a // (math.gcd(*ints) or 1) for a in ints)
+    return _ray_and_key(vec)[0]
 
 
-@lru_cache(maxsize=None)
 def ray_classes(cfg: Configuration) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
     """(primitive ray, coordinates) per ray class, in first-occurrence order.
 
@@ -183,9 +213,15 @@ def ray_classes(cfg: Configuration) -> tuple[tuple[tuple[int, ...], tuple[int, .
     a vector, so the coordinates of one class are interchangeable.  This is
     the only place that decides which coordinates share a class.
     """
+    return _ray_classes(cfg.rays)
+
+
+@lru_cache(maxsize=256)
+def _ray_classes(rays: tuple[tuple[int, ...], ...]):
+    """`ray_classes` keyed on the per-coordinate rays, so labels, scale and marking drop out."""
     groups: dict[tuple[int, ...], list[int]] = {}
-    for i in range(1, cfg.n + 1):
-        groups.setdefault(primitive_ray(cfg.lambdas[i - 1]), []).append(i)
+    for i, ray in enumerate(rays, start=1):
+        groups.setdefault(ray, []).append(i)
     return tuple((ray, tuple(members)) for ray, members in groups.items())
 
 
@@ -218,7 +254,7 @@ def _lex_subsets(m: int, k: int, prefix: tuple[int, ...] = ()):
             yield from _lex_subsets(m, k, subset)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _first_failure(rays: tuple[tuple[int, ...], ...], k: int) -> tuple[int, ...] | None:
     """The least class subset of size <= k whose rays hold the origin, or None.
 
@@ -230,7 +266,6 @@ def _first_failure(rays: tuple[tuple[int, ...], ...], k: int) -> tuple[int, ...]
                  if origin_in_convex_hull([rays[c] for c in s])), None)
 
 
-@lru_cache(maxsize=None)
 def validate(cfg: Configuration) -> ValidationReport:
     """Check weak hyperbolicity: no J with |J| <= k has the origin in conv(lambda_J).
 
@@ -238,14 +273,21 @@ def validate(cfg: Configuration) -> ValidationReport:
     meets, so the search runs over class subsets of size <= k and stops at the
     first that fails.  Only then is the failure mapped back to coordinates.
     """
+    return _validate(cfg.rays)
+
+
+@lru_cache(maxsize=256)
+def _validate(coordinate_rays: tuple[tuple[int, ...], ...]) -> ValidationReport:
+    """`validate` keyed on the per-coordinate rays, so labels, scale and marking drop out."""
     from .feasibility import origin_in_convex_hull
 
-    classes = ray_classes(cfg)
+    k, n = len(coordinate_rays[0]), len(coordinate_rays)
+    classes = _ray_classes(coordinate_rays)
     rays = tuple(ray for ray, _ in classes)
-    first = _first_failure(rays, cfg.k)
+    first = _first_failure(rays, k)
     if first is None:
         return ValidationReport(True)
-    if len(rays) == cfg.n:  # one coordinate per class: class c is coordinate c + 1
+    if len(rays) == n:  # one coordinate per class: class c is coordinate c + 1
         return ValidationReport(False, tuple(c + 1 for c in first))
 
     @lru_cache(maxsize=None)
@@ -260,7 +302,7 @@ def validate(cfg: Configuration) -> ValidationReport:
         """
         if prefix and fails(class_set):
             return prefix
-        if len(prefix) == cfg.k:
+        if len(prefix) == k:
             return None
         last = prefix[-1] if prefix else 0
         nxt = sorted((members[bisect.bisect(members, last)], c)
@@ -288,14 +330,13 @@ def delete_coordinate(cfg: Configuration, i: int) -> Configuration:
         raise ConfigurationError(
             f"deleting coordinate {i} leaves n = {cfg.n - 1} < k + 1 = {cfg.k + 1}"
         )
-    vectors = cfg.lambdas[: i - 1] + cfg.lambdas[i:]
     labels = cfg.labels[: i - 1] + cfg.labels[i:]
     d = cfg.distinguished
     if d == i:
         d = 1
     elif d > i:
         d -= 1
-    return Configuration(cfg.k, vectors, labels, d)
+    return cfg._derive(labels, d, [p for p in range(cfg.n) if p != i - 1])
 
 
 def duplicate_coordinate(cfg: Configuration, i: int) -> Configuration:
@@ -306,11 +347,9 @@ def duplicate_coordinate(cfg: Configuration, i: int) -> Configuration:
     """
     if not 1 <= i <= cfg.n:
         raise ConfigurationError(f"coordinate {i} out of range 1..{cfg.n}")
-    vec = cfg.lambdas[i - 1]
-    vectors = cfg.lambdas[:i] + (vec,) + cfg.lambdas[i:]
     parent = cfg.labels[i - 1]
     labels = cfg.labels[: i - 1] + (parent + "a", parent + "b") + cfg.labels[i:]
-    return Configuration(cfg.k, vectors, labels, i + 1)
+    return cfg._derive(labels, i + 1, [*range(i), i - 1, *range(i, cfg.n)])
 
 
 def complexify(cfg: Configuration) -> Configuration:
@@ -319,9 +358,5 @@ def complexify(cfg: Configuration) -> Configuration:
     The real variety of the result is diffeomorphic to the complex variety of
     the input, so this is the coordinate model of the moment-angle manifold.
     """
-    vectors = []
-    labels = []
-    for vec, label in zip(cfg.lambdas, cfg.labels):
-        vectors.extend((vec, vec))
-        labels.extend((label + "a", label + "b"))
-    return Configuration(cfg.k, tuple(vectors), tuple(labels), 2 * cfg.distinguished - 1)
+    labels = tuple(label + suffix for label in cfg.labels for suffix in "ab")
+    return cfg._derive(labels, 2 * cfg.distinguished - 1, [p for p in range(cfg.n) for _ in "ab"])

@@ -9,6 +9,7 @@ parallelism degree used to compute them.
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from concurrent import futures
 from typing import Iterable
@@ -24,7 +25,7 @@ from .classify import (
     partition_configuration,
     rotate_parts,
 )
-from .complexes import GradedGroup, dual_face_masks
+from .complexes import GradedGroup, class_face_masks, dual_face_masks
 from .configuration import (
     Configuration,
     ConfigurationError,
@@ -137,19 +138,30 @@ def check_report(cfg: Configuration) -> dict:
 
 
 def dual_complex_report(cfg: Configuration) -> dict:
-    masks = dual_face_masks(cfg)
-    labels = {f: [i + 1 for i in range(cfg.n) if f >> i & 1] for f in masks}
-    order = sorted(masks, key=lambda f: (len(labels[f]), labels[f]))
-    # a face is maximal iff it is a facet of no other face
-    covered = {f & ~(1 << i) for f in masks for i in range(cfg.n) if f >> i & 1}
+    """The dual complex; all but the face list is read off the class complex.
+
+    A class face T stands for the coordinate faces holding each class of T
+    whole and a proper part of every other class c, so it counts
+    prod (2^|c| - 1) of them.  The maximal ones come from the maximal class
+    faces, with every class outside T missing one member.
+    """
+    classes = coordinate_classes(cfg)
+    class_faces = class_face_masks(cfg)
+    is_face = set(class_faces)
+    outside = [[c for c in range(len(classes)) if not t >> c & 1] for t in class_faces]
+    maximal = [[i for i in range(1, cfg.n + 1) if i not in dropped]
+               for t, rest in zip(class_faces, outside)
+               if not any(t | 1 << c in is_face for c in rest)  # a maximal class face
+               for dropped in itertools.product(*(classes[c] for c in rest))]
+    faces = [[i + 1 for i in range(cfg.n) if f >> i & 1] for f in dual_face_masks(cfg)]
     return {
         "command": "dual-complex",
         "input": config_document(cfg),
-        "void": not masks,
-        "dim": max((f.bit_count() for f in masks), default=0) - 1,
-        "maximal_faces": [labels[f] for f in order if f not in covered],
-        "face_count": len(masks),
-        "faces": [labels[f] for f in order],
+        "void": not class_faces,
+        "dim": max((cfg.n - len(rest) for rest in outside), default=0) - 1,
+        "maximal_faces": sorted(maximal, key=lambda face: (len(face), face)),
+        "face_count": sum(math.prod((1 << len(classes[c])) - 1 for c in rest) for rest in outside),
+        "faces": sorted(faces, key=lambda face: (len(face), face)),
     }
 
 
@@ -308,8 +320,15 @@ def cross_validate(families: Iterable[str], *, jobs: int = 1) -> dict:
     items = odd_partitions(limit)
     workers = min(jobs, (len(items) + 3) // 4)  # one per chunk that pool.map hands out
     if workers > 1:
-        with futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_cross_validate_item, items, chunksize=4))
+        results = []
+        try:
+            with futures.ProcessPoolExecutor(max_workers=workers) as pool:
+                results.extend(pool.map(_cross_validate_item, items, chunksize=4))
+        except futures.BrokenExecutor as exc:
+            # map yields the chunks in order, so the first lost one starts here
+            lost = ", ".join(str(tuple(parts)) for parts in items[len(results):len(results) + 4])
+            raise futures.BrokenExecutor(
+                f"{exc}; the chunk of partitions {lost} got no result") from exc
     else:
         results = [_cross_validate_item(parts) for parts in items]
     ok = all(r["ok"] for r in results)

@@ -26,13 +26,14 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
-from .complexes import (GradedGroup, _homology_from_masks, _mask, class_face_masks,
-                        class_minimal_non_faces, dual_face_masks)
+from .complexes import (GradedGroup, _class_complex, _homology_from_masks, _mask,
+                        class_face_masks, dual_face_masks)
 from .configuration import (
     Configuration,
     ConfigurationError,
     OracleMismatchError,
     SizeCapError,
+    _ray_classes,
     coordinate_classes,
     require_valid,
 )
@@ -40,9 +41,12 @@ from .configuration import (
 DEFAULT_SUBSET_CAP = 20
 
 
-@lru_cache(maxsize=None)
-def _pair_table(cfg: Configuration) -> tuple[tuple[tuple[int, ...], GradedGroup], ...]:
+@lru_cache(maxsize=64)
+def _pair_table(rays) -> tuple[tuple[tuple[int, ...], GradedGroup], ...]:
     """Nonzero pair homologies H(P, P_J) in Z-degrees, sorted by size then content of J.
+
+    Keyed on the per-coordinate rays of a valid configuration, so labels,
+    scale and the distinguished coordinate drop out.
 
     Only unions J of ray classes can contribute: if J splits a class, the
     restricted dual complex is a cone on any included copy whose twin was left
@@ -67,17 +71,16 @@ def _pair_table(cfg: Configuration) -> tuple[tuple[tuple[int, ...], GradedGroup]
     reduced.  The sphere property is checked once; anything but Z in degree
     d raises OracleMismatchError.
     """
-    class_faces = class_face_masks(cfg)
+    class_faces, non_faces = _class_complex(rays)
     if not class_faces:
         return ()  # empty polytope: empty variety, no cells
-    classes = coordinate_classes(cfg)
+    classes = [members for _, members in _ray_classes(rays)]
     d = max(f.bit_count() for f in class_faces) - 1
     sphere = _homology_from_masks(class_faces)  # ghosts are in no face: this is K_V
     if sphere != GradedGroup.single(d):
         raise OracleMismatchError(
             f"the class complex on its vertices is not a {d}-sphere: reduced homology {sphere}")
 
-    non_faces = class_minimal_non_faces(cfg)
     v_mask = ((1 << len(classes)) - 1) ^ sum(m for m in non_faces if m.bit_count() == 1)
     half = v_mask.bit_count() // 2
     base = {m for m in non_faces if 1 < m.bit_count() <= half}
@@ -206,5 +209,5 @@ def splitting_ledger(cfg: Configuration, space: str = "Z", *,
     if not 1 <= dist <= cfg.n:
         raise ConfigurationError(f"distinguished coordinate {dist} out of range")
     rows = tuple((J, group.shift(len(J)) if space == "ZC" else group)
-                 for J, group in _pair_table(cfg) if not (space == "Zplus" and dist in J))
+                 for J, group in _pair_table(cfg.rays) if not (space == "Zplus" and dist in J))
     return SplittingLedger(space, rows, GradedGroup.sum(g for _, g in rows))

@@ -10,6 +10,7 @@ the form the homology engine reads.
 from __future__ import annotations
 
 import itertools
+import random
 from fractions import Fraction
 
 import quadbook as qb
@@ -323,3 +324,28 @@ def random_valid_configuration(rng, k, n, require_nonempty=True) -> qb.Configura
         if require_nonempty and not qb.origin_in_convex_hull(vecs):
             continue
         return cfg
+
+
+def with_repeated_rays(rng, cfg, copies):
+    """Insert `copies` extra coordinates, each an exact or a scaled copy of an existing one."""
+    vectors = list(cfg.lambdas)
+    for _ in range(copies):
+        i = rng.randrange(len(vectors))
+        scale = rng.choice((1, 1, 2, 3))
+        vectors.insert(i + 1, tuple(scale * x for x in vectors[i]))
+    return qb.make_configuration(vectors, k=cfg.k)
+
+
+def duality_corpus() -> list[qb.Configuration]:
+    """Partitions up to 8, random k = 3..5 inputs with repeated rays, and general-position k = 3, 4."""
+    configs = [qb.partition_configuration(p) for p in partitions_up_to(8)]
+    rng = random.Random(41)
+    for k in (3, 4, 5):
+        for _ in range(8):
+            cfg = random_valid_configuration(rng, k, rng.randint(k + 2, 9))
+            configs.append(with_repeated_rays(rng, cfg, rng.randint(0, 11 - cfg.n)))
+    # the dense-k34 shape: general position, where most restrictions are
+    # simplices or cones and skip the reduction
+    for k in (3, 3, 3, 4, 4, 4):
+        configs.append(random_valid_configuration(rng, k, rng.randint(10, 11)))
+    return configs

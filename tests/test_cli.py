@@ -12,6 +12,9 @@ from quadbook.cli import main
 from quadbook.reporting import config_document, load_document
 
 
+PENTAGON_CFG = qb.partition_configuration((1, 1, 1, 1, 1))
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -231,7 +234,7 @@ class _FakePool:
     """Stands in for ProcessPoolExecutor: records its size and maps in-process, or breaks."""
 
     sizes: list[int] = []
-    broken = False
+    broken_at = None  # the chunk whose worker dies
 
     def __init__(self, max_workers):
         self.sizes.append(max_workers)
@@ -243,9 +246,11 @@ class _FakePool:
         return False
 
     def map(self, fn, items, chunksize):
-        if self.broken:
-            raise BrokenProcessPool("a process in the pool was terminated abruptly")
-        return map(fn, items)
+        items = list(items)
+        for start in range(0, len(items), chunksize):
+            if start // chunksize == self.broken_at:
+                raise BrokenProcessPool("a process in the pool was terminated abruptly")
+            yield from map(fn, items[start:start + chunksize])
 
 
 @pytest.fixture
@@ -269,11 +274,48 @@ def test_cross_validate_pool_has_one_worker_per_chunk(fake_pool):
 
 
 def test_cross_validate_broken_pool_exits_4(fake_pool, monkeypatch, capsys):
-    monkeypatch.setattr(fake_pool, "broken", True)
-    code, out, err = run_cli(capsys, "cross-validate", "--family", "partitions:n<=5", "--jobs", "8")
-    assert (code, out) == (4, "")
-    assert len(err.splitlines()) == 1 and "worker process died" in err
-    assert "Traceback" not in err
+    items = reporting.odd_partitions(5)
+    for chunk in range(3):
+        monkeypatch.setattr(fake_pool, "broken_at", chunk)
+        code, out, err = run_cli(capsys, "cross-validate", "--family", "partitions:n<=5", "--jobs", "8")
+        assert (code, out) == (4, "")
+        assert len(err.splitlines()) == 1 and "worker process died" in err
+        assert "Traceback" not in err
+        # the message names the partitions of the chunk that died, and no others
+        assert [p for p in items if str(p) in err] == items[4 * chunk:4 * chunk + 4]
+
+
+def test_one_parse_per_session(tmp_path, capsys, monkeypatch):
+    from quadbook import cli
+
+    calls = []
+    monkeypatch.setattr(cli, "load_document", lambda doc: calls.append(doc) or load_document(doc))
+    cli._parse_input.cache_clear()
+    path = tmp_path / "session.json"
+    try:
+        path.write_text(json.dumps(config_document(qb.partition_configuration((1, 2, 2)))))
+        for command in ("check", "classify", "homology", "open-book", "dual-complex"):
+            assert run_cli(capsys, command, "--config", str(path))[0] == 0
+        assert len(calls) == 1
+        # a rewritten file is parsed again
+        path.write_text(json.dumps(config_document(PENTAGON_CFG)))
+        code, out, _ = run_cli(capsys, "check", "--config", str(path), "--format", "structured")
+        assert code == 0 and len(calls) == 2
+        assert load_document(json.loads(out)["input"]) == PENTAGON_CFG
+    finally:
+        cli._parse_input.cache_clear()
+
+
+def test_invalid_json_exits_one_on_every_call(tmp_path, capsys):
+    path = tmp_path / "broken.json"
+    path.write_text('{"schema": 1, "partition": [1, 1, 1]')
+    results = [run_cli(capsys, "check", "--config", str(path)) for _ in range(3)]
+    code, out, err = results[0]
+    assert (code, out) == (1, "") and err.startswith(f"parse error: invalid JSON in {path}: ")
+    assert results == [results[0]] * 3
+    # once the file is mended, the same path parses
+    path.write_text('{"schema": 1, "partition": [1, 1, 1]}')
+    assert run_cli(capsys, "check", "--config", str(path))[0] == 0
 
 
 def test_document_round_trip():

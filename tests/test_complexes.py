@@ -285,6 +285,34 @@ def test_dual_complex_octahedron():
     assert _homology_from_masks(K) == GradedGroup.single(2)
 
 
+def _read_off_masks(cfg):
+    """face_count, dim and maximal faces read off the expanded coordinate faces."""
+    masks = dual_face_masks(cfg)
+    covered = {f & ~(1 << i) for f in masks for i in range(cfg.n) if f >> i & 1}
+    maximal = sorted((list(_labels(f)) for f in masks if f not in covered),
+                     key=lambda face: (len(face), face))
+    return len(masks), max((f.bit_count() for f in masks), default=0) - 1, maximal
+
+
+def test_dual_complex_report_reads_the_class_complex():
+    partitions = ((1, 1, 1), (1,) * 5, (2, 2, 2), (2, 1, 1, 1, 1), (1, 2, 2, 2, 2), (1,) * 7)
+    configs = [qb.partition_configuration(p) for p in partitions] + helpers.duality_corpus()
+    rng = random.Random(61)
+    configs += [helpers.with_repeated_rays(rng, qb.partition_configuration(p), 3) for p in partitions]
+    configs += [
+        qb.make_configuration([(1, 0), (2, 0), (-1, 1), ("-1/2", "1/2"), (-1, -1), (-3, -3)]),
+        qb.make_configuration([(1, 0), (1, 1), (0, 1)]),  # void
+    ]
+    saw_void = False
+    for cfg in configs:
+        report = dual_complex_report(cfg)
+        assert (report["face_count"], report["dim"], report["maximal_faces"]) == _read_off_masks(cfg), cfg
+        assert report["faces"] == sorted((list(_labels(f)) for f in dual_face_masks(cfg)),
+                                         key=lambda face: (len(face), face))
+        saw_void |= report["void"]
+    assert saw_void
+
+
 def test_dual_complex_requires_validity():
     bad = qb.make_configuration([(1, 0), (-1, 0), (0, 1)], k=2)
     with pytest.raises(qb.InvalidConfigurationError):

@@ -229,6 +229,80 @@ def test_class_complex_search_is_shared_by_equal_geometry(monkeypatch):
     assert calls[0] == searched
 
 
+def test_equal_rationals_give_equal_configurations():
+    from fractions import Fraction
+
+    configs = [qb.Configuration(2, ((half, 0), (0, 1), (-1, -1))) for half in ("1/2", "2/4", Fraction(1, 2))]
+    assert configs[0] == configs[1] == configs[2]
+    assert len({hash(cfg) for cfg in configs}) == 1
+    assert configs[0].rays == ((1, 0), (0, 1), (-1, -1))
+    # a positive multiple lies on the same ray but is another configuration
+    scaled = qb.Configuration(2, ((1, 0), (0, 1), (-1, -1)))
+    assert scaled.rays == configs[0].rays and scaled != configs[0]
+
+
+def test_labels_and_distinguished_separate_configurations():
+    relabelled = qb.Configuration(PENTAGON.k, PENTAGON.lambdas, tuple("abcde"))
+    marked = PENTAGON.with_distinguished(2)
+    assert relabelled.rays == marked.rays == PENTAGON.rays
+    assert len({PENTAGON, relabelled, marked, relabelled.with_distinguished(2)}) == 4
+    assert relabelled != PENTAGON and marked != PENTAGON
+
+
+def test_derived_configurations_equal_fresh_ones():
+    base = qb.make_configuration([(1, 0), ("2/3", "4/3"), (-1, 1), (-3, -3), (0, "-1/2")],
+                                 labels="pqrst", distinguished=3)
+    derived = [qb.complexify(base), base.with_distinguished(5)]
+    derived += [qb.delete_coordinate(base, i) for i in range(1, 6)]
+    derived += [qb.duplicate_coordinate(base, i) for i in range(1, 6)]
+    for cfg in derived:
+        # built from scratch: every rational read again from its string
+        fresh = qb.Configuration(cfg.k, tuple(tuple(str(x) for x in vec) for vec in cfg.lambdas),
+                                 cfg.labels, cfg.distinguished)
+        assert cfg == fresh and hash(cfg) == hash(fresh), cfg
+        assert cfg.rays == fresh.rays
+
+
+def test_scaled_and_relabelled_copies_hit_the_ray_keyed_memos():
+    from quadbook import complexes, configuration, splitting
+
+    memos = (configuration._ray_classes, configuration._validate, complexes._dual_faces,
+             splitting._pair_table)
+    # a linear image of (2, 1, 2) that no other test builds
+    cfg = qb.make_configuration([(4 * x - y, x + 6 * y)
+                                 for x, y in qb.partition_configuration((2, 1, 2)).lambdas])
+    copies = (qb.Configuration(cfg.k, cfg.lambdas, tuple(f"z{i}" for i in range(1, cfg.n + 1))),
+              qb.make_configuration([[5 * x for x in vec] for vec in cfg.lambdas], distinguished=2))
+
+    def run(c):
+        return (qb.validate(c), configuration.ray_classes(c), complexes.dual_face_masks(c),
+                qb.homology_Z(c))
+
+    first = run(cfg)
+    before = [memo.cache_info() for memo in memos]
+    for other in copies:
+        assert run(other) == first
+    after = [memo.cache_info() for memo in memos]
+    assert [info.misses for info in after] == [info.misses for info in before]
+    assert all(a.hits > b.hits for a, b in zip(after, before))
+
+
+def test_every_package_memo_is_bounded():
+    """Walks the package's modules the way the benchmark finds the caches it clears."""
+    import sys
+
+    import quadbook.cli  # noqa: F401  (imports every module of the package)
+
+    memos = {}
+    for name, module in list(sys.modules.items()):
+        if name == "quadbook" or name.startswith("quadbook."):
+            for value in vars(module).values():
+                if callable(getattr(value, "cache_clear", None)):
+                    memos[value.__wrapped__.__qualname__] = value
+    assert {"_validate", "_ray_classes", "_pair_table", "_dual_faces", "_parse_input"} <= set(memos)
+    assert [name for name, memo in memos.items() if memo.cache_parameters()["maxsize"] is None] == []
+
+
 def _planted_configuration(rng, k):
     """Random vectors plus planted positive multiples, antipodes and a zero vector."""
     vectors = helpers.random_vectors(rng, k, rng.randint(2, 4))

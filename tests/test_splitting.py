@@ -174,30 +174,6 @@ def test_ledger_matches_brute_force_pair_sums():
             assert ledger.total == GradedGroup.sum(contributions.values()), (cfg, space)
 
 
-def _with_repeated_rays(rng, cfg, copies):
-    """Insert `copies` extra coordinates, each an exact or a scaled copy of an existing one."""
-    vectors = list(cfg.lambdas)
-    for _ in range(copies):
-        i = rng.randrange(len(vectors))
-        scale = rng.choice((1, 1, 2, 3))
-        vectors.insert(i + 1, tuple(scale * x for x in vectors[i]))
-    return qb.make_configuration(vectors, k=cfg.k)
-
-
-def _duality_corpus():
-    configs = [qb.partition_configuration(p) for p in helpers.partitions_up_to(8)]
-    rng = random.Random(41)
-    for k in (3, 4, 5):
-        for _ in range(8):
-            cfg = helpers.random_valid_configuration(rng, k, rng.randint(k + 2, 9))
-            configs.append(_with_repeated_rays(rng, cfg, rng.randint(0, 11 - cfg.n)))
-    # the dense-k34 shape: general position, where most restrictions are
-    # simplices or cones and skip the reduction
-    for k in (3, 3, 3, 4, 4, 4):
-        configs.append(helpers.random_valid_configuration(rng, k, rng.randint(10, 11)))
-    return configs
-
-
 @pytest.fixture
 def reductions(monkeypatch):
     """The face lists `_pair_table` hands to the homology engine, in order."""
@@ -218,13 +194,13 @@ def test_pair_table_matches_direct_restrictions(reductions):
 
     saw_ghost = saw_large_class = False
     walked = reduced = 0
-    for cfg in _duality_corpus():
+    for cfg in helpers.duality_corpus():
         faces = set(class_face_masks(cfg))
         classes = qb.coordinate_classes(cfg)
         saw_ghost |= bool(faces) and any(1 << c not in faces for c in range(len(classes)))
         saw_large_class |= any(len(members) >= 2 for members in classes)
         reductions.clear()
-        assert splitting._pair_table(cfg) == helpers.reference_pair_table(cfg), cfg
+        assert splitting._pair_table(cfg.rays) == helpers.reference_pair_table(cfg), cfg
         if cfg.n >= 10 and len(classes) == cfg.n:  # the general-position inputs
             vertices = sum(1 for c in range(len(classes)) if 1 << c in faces)
             walked += sum(math.comb(vertices, j) for j in range(vertices // 2 + 1))
@@ -244,7 +220,7 @@ def test_pair_table_work_bound(reductions, cfg, count):
     from quadbook import splitting
     from quadbook.complexes import class_face_masks
 
-    splitting._pair_table(cfg)
+    splitting._pair_table(cfg.rays)
     faces = class_face_masks(cfg)
     m = len(qb.coordinate_classes(cfg))
     non_faces = helpers.minimal_non_faces(faces, m)
@@ -284,7 +260,7 @@ def test_unions_of_at_most_two_minimal_non_faces_are_spheres():
     from quadbook import splitting
     from quadbook.complexes import _homology_from_masks, class_face_masks
 
-    configs = _duality_corpus() + [qb.partition_configuration((1,) * m) for m in (7, 9, 11)]
+    configs = helpers.duality_corpus() + [qb.partition_configuration((1,) * m) for m in (7, 9, 11)]
     seen = set()
     for cfg in configs:
         faces = class_face_masks(cfg)
@@ -292,7 +268,7 @@ def test_unions_of_at_most_two_minimal_non_faces_are_spheres():
             continue
         classes = qb.coordinate_classes(cfg)
         non_faces = [m for m in helpers.minimal_non_faces(faces, len(classes)) if m.bit_count() > 1]
-        table = dict(splitting._pair_table(cfg))
+        table = dict(splitting._pair_table(cfg.rays))
         for s in {0} | {a | b for a in non_faces for b in non_faces}:
             r = sum(1 for m in non_faces if m & ~s == 0)
             if r > 2:
@@ -313,7 +289,7 @@ def test_sphere_guard(monkeypatch, capsys, faces):
     from quadbook import splitting
     from quadbook.cli import main
 
-    monkeypatch.setattr(splitting, "class_face_masks", lambda cfg: faces)
+    monkeypatch.setattr(splitting, "_class_complex", lambda rays: (faces, ()))
     splitting._pair_table.cache_clear()
     try:
         with pytest.raises(qb.OracleMismatchError):
@@ -334,6 +310,6 @@ def test_euler_cellcount_matches_coordinate_sum():
         for _ in range(8):
             cfg = helpers.random_valid_configuration(rng, k, rng.randint(k + 2, 8),
                                                      require_nonempty=False)
-            configs.append(_with_repeated_rays(rng, cfg, rng.randint(0, 3)))
+            configs.append(helpers.with_repeated_rays(rng, cfg, rng.randint(0, 3)))
     for cfg in configs:
         assert qb.euler_cellcount(cfg) == helpers.reference_euler_cellcount(cfg), cfg
