@@ -16,6 +16,7 @@ from typing import Sequence
 
 from .complexes import GradedGroup, class_minimal_non_faces
 from .configuration import (
+    MEMO_SIZE,
     Configuration,
     ConfigurationError,
     NormalFormError,
@@ -197,7 +198,7 @@ def normal_form(cfg: Configuration) -> CyclicPartition:
     return normal_form_labelled(cfg)[0]
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=MEMO_SIZE)
 def _polygon_vertices(m: int) -> tuple[tuple[int, int], ...]:
     """Integer direction approximants of a regular odd m-gon, exactly verified.
 

@@ -16,6 +16,7 @@ from concurrent.futures import BrokenExecutor
 from functools import lru_cache
 
 from .configuration import (
+    MEMO_SIZE,
     ConfigurationError,
     InvalidConfigurationError,
     OracleMismatchError,
@@ -104,7 +105,7 @@ def _load_input(args) -> "Configuration":
     return cfg
 
 
-@lru_cache(maxsize=4)
+@lru_cache(maxsize=MEMO_SIZE)
 def _parse_input(text: str, partition: bool) -> "Configuration":
     """The configuration of a --partition value or a --config document's text.
 

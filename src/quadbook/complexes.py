@@ -18,7 +18,8 @@ from functools import lru_cache
 from math import gcd
 from typing import Iterable, Mapping, Sequence
 
-from .configuration import Configuration, ConfigurationError, _ray_classes, require_valid
+from .configuration import (MEMO_SIZE, Configuration, ConfigurationError, _ray_classes,
+                            require_valid)
 from .feasibility import _phase_one
 
 
@@ -368,7 +369,7 @@ def _class_complex(rays: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], 
     return _class_faces(tuple(ray for ray, _ in _ray_classes(rays)))
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=MEMO_SIZE)
 def _class_faces(rays: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The class faces and minimal non-faces of rays in this order, as sorted masks.
 
@@ -434,7 +435,7 @@ def dual_face_masks(cfg: Configuration) -> tuple[int, ...]:
     return _dual_faces(cfg.rays)
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=MEMO_SIZE)
 def _dual_faces(rays: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
     """`dual_face_masks` keyed on the per-coordinate rays, so labels, scale and marking drop out."""
     # per class: the whole class, and every proper part of it

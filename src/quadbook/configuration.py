@@ -16,6 +16,10 @@ from functools import lru_cache
 from typing import Iterable, Sequence
 
 
+# keys each package memo keeps; one CLI request uses at most 3 in any of them
+MEMO_SIZE = 64
+
+
 class QuadbookError(Exception):
     """Base error for this package."""
 
@@ -112,30 +116,12 @@ class Configuration:
         if not 1 <= self.distinguished <= n:
             raise ConfigurationError(f"distinguished coordinate {self.distinguished} out of range")
         rays, coords = zip(*map(_ray_and_key, vectors))
-        self._seal(vectors, labels, self.distinguished, rays, coords)
-
-    def _seal(self, lambdas, labels, distinguished, rays, coords) -> None:
-        """Set the fields from checked parts; `coords` holds each coordinate's integer key."""
-        key = (self.k, coords, labels, distinguished)
-        fields = {"lambdas": lambdas, "labels": labels, "distinguished": distinguished,
-                  "rays": rays, "_key": key, "_hash": hash(key)}
-        for name, value in fields.items():
-            object.__setattr__(self, name, value)
-
-    def _derive(self, labels: tuple[str, ...], distinguished: int,
-                positions: Sequence[int] | None = None) -> "Configuration":
-        """The coordinates at 0-based positions (default all, repeats allowed), relabelled.
-
-        Rays and keys are reused, so no rational is read again.
-        """
-        parts = (self.lambdas, self.rays, self._key[1])
-        if positions is not None:
-            parts = [tuple(seq[p] for p in positions) for seq in parts]
-        lambdas, rays, coords = parts
-        out = object.__new__(Configuration)
-        object.__setattr__(out, "k", self.k)
-        out._seal(lambdas, labels, distinguished, rays, coords)
-        return out
+        key = (self.k, coords, labels, self.distinguished)
+        object.__setattr__(self, "lambdas", vectors)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "rays", rays)
+        object.__setattr__(self, "_key", key)
+        object.__setattr__(self, "_hash", hash(key))
 
     def __hash__(self):
         return self._hash
@@ -168,9 +154,7 @@ class Configuration:
     def with_distinguished(self, i: int) -> "Configuration":
         if i == self.distinguished:
             return self
-        if not 1 <= i <= self.n:
-            raise ConfigurationError(f"distinguished coordinate {i} out of range")
-        return self._derive(self.labels, i)
+        return Configuration(self.k, self.lambdas, self.labels, i)
 
     def __repr__(self):
         vecs = ", ".join("(" + ",".join(str(x) for x in v) + ")" for v in self.lambdas)
@@ -216,7 +200,7 @@ def ray_classes(cfg: Configuration) -> tuple[tuple[tuple[int, ...], tuple[int, .
     return _ray_classes(cfg.rays)
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=MEMO_SIZE)
 def _ray_classes(rays: tuple[tuple[int, ...], ...]):
     """`ray_classes` keyed on the per-coordinate rays, so labels, scale and marking drop out."""
     groups: dict[tuple[int, ...], list[int]] = {}
@@ -254,7 +238,7 @@ def _lex_subsets(m: int, k: int, prefix: tuple[int, ...] = ()):
             yield from _lex_subsets(m, k, subset)
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=MEMO_SIZE)
 def _first_failure(rays: tuple[tuple[int, ...], ...], k: int) -> tuple[int, ...] | None:
     """The least class subset of size <= k whose rays hold the origin, or None.
 
@@ -276,7 +260,7 @@ def validate(cfg: Configuration) -> ValidationReport:
     return _validate(cfg.rays)
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=MEMO_SIZE)
 def _validate(coordinate_rays: tuple[tuple[int, ...], ...]) -> ValidationReport:
     """`validate` keyed on the per-coordinate rays, so labels, scale and marking drop out."""
     from .feasibility import origin_in_convex_hull
@@ -336,7 +320,8 @@ def delete_coordinate(cfg: Configuration, i: int) -> Configuration:
         d = 1
     elif d > i:
         d -= 1
-    return cfg._derive(labels, d, [p for p in range(cfg.n) if p != i - 1])
+    vectors = cfg.lambdas[: i - 1] + cfg.lambdas[i:]
+    return Configuration(cfg.k, vectors, labels, d)
 
 
 def duplicate_coordinate(cfg: Configuration, i: int) -> Configuration:
@@ -347,9 +332,11 @@ def duplicate_coordinate(cfg: Configuration, i: int) -> Configuration:
     """
     if not 1 <= i <= cfg.n:
         raise ConfigurationError(f"coordinate {i} out of range 1..{cfg.n}")
+    vec = cfg.lambdas[i - 1]
+    vectors = cfg.lambdas[:i] + (vec,) + cfg.lambdas[i:]
     parent = cfg.labels[i - 1]
     labels = cfg.labels[: i - 1] + (parent + "a", parent + "b") + cfg.labels[i:]
-    return cfg._derive(labels, i + 1, [*range(i), i - 1, *range(i, cfg.n)])
+    return Configuration(cfg.k, vectors, labels, i + 1)
 
 
 def complexify(cfg: Configuration) -> Configuration:
@@ -358,5 +345,6 @@ def complexify(cfg: Configuration) -> Configuration:
     The real variety of the result is diffeomorphic to the complex variety of
     the input, so this is the coordinate model of the moment-angle manifold.
     """
+    vectors = tuple(vec for vec in cfg.lambdas for _ in "ab")
     labels = tuple(label + suffix for label in cfg.labels for suffix in "ab")
-    return cfg._derive(labels, 2 * cfg.distinguished - 1, [p for p in range(cfg.n) for _ in "ab"])
+    return Configuration(cfg.k, vectors, labels, 2 * cfg.distinguished - 1)

@@ -9,7 +9,6 @@ parallelism degree used to compute them.
 from __future__ import annotations
 
 import itertools
-import math
 import re
 from concurrent import futures
 from typing import Iterable
@@ -138,12 +137,11 @@ def check_report(cfg: Configuration) -> dict:
 
 
 def dual_complex_report(cfg: Configuration) -> dict:
-    """The dual complex; all but the face list is read off the class complex.
+    """The dual complex; the maximal faces are read off the class complex.
 
     A class face T stands for the coordinate faces holding each class of T
-    whole and a proper part of every other class c, so it counts
-    prod (2^|c| - 1) of them.  The maximal ones come from the maximal class
-    faces, with every class outside T missing one member.
+    whole and a proper part of every other class, so the maximal ones come
+    from the maximal class faces, with every class outside T missing one member.
     """
     classes = coordinate_classes(cfg)
     class_faces = class_face_masks(cfg)
@@ -157,10 +155,10 @@ def dual_complex_report(cfg: Configuration) -> dict:
     return {
         "command": "dual-complex",
         "input": config_document(cfg),
-        "void": not class_faces,
-        "dim": max((cfg.n - len(rest) for rest in outside), default=0) - 1,
+        "void": not faces,
+        "dim": max(map(len, maximal), default=0) - 1,
         "maximal_faces": sorted(maximal, key=lambda face: (len(face), face)),
-        "face_count": sum(math.prod((1 << len(classes[c])) - 1 for c in rest) for rest in outside),
+        "face_count": len(faces),
         "faces": sorted(faces, key=lambda face: (len(face), face)),
     }
 
@@ -314,19 +312,24 @@ def _cross_validate_item(parts: tuple[int, ...]) -> dict:
     }
 
 
+_CHUNK = 4  # partitions per task that cross_validate hands a worker
+
+
 def cross_validate(families: Iterable[str], *, jobs: int = 1) -> dict:
     """Run the oracle battery over partition families; deterministic output."""
     limit = max(parse_family(f) for f in families)
     items = odd_partitions(limit)
-    workers = min(jobs, (len(items) + 3) // 4)  # one per chunk that pool.map hands out
+    workers = min(jobs, (len(items) + _CHUNK - 1) // _CHUNK)  # one per chunk that pool.map hands out
     if workers > 1:
         results = []
         try:
             with futures.ProcessPoolExecutor(max_workers=workers) as pool:
-                results.extend(pool.map(_cross_validate_item, items, chunksize=4))
+                results.extend(pool.map(_cross_validate_item, items, chunksize=_CHUNK))
         except futures.BrokenExecutor as exc:
-            # map yields the chunks in order, so the first lost one starts here
-            lost = ", ".join(str(tuple(parts)) for parts in items[len(results):len(results) + 4])
+            # map yields the chunks in order, so the first chunk without a result
+            # starts here; a dying worker fails every pending chunk, so it need
+            # not be the chunk that killed the worker
+            lost = ", ".join(str(tuple(parts)) for parts in items[len(results):len(results) + _CHUNK])
             raise futures.BrokenExecutor(
                 f"{exc}; the chunk of partitions {lost} got no result") from exc
     else:

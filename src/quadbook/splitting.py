@@ -29,6 +29,7 @@ from typing import Iterable
 from .complexes import (GradedGroup, _class_complex, _homology_from_masks, _mask,
                         class_face_masks, dual_face_masks)
 from .configuration import (
+    MEMO_SIZE,
     Configuration,
     ConfigurationError,
     OracleMismatchError,
@@ -41,7 +42,7 @@ from .configuration import (
 DEFAULT_SUBSET_CAP = 20
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=MEMO_SIZE)
 def _pair_table(rays) -> tuple[tuple[tuple[int, ...], GradedGroup], ...]:
     """Nonzero pair homologies H(P, P_J) in Z-degrees, sorted by size then content of J.
 

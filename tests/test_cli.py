@@ -234,7 +234,7 @@ class _FakePool:
     """Stands in for ProcessPoolExecutor: records its size and maps in-process, or breaks."""
 
     sizes: list[int] = []
-    broken_at = None  # the chunk whose worker dies
+    broken_at = None  # the first chunk that gets no result
 
     def __init__(self, max_workers):
         self.sizes.append(max_workers)
@@ -274,15 +274,16 @@ def test_cross_validate_pool_has_one_worker_per_chunk(fake_pool):
 
 
 def test_cross_validate_broken_pool_exits_4(fake_pool, monkeypatch, capsys):
-    items = reporting.odd_partitions(5)
+    items, size = reporting.odd_partitions(5), reporting._CHUNK
+    assert len(items) > 2 * size  # three chunks at least
     for chunk in range(3):
         monkeypatch.setattr(fake_pool, "broken_at", chunk)
         code, out, err = run_cli(capsys, "cross-validate", "--family", "partitions:n<=5", "--jobs", "8")
         assert (code, out) == (4, "")
         assert len(err.splitlines()) == 1 and "worker process died" in err
         assert "Traceback" not in err
-        # the message names the partitions of the chunk that died, and no others
-        assert [p for p in items if str(p) in err] == items[4 * chunk:4 * chunk + 4]
+        # the message names the partitions of the first chunk without a result, and no others
+        assert [p for p in items if str(p) in err] == items[size * chunk:size * (chunk + 1)]
 
 
 def test_one_parse_per_session(tmp_path, capsys, monkeypatch):
