@@ -21,7 +21,6 @@ from .configuration import (
     make_configuration,
     validate,
 )
-from .feasibility import origin_in_convex_hull
 from .complexes import GradedGroup, invariant_chain
 from .splitting import (
     DEFAULT_SUBSET_CAP,

@@ -34,12 +34,7 @@ class CyclicPartition:
     parts: tuple[int, ...]
 
     def __post_init__(self):
-        parts = tuple(int(p) for p in self.parts)
-        if len(parts) < 3 or len(parts) % 2 == 0:
-            raise ConfigurationError(f"need an odd number (>= 3) of classes, got {parts}")
-        if any(p < 1 for p in parts):
-            raise ConfigurationError(f"all multiplicities must be positive, got {parts}")
-        object.__setattr__(self, "parts", canonical_cycle(parts))
+        object.__setattr__(self, "parts", canonical_cycle(_odd_parts(self.parts)))
 
     @property
     def n(self) -> int:
@@ -51,6 +46,14 @@ class CyclicPartition:
 
     def __str__(self):
         return "(" + ",".join(str(p) for p in self.parts) + ")"
+
+
+def _odd_parts(partition: CyclicPartition | Sequence[int]) -> tuple[int, ...]:
+    """The parts of a partition; ConfigurationError unless an odd number (>= 3) of positive ones."""
+    parts = partition.parts if isinstance(partition, CyclicPartition) else tuple(int(p) for p in partition)
+    if len(parts) < 3 or len(parts) % 2 == 0 or any(p < 1 for p in parts):
+        raise ConfigurationError(f"not an odd cyclic partition: {parts}")
+    return parts
 
 
 def _canonical_order(parts: Sequence[int]) -> tuple[tuple[int, ...], list[int]]:
@@ -207,8 +210,6 @@ def _polygon_vertices(m: int) -> tuple[tuple[int, int], ...]:
     consecutive vertices) are then established in exact arithmetic, which pins
     the whole face combinatorics to that of the exact polygon.
     """
-    if m < 3 or m % 2 == 0:
-        raise ConfigurationError(f"need an odd m >= 3, got {m}")
     scale = 10 ** 6
     verts = []
     for j in range(m):
@@ -234,9 +235,7 @@ def partition_configuration(partition: CyclicPartition | Sequence[int], *,
     Coordinates are grouped class by class in cyclic order, so coordinate 1
     lies in class 1.
     """
-    parts = partition.parts if isinstance(partition, CyclicPartition) else tuple(int(p) for p in partition)
-    if len(parts) < 3 or len(parts) % 2 == 0 or any(p < 1 for p in parts):
-        raise ConfigurationError(f"not an odd cyclic partition: {parts}")
+    parts = _odd_parts(partition)
     verts = _polygon_vertices(len(parts))
     vectors = []
     for mult, vert in zip(parts, verts):

@@ -88,21 +88,19 @@ def _load_input(args) -> "Configuration":
         raise ParseError("exactly one of --partition or --config is required")
     if args.partition:
         cfg = _parse_input(args.partition, partition=True)
+    else:
         try:
-            return cfg if args.distinguished is None else cfg.with_distinguished(args.distinguished)
-        except ConfigurationError as exc:
-            raise ParseError(str(exc)) from exc
+            with open(args.config, "r", encoding="utf-8") as handle:
+                text = handle.read()
+            cfg = _parse_input(text, partition=False)
+        except OSError as exc:
+            raise ParseError(f"cannot read {args.config}: {exc}") from exc
+        except ValueError as exc:  # bad JSON, bad UTF-8, or an integer too long to parse
+            raise ParseError(f"invalid JSON in {args.config}: {exc}") from exc
     try:
-        with open(args.config, "r", encoding="utf-8") as handle:
-            text = handle.read()
-        cfg = _parse_input(text, partition=False)
-    except OSError as exc:
-        raise ParseError(f"cannot read {args.config}: {exc}") from exc
-    except ValueError as exc:  # bad JSON, bad UTF-8, or an integer too long to parse
-        raise ParseError(f"invalid JSON in {args.config}: {exc}") from exc
-    if args.distinguished is not None:
-        cfg = cfg.with_distinguished(args.distinguished)
-    return cfg
+        return cfg if args.distinguished is None else cfg.with_distinguished(args.distinguished)
+    except ConfigurationError as exc:
+        raise ParseError(str(exc)) from exc
 
 
 @lru_cache(maxsize=MEMO_SIZE)

@@ -20,7 +20,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .configuration import (MEMO_SIZE, Configuration, ConfigurationError, _ray_classes,
                             require_valid)
-from .feasibility import _phase_one
+from .feasibility import _fresh_start, _phase_one
 
 
 # ---------------------------------------------------------------------------
@@ -398,8 +398,7 @@ def _class_faces(rays: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], tu
         return witness
 
     states: dict[int, tuple] = {}  # per witness: the final tableau, basis and D
-    root = [[*column, 0] for column in zip(*rays)] + [[1] * (len(rays) + 1)]  # hull_support's tableau
-    witness = support(0, root, list(range(len(rays), len(rays) + len(root))), 1)
+    witness = support(0, *_fresh_start(rays), 1)
     if witness is None:
         return (), (0,)
     out, missing = [0], []

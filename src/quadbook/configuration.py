@@ -86,8 +86,10 @@ class Configuration:
     """n rational vectors in Q^k with one distinguished coordinate (1-based).
 
     The distinguished coordinate is the one the half manifold is cut along.
-    It defaults to coordinate 1.  Each coordinate's primitive integer ray is
-    computed once, in ``rays``; equality and the hash compare integers only.
+    It defaults to coordinate 1.  The constructor alone parses entries (ints,
+    Fractions or rational strings, by `as_rational`) and computes each
+    coordinate's primitive integer ray once, in ``rays``, the face predicate's
+    only input; equality and the hash compare integers only.
     """
 
     k: int
@@ -165,7 +167,7 @@ def make_configuration(vectors: Iterable[Sequence], *, k: int | None = None,
                        labels: Sequence[str] | None = None,
                        distinguished: int = 1) -> Configuration:
     """Build a configuration from any iterable of rational vectors."""
-    vecs = tuple(tuple(as_rational(x) for x in v) for v in vectors)
+    vecs = tuple(map(tuple, vectors))
     if not vecs:
         raise ConfigurationError("empty configuration")
     kk = k if k is not None else len(vecs[0])
@@ -183,11 +185,6 @@ def _ray_and_key(vec: Sequence[Fraction]) -> tuple[tuple[int, ...], tuple[int, .
     g = math.gcd(*ints)
     ray = tuple(a // g for a in ints) if g > 1 else tuple(ints)
     return ray, (*ray, g, scale)
-
-
-def primitive_ray(vec: Sequence[Fraction]) -> tuple[int, ...]:
-    """The primitive integer vector on the ray through vec; the zero vector stays zero."""
-    return _ray_and_key(vec)[0]
 
 
 def ray_classes(cfg: Configuration) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
@@ -244,10 +241,10 @@ def _first_failure(rays: tuple[tuple[int, ...], ...], k: int) -> tuple[int, ...]
 
     Keyed on geometry alone, so labels, scale and multiplicity share one walk.
     """
-    from .feasibility import origin_in_convex_hull
+    from .feasibility import hull_support
 
     return next((s for s in _lex_subsets(len(rays), k)
-                 if origin_in_convex_hull([rays[c] for c in s])), None)
+                 if hull_support([rays[c] for c in s]) is not None), None)
 
 
 def validate(cfg: Configuration) -> ValidationReport:
@@ -263,7 +260,7 @@ def validate(cfg: Configuration) -> ValidationReport:
 @lru_cache(maxsize=MEMO_SIZE)
 def _validate(coordinate_rays: tuple[tuple[int, ...], ...]) -> ValidationReport:
     """`validate` keyed on the per-coordinate rays, so labels, scale and marking drop out."""
-    from .feasibility import origin_in_convex_hull
+    from .feasibility import hull_support
 
     k, n = len(coordinate_rays[0]), len(coordinate_rays)
     classes = _ray_classes(coordinate_rays)
@@ -276,7 +273,7 @@ def _validate(coordinate_rays: tuple[tuple[int, ...], ...]) -> ValidationReport:
 
     @lru_cache(maxsize=None)
     def fails(s: tuple[int, ...]) -> bool:  # the class sets before `first` all hold up
-        return s == first if s <= first else origin_in_convex_hull([rays[c] for c in s])
+        return s == first if s <= first else hull_support([rays[c] for c in s]) is not None
 
     def least(prefix: tuple[int, ...], class_set: tuple[int, ...]) -> tuple[int, ...] | None:
         """The least tuple of at most k coordinates extending prefix whose class set fails.

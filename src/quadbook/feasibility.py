@@ -1,17 +1,18 @@
 """Exact face predicate: is the origin in the convex hull of a set of vectors?
 
 The single geometric predicate behind weak hyperbolicity and the dual complex.
-It runs on integer vectors (primitive rays), by a phase-one simplex with
-fraction-free integer pivoting and Bland's rule: exact and deterministic.
+It takes integer vectors only, the primitive rays of `Configuration.rays`, and
+runs a phase-one simplex with fraction-free integer pivoting and Bland's rule:
+exact and deterministic.
 `hull_support` also returns the support of the point it finds; the class-face
 search resumes each phase one from an earlier one's final state.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .configuration import ConfigurationError, OracleMismatchError, as_rational, primitive_ray
+from .configuration import ConfigurationError, OracleMismatchError
 
 
 def _phase_one(tab: list[list[int]], basis: list[int], d: int = 1,
@@ -70,6 +71,12 @@ def _phase_one(tab: list[list[int]], basis: list[int], d: int = 1,
         basis[leave] = entering
 
 
+def _fresh_start(rays: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int]]:
+    """A fresh phase one on these rays: [A | b], a row of ones last, on its artificial basis."""
+    tab = [[*column, 0] for column in zip(*rays)] + [[1] * (len(rays) + 1)]
+    return tab, list(range(len(rays), len(rays) + len(tab)))
+
+
 def hull_support(rays: Sequence[Sequence[int]]) -> tuple[int, ...] | None:
     """Positions of integer vectors whose hull holds the origin, or None if the hull misses it.
 
@@ -80,17 +87,4 @@ def hull_support(rays: Sequence[Sequence[int]]) -> tuple[int, ...] | None:
         raise ConfigurationError("the convex hull test needs a nonempty vector list")
     if len(set(map(len, rays))) > 1:
         raise ConfigurationError("vectors of mixed lengths")
-    rows = [[*column, 0] for column in zip(*rays)]
-    rows.append([1] * (len(rays) + 1))
-    return _phase_one(rows, list(range(len(rays), len(rays) + len(rows))))[0]
-
-
-def origin_in_convex_hull(vectors: Iterable[Sequence]) -> bool:
-    """True iff some convex combination of the vectors is the origin.
-
-    Entries may be ints, Fractions or rational strings; a vector that is not
-    all ints is replaced by its primitive integer ray, which changes no answer.
-    """
-    vecs = [v if all(type(x) is int for x in v) else primitive_ray([as_rational(x) for x in v])
-            for v in vectors]
-    return hull_support(vecs) is not None
+    return _phase_one(*_fresh_start(rays))[0]

@@ -21,6 +21,7 @@ from .classify import (
     KIND_SPHERE_PRODUCT,
     ManifoldDescription,
     SphereProduct,
+    _odd_parts,
     d_values,
     double_partition,
     expected_homology,
@@ -245,11 +246,8 @@ def page_topology(partition: CyclicPartition | Iterable[int], class_index: int =
     multiplicity one with exactly two windows.  The complex page is the real
     page of the doubled partition, without the real case's hypotheses.
     """
-    base = partition.parts if isinstance(partition, CyclicPartition) else tuple(partition)
-    parts = rotate_parts(base, class_index)
+    parts = rotate_parts(_odd_parts(partition), class_index)
     m = len(parts)
-    if m < 3 or m % 2 == 0 or any(p < 1 for p in parts):
-        raise ConfigurationError(f"not an odd cyclic partition: {parts}")
     real = double_partition(parts) if complex_case else parts
     ell = (m - 1) // 2
     n = sum(real)

@@ -30,7 +30,6 @@ from .configuration import (
     ConfigurationError,
     ParseError,
     SizeCapError,
-    as_rational,
     complexify,
     coordinate_classes,
     validate,
@@ -95,10 +94,9 @@ def load_document(doc: dict) -> Configuration:
         labels = doc.get("labels", [])
         if not _is_list_of(labels, lambda label: isinstance(label, str)):
             raise ParseError("labels must be a list of strings")
-        vectors = [[as_rational(x) for x in row] for row in doc["lambdas"]]
-        if len(vectors) != doc["n"]:
-            raise ParseError(f"n = {doc['n']} but {len(vectors)} vectors given")
-        return Configuration(doc["k"], tuple(tuple(v) for v in vectors), tuple(labels), distinguished)
+        if len(doc["lambdas"]) != doc["n"]:
+            raise ParseError(f"n = {doc['n']} but {len(doc['lambdas'])} vectors given")
+        return Configuration(doc["k"], doc["lambdas"], tuple(labels), distinguished)
     except ParseError:
         raise
     except ConfigurationError as exc:

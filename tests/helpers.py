@@ -14,6 +14,7 @@ import random
 from fractions import Fraction
 
 import quadbook as qb
+from quadbook.feasibility import hull_support
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -321,7 +322,7 @@ def random_valid_configuration(rng, k, n, require_nonempty=True) -> qb.Configura
         cfg = qb.make_configuration(vecs, k=k)
         if not qb.validate(cfg).ok:
             continue
-        if require_nonempty and not qb.origin_in_convex_hull(vecs):
+        if require_nonempty and hull_support(cfg.rays) is None:
             continue
         return cfg
 

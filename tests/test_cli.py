@@ -211,7 +211,7 @@ def test_distinguished_flag_on_both_input_paths(tmp_path, capsys):
         assert report["spaces"]["Zplus"]["table"] == expected
         code, out, err = run_cli(capsys, "homology", *source, "--distinguished", "9")
         assert code == 1 and out == ""
-        assert len(err.splitlines()) == 1 and "Traceback" not in err
+        assert len(err.splitlines()) == 1 and err.startswith("parse error: ")
 
 
 def test_report_determinism(capsys):

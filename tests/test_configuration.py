@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 
 import quadbook as qb
 from quadbook import ConfigurationError
-from quadbook.configuration import primitive_ray
 
 import helpers
 
@@ -148,10 +147,10 @@ def test_coordinate_classes():
     # a positive multiple shares the ray of its vector; the antipode does not
     cfg = qb.make_configuration([(1, 0), (-1, 1), ("5/2", 0), (2, -2), (-1, -1), (-3, "3/2")])
     assert qb.coordinate_classes(cfg) == ((1, 3), (2,), (4,), (5,), (6,))
-    assert primitive_ray(cfg.vector(6)) == (-2, 1)
+    assert cfg.rays[5] == (-2, 1)
 
 
-def _count_predicate_calls(monkeypatch, module, limit=None, name="origin_in_convex_hull"):
+def _count_predicate_calls(monkeypatch, module, limit=None, name="hull_support"):
     """Route the predicate `module.<name>` through a counter; returns the count list."""
     original = getattr(module, name)
     calls = [0]

@@ -2,11 +2,12 @@ import itertools
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import quadbook as qb
 from quadbook.complexes import dual_face_masks
-from quadbook.feasibility import _phase_one, hull_support
+from quadbook.feasibility import _fresh_start, _phase_one, hull_support
 
 import helpers
 
@@ -29,14 +30,26 @@ def _face_oracle(cfg, pinned) -> bool:
     return helpers.brute_origin_in_hull(rest)
 
 
+def _rays(vectors) -> tuple[tuple[int, ...], ...]:
+    """The primitive rays the constructor makes of rational vectors; copies of the first pad n to k + 1."""
+    k = len(vectors[0])
+    return qb.Configuration(k, [*vectors, *[vectors[0]] * k]).rays[:len(vectors)]
+
+
 def test_origin_in_convex_hull_examples():
-    assert not qb.origin_in_convex_hull([(1, 0)])
-    assert qb.origin_in_convex_hull([(1, 0), (-1, 0)])
-    vectors = [PENTAGON.vector(i) for i in range(1, 6)]
-    assert qb.origin_in_convex_hull(vectors)
-    for pair in itertools.combinations(vectors, 2):
-        assert not qb.origin_in_convex_hull(pair)
+    assert hull_support([(1, 0)]) is None
+    assert hull_support([(1, 0), (-1, 0)]) is not None
+    assert hull_support(PENTAGON.rays) is not None
+    for pair in itertools.combinations(PENTAGON.rays, 2):
+        assert hull_support(pair) is None
         assert not helpers.brute_origin_in_hull(pair)
+
+
+def test_hull_support_refuses_empty_and_mixed_lengths():
+    with pytest.raises(qb.ConfigurationError, match="nonempty"):
+        hull_support([])
+    with pytest.raises(qb.ConfigurationError, match="mixed lengths"):
+        hull_support([(1, 0), (-1, 0, 0)])
 
 
 def test_origin_in_convex_hull_matches_brute_force():
@@ -44,7 +57,7 @@ def test_origin_in_convex_hull_matches_brute_force():
     for _ in range(200):
         k = rng.choice((2, 3))
         vectors = helpers.random_vectors(rng, k, rng.randint(1, k + 2))
-        assert qb.origin_in_convex_hull(vectors) == helpers.brute_origin_in_hull(vectors)
+        assert (hull_support(_rays(vectors)) is not None) == helpers.brute_origin_in_hull(vectors)
 
 
 def _degenerate_vectors(rng, k, scale):
@@ -74,20 +87,21 @@ def test_origin_in_convex_hull_degenerate_inputs():
         k = rng.choice((2, 3, 4))
         vectors = _degenerate_vectors(rng, k, rng.choice((1, 10 ** 40)))
         expected = helpers.brute_origin_in_hull(vectors)
-        assert qb.origin_in_convex_hull(vectors) == expected, vectors
         found += expected
         # the support is a real witness: its vectors alone hold the origin
         support = hull_support(vectors)
         assert (support is not None) == expected, vectors
         assert support is None or helpers.brute_origin_in_hull([vectors[i] for i in support])
-        # positive rational rescaling, given as Fractions and as strings, changes no answer
+        # positive rational rescaling, given as Fractions and as strings, changes no ray and no answer
+        rays = _rays(vectors)
+        assert (hull_support(rays) is not None) == expected, vectors
         scaled = [[Fraction(a, d) for a in v] for v, d in
                   zip(vectors, (rng.randint(1, 10 ** 6) for _ in vectors))]
-        assert qb.origin_in_convex_hull(scaled) == expected
-        assert qb.origin_in_convex_hull([[str(a) for a in v] for v in scaled]) == expected
-    assert qb.origin_in_convex_hull([(0, 0)])
-    assert qb.origin_in_convex_hull([("1/3", "-2/7"), ("-5/3", "10/7")])
-    assert not qb.origin_in_convex_hull([("1/3", "-2/7"), ("5/3", "-10/7")])
+        assert _rays(scaled) == rays
+        assert _rays([[str(a) for a in v] for v in scaled]) == rays
+    assert hull_support(_rays([(0, 0)])) is not None
+    assert hull_support(_rays([("1/3", "-2/7"), ("-5/3", "10/7")])) is not None
+    assert hull_support(_rays([("1/3", "-2/7"), ("5/3", "-10/7")])) is None
     assert 40 < found < 200  # both answers are well represented
 
 
@@ -106,8 +120,7 @@ def test_resumed_phase_one_matches_a_fresh_solve(data):
     rays, first, second = data
     # a kept state: the final tableau, basis and D of a solve with the first mask
     # barred, which may have failed and may hold artificials basic at zero
-    tab = [[*column, 0] for column in zip(*rays)] + [[1] * (len(rays) + 1)]
-    basis = list(range(len(rays), len(rays) + len(tab)))  # the artificial basis
+    tab, basis = _fresh_start(rays)  # on the artificial basis
     _, d = _phase_one(tab, basis, 1, first)
     support, _ = _phase_one(tab[:], basis[:], d, second)
     unbarred = [i for i in range(len(rays)) if not second >> i & 1]

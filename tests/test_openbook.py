@@ -216,6 +216,31 @@ def test_boundary_consistency_pentagon_real():
     assert by_name["page-boundary-betti"].status == "skip"
 
 
+def test_real_book_checks_read_the_page_euler_off_the_model_for_k_3_and_4():
+    # no symbolic page for k >= 3: the page's Euler characteristic is that of the model's half manifold
+    rng = random.Random(37)
+    parities = set()
+    for k in (3, 4):
+        for n in range(k + 1, k + 5):
+            cfg = qb.duplicate_coordinate(helpers.random_valid_configuration(rng, k, n), 1)
+            book = qb.open_book_real(cfg, cfg.distinguished)
+            assert book.page is None and book.page_model is not None
+            checks = {c.name: c for c in qb.boundary_consistency(book)}
+            if book.page_dim % 2:
+                assert checks["page-double-euler"].detail == "page dimension is odd"
+                assert checks["page-double-euler"].status == checks["binding-euler-zero"].status == "skip"
+            else:  # the binding dimension is odd
+                assert checks["page-double-euler"].status == "pass", checks
+                assert checks["binding-euler-zero"].status == "pass", checks
+            parities.add(book.page_dim % 2)
+    assert parities == {0, 1}
+    # a symbolic page of odd dimension skips the Euler check too
+    book = qb.open_book_real(qb.partition_configuration((3, 1, 1)), 1)
+    assert book.page is not None and book.page_dim == 1
+    checks = {c.name: c for c in qb.boundary_consistency(book)}
+    assert checks["page-double-euler"] == qb.CheckResult("page-double-euler", "skip", "page dimension is odd")
+
+
 def test_open_book_page_model_matches_page():
     # the model configuration's half manifold is the page, complex case
     book = qb.open_book_complex(PENTAGON, 1)
