@@ -89,13 +89,13 @@ def rotate_parts(parts: Sequence[int], class_index: int) -> tuple[int, ...]:
 
 def double_partition(parts: Sequence[int]) -> tuple[int, ...]:
     """The partition of 2n-1 whose half manifold models the complex page."""
-    parts = tuple(parts)
+    parts = _odd_parts(parts)
     return (2 * parts[0] - 1,) + tuple(2 * p for p in parts[1:])
 
 
 def d_values(partition: CyclicPartition | Sequence[int]) -> tuple[int, ...]:
     """Sums of ell cyclically consecutive multiplicities, one per starting class."""
-    parts = partition.parts if isinstance(partition, CyclicPartition) else tuple(partition)
+    parts = _odd_parts(partition)
     m = len(parts)
     ell = (m - 1) // 2
     return tuple(sum(parts[(i + t) % m] for t in range(ell)) for i in range(m))

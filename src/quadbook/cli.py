@@ -169,7 +169,9 @@ def main(argv=None) -> int:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except SizeCapError as exc:
-        print(f"size cap: {exc}", file=sys.stderr)
+        # only the commands that have the flag offer it
+        hint = "; raise it with --max-n to proceed" if hasattr(args, "max_n") else ""
+        print(f"size cap: {exc}{hint}", file=sys.stderr)
         return EXIT_CAP
     except OracleMismatchError as exc:
         print(f"internal oracle mismatch (this is a bug): {exc}", file=sys.stderr)

@@ -220,23 +220,14 @@ def _morse_reduce(faces: Sequence[int]) -> list[int]:
         present[f] = 1
     bnd = bytearray(table_size + 1)
     cof = bytearray(table_size + 1)
-    for f in faces:
-        count = 0
+    for f in faces:  # each present facet counts f as one of its cofaces
         bits = f
         while bits:
             low = bits & -bits
             bits ^= low
             if present[f ^ low]:
-                count += 1
-        bnd[f] = count
-        count = 0
-        rest = universe & ~f
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            if present[f | low]:
-                count += 1
-        cof[f] = count
+                bnd[f] += 1
+                cof[f ^ low] += 1
     # the cancellation wave must run breadth first; depth first starves it on
     # sphere-like complexes and leaves a huge core
     queue = deque(f for f in faces if bnd[f] == 1 or cof[f] == 1)
@@ -376,17 +367,20 @@ def _class_faces(rays: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], tu
     Labels, scale and multiplicity drop out.  A class set T is a face iff the
     origin lies in the convex hull of the rays outside T.  The search decides
     all faces of one size before the next, each candidate a face extended
-    past its top class.  Faces are closed under subsets, so a candidate with a
-    facet that is no face is skipped.  Each face keeps a witness, the classes
-    of one hull point outside it; a candidate that the witness of its parent
-    or of a facet misses is a face with that witness.  Only the rest run a
-    phase one, whose support is the new witness.  Every candidate has only
-    faces as facets, so the phase ones that fail are exactly the minimal
-    non-faces, which are returned beside the faces; the empty polytope has no
-    face and the empty set as its one minimal non-face.  Phase ones run on
-    the tableau of all rays, the candidate's classes barred; one that finds
-    a point keeps its final state under its witness, and a candidate resumes
-    from its parent's: one or two pivots in general position, not k + 1.
+    past its top class, so the minimal non-faces are found in size order.  A
+    candidate has only faces as facets iff it holds none found so far, and
+    since its parent is a face, only those with its top class on top can lie
+    in it; a candidate holding one is skipped.  Each face keeps a witness,
+    the classes of one hull point outside it; a candidate that the witness
+    of its parent or of a facet misses is a face with that witness.  Only
+    the rest run a phase one, whose support is the new witness.  Every
+    candidate has only faces as facets, so the phase ones that fail are
+    exactly the minimal non-faces, which are returned beside the faces; the
+    empty polytope has no face and the empty set as its one minimal
+    non-face.  Phase ones run on the tableau of all rays, the candidate's
+    classes barred; one that finds a point keeps its final state under its
+    witness, and a candidate resumes from its parent's: one or two pivots in
+    general position, not k + 1.
     """
     def support(t: int, tab: list[list[int]], basis: list[int], d: int) -> int | None:
         tab, basis = tab[:], basis[:]  # pivots replace rows, never edit them
@@ -397,26 +391,39 @@ def _class_faces(rays: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], tu
         states[witness] = tab, basis, d
         return witness
 
+    def facet_witnesses(child: int, t: int):
+        """The witnesses of the facets of child other than its parent t, in class order."""
+        while t:
+            low = t & -t
+            t ^= low
+            yield level[child ^ low]
+
     states: dict[int, tuple] = {}  # per witness: the final tableau, basis and D
     witness = support(0, *_fresh_start(rays), 1)
     if witness is None:
         return (), (0,)
     out, missing = [0], []
+    topped: list[list[int]] = [[] for _ in rays]  # per class: the minimal non-faces found with it on top
     level = {0: witness}  # the faces of one size, each with its witness
     while level:
         nxt: dict[int, int] = {}
         for t, seen in level.items():
             for c in range(t.bit_length(), len(rays)):
                 child = t | 1 << c
-                facets = [level.get(child & ~(1 << x)) for x in range(c) if t >> x & 1]
-                if None in facets:
-                    continue
-                reuse = next((w for w in [seen, *facets] if not w & child), None)
-                witness = support(child, *states[seen]) if reuse is None else reuse
-                if witness is None:
-                    missing.append(child)
+                for m in topped[c]:
+                    if m & child == m:
+                        break  # a facet of child is no face
                 else:
-                    nxt[child] = witness
+                    if seen & child:
+                        reuse = next((w for w in facet_witnesses(child, t) if not w & child), None)
+                        witness = support(child, *states[seen]) if reuse is None else reuse
+                    else:
+                        witness = seen
+                    if witness is None:
+                        missing.append(child)
+                        topped[c].append(child)
+                    else:
+                        nxt[child] = witness
         out.extend(nxt)
         level = nxt
         states = {w: states[w] for w in level.values()}  # the next candidates resume from these

@@ -16,7 +16,8 @@ lies in no minimal non-face inside S, so only unions of minimal non-faces
 can carry homology (Hochster's formula; Buchstaber-Panov, Toric Topology,
 ch. 3).  Only those unions on at most half of V are reduced, each built from
 S and the minimal non-faces inside it.  K_V must have the reduced homology
-of a d-sphere; any other outcome is an OracleMismatchError.
+of a d-sphere, read on the smaller of K_V and its Alexander dual; any other
+outcome is an OracleMismatchError.
 """
 
 from __future__ import annotations
@@ -69,20 +70,29 @@ def _pair_table(rays) -> tuple[tuple[tuple[int, ...], GradedGroup], ...]:
     dimension d = largest face size - 1, so Alexander duality gives every
     larger restriction from its complement: H_i(K_S) has the rank of
     H_{d-1-i}(K_{V-S}) and the torsion of H_{d-2-i}(K_{V-S}), all
-    reduced.  The sphere property is checked once; anything but Z in degree
-    d raises OracleMismatchError.
+    reduced.  The sphere property is checked once, on K_V or on its
+    Alexander dual {V - T : T on V no face}, whichever has fewer faces: K_V
+    is a homology d-sphere iff the dual has just Z in degree |V| - d - 3.
+    With V empty, K_V = {empty set} is kept, since duality needs a vertex.
+    Anything but a sphere raises OracleMismatchError.
     """
     class_faces, non_faces = _class_complex(rays)
     if not class_faces:
         return ()  # empty polytope: empty variety, no cells
     classes = [members for _, members in _ray_classes(rays)]
     d = max(f.bit_count() for f in class_faces) - 1
-    sphere = _homology_from_masks(class_faces)  # ghosts are in no face: this is K_V
-    if sphere != GradedGroup.single(d):
-        raise OracleMismatchError(
-            f"the class complex on its vertices is not a {d}-sphere: reduced homology {sphere}")
-
     v_mask = ((1 << len(classes)) - 1) ^ sum(m for m in non_faces if m.bit_count() == 1)
+    # ghosts are in no face, so the class faces are K_V; its dual has the other 2^|V| - |K_V|
+    if v_mask and (1 << v_mask.bit_count()) - len(class_faces) < len(class_faces):
+        side, degree = "its Alexander dual", v_mask.bit_count() - d - 3
+        group = _homology_from_masks(_alexander_dual(v_mask, non_faces))
+    else:
+        side, degree = "K_V", d
+        group = _homology_from_masks(class_faces)
+    if group != GradedGroup.single(degree):
+        raise OracleMismatchError(f"the class complex on its vertices is not a {d}-sphere: "
+                                  f"reduced homology {group} on {side}")
+
     half = v_mask.bit_count() // 2
     base = {m for m in non_faces if 1 < m.bit_count() <= half}
     unions, frontier = {0} | base, base
@@ -122,6 +132,23 @@ def _pair_table(rays) -> tuple[tuple[tuple[int, ...], GradedGroup], ...]:
             J = tuple(sorted(itertools.chain(*chosen)))
             entries.append((J, group.shift(1 + len(J) - len(chosen))))
     return tuple(sorted(entries, key=lambda entry: (len(entry[0]), entry[0])))
+
+
+def _alexander_dual(v_mask: int, non_faces: Iterable[int]) -> list[int]:
+    """The faces V - T of the Alexander dual of K_V, for T on V no face, as sorted masks.
+
+    T is no face iff it holds a minimal non-face M on V (one of size >= 2), so
+    the dual is generated by the sets V - M.
+    """
+    dual = set()
+    for m in non_faces:
+        if m.bit_count() > 1:
+            top = s = v_mask ^ m
+            while s:
+                dual.add(s)
+                s = (s - 1) & top
+            dual.add(0)
+    return sorted(dual)
 
 
 def pair_homology(cfg: Configuration, J: Iterable[int]) -> GradedGroup:
@@ -201,9 +228,7 @@ def splitting_ledger(cfg: Configuration, space: str = "Z", *,
     """The full contributing-subsets ledger for one of the three spaces."""
     require_valid(cfg)
     if cfg.n > cap:
-        raise SizeCapError(
-            f"n = {cfg.n} exceeds the subset cap {cap}; raise the cap explicitly to proceed"
-        )
+        raise SizeCapError(f"n = {cfg.n} exceeds the subset cap {cap}")
     if space not in ("Z", "Zplus", "ZC"):
         raise ConfigurationError(f"unknown space {space!r}; expected Z, Zplus or ZC")
     dist = cfg.distinguished if distinguished is None else distinguished

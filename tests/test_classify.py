@@ -49,6 +49,17 @@ def test_d_values_invariants():
         assert all(d < partition.n for d in ds)
 
 
+@pytest.mark.parametrize("call, parts", [
+    (qb.d_values, (2, 2)),
+    (qb.d_values, (1, 0, -3)),
+    (qb.double_partition, ()),
+    (qb.double_partition, (1, 2, 0)),
+])
+def test_partition_helpers_refuse_what_is_no_odd_cyclic_partition(call, parts):
+    with pytest.raises(qb.ConfigurationError, match="not an odd cyclic partition"):
+        call(parts)
+
+
 def test_normal_form_pentagon():
     assert qb.normal_form(PENTAGON) == CyclicPartition((1, 1, 1, 1, 1))
 

@@ -89,6 +89,18 @@ def test_cap_exit_code(capsys, monkeypatch):
     assert (code, out) == (3, "")
 
 
+def test_cap_refusal_offers_the_flag_only_where_it_exists(capsys):
+    code, out, err = run_cli(capsys, "homology", "--partition", ",".join(["1"] * 21))
+    assert (code, out) == (3, "")
+    assert "n = 21 exceeds the subset cap 20" in err and "--max-n" in err
+    code, out, err = run_cli(capsys, "open-book", "--partition", "3,3,3,3,3")
+    assert (code, out) == (3, "")
+    assert "exceeds the subset cap 20" in err  # the complex page model has n = 28
+    assert "--max-n" not in err and "raise" not in err
+    # the flag the homology refusal names is one that open-book does not take
+    assert run_cli(capsys, "open-book", "--partition", "3,3,3,3,3", "--max-n", "64")[0] == 1
+
+
 def test_cross_validate_family_cap(capsys):
     with pytest.raises(qb.SizeCapError):
         reporting.parse_family("partitions:n<=40")

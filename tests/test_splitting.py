@@ -225,12 +225,16 @@ def test_pair_table_work_bound(reductions, cfg, count):
     m = len(qb.coordinate_classes(cfg))
     non_faces = helpers.minimal_non_faces(faces, m)
     vertices = [c for c in range(m) if 1 << c not in non_faces]
-    # K_V (a sphere) first, then each restriction to at most half the vertices
-    # that is the union of at least three minimal non-faces inside it, of the
-    # 1,024, 16,384 and 1,024 restrictions of that size; the empty set and
-    # unions of one or two are spheres read without a reduction
+    # the sphere guard first, on K_V or on its Alexander dual, whichever has
+    # fewer faces; then each restriction to at most half the vertices that is
+    # the union of at least three minimal non-faces inside it, of the 1,024,
+    # 16,384 and 1,024 restrictions of that size; the empty set and unions of
+    # one or two are spheres read without a reduction
     assert len(reductions) == count
-    assert list(reductions[0]) == list(faces)
+    v_mask = sum(1 << c for c in vertices)
+    face_set = set(faces)
+    dual = [v_mask ^ t for t in range(1 << m) if not t & ~v_mask and t not in face_set]
+    assert sorted(reductions[0]) == sorted(min(list(faces), dual, key=len))
     for faces_s in reductions[1:]:
         assert len(helpers.minimal_non_faces(faces_s, max(faces_s).bit_length())) >= 3
 
@@ -301,6 +305,49 @@ def test_sphere_guard(monkeypatch, capsys, faces):
         assert "sphere" in captured.err
     finally:
         splitting._pair_table.cache_clear()
+
+
+def test_sphere_guard_sides_agree():
+    from quadbook import splitting
+    from quadbook.complexes import _homology_from_masks, class_face_masks, class_minimal_non_faces
+
+    configs = helpers.duality_corpus() + [qb.partition_configuration((1,) * m) for m in (15, 17)]
+    smaller = set()
+    for cfg in configs:
+        faces = class_face_masks(cfg)
+        non_faces = class_minimal_non_faces(cfg)
+        v_mask = ((1 << len(qb.coordinate_classes(cfg))) - 1) ^ sum(m for m in non_faces if m.bit_count() == 1)
+        if not faces or not v_mask:  # the empty polytope, and the triangle's K_V = {empty set}
+            continue
+        dual = splitting._alexander_dual(v_mask, non_faces)
+        face_set = set(faces)
+        assert dual == sorted(v_mask ^ t for t in range(v_mask + 1)
+                              if not t & ~v_mask and t not in face_set), cfg
+        d = max(f.bit_count() for f in faces) - 1
+        assert _homology_from_masks(faces) == GradedGroup.single(d), cfg
+        assert _homology_from_masks(dual) == GradedGroup.single(v_mask.bit_count() - d - 3), cfg
+        smaller.add(len(dual) < len(faces))
+    assert smaller == {False, True}  # the guard runs on each side somewhere in the corpus
+
+
+def test_sphere_guard_on_the_dual_side(reductions, monkeypatch, capsys):
+    from quadbook import splitting
+    from quadbook.cli import main
+
+    # a solid tetrahedron beside a point: not a sphere, with 17 faces on the
+    # pentagon's five classes against its dual's 15, the boundary of a tetrahedron
+    faces = tuple(range(16)) + (16,)
+    non_faces = (17, 18, 20, 24)
+    monkeypatch.setattr(splitting, "_class_complex", lambda rays: (faces, non_faces))
+    with pytest.raises(qb.OracleMismatchError):
+        qb.homology_Z(PENTAGON)
+    assert reductions == [[0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14]]
+    splitting._pair_table.cache_clear()
+    code = main(["homology", "--partition", "1,1,1,1,1", "--format", "structured"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (4, "")
+    assert "Traceback" not in captured.err
+    assert "sphere" in captured.err
 
 
 def test_euler_cellcount_matches_coordinate_sum():
