@@ -374,7 +374,7 @@ def _class_faces(rays: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], tu
     the classes of one hull point outside it; a candidate that the witness
     of its parent or of a facet misses is a face with that witness.  Only
     the rest run a phase one, whose support is the new witness.  Every
-    candidate has only faces as facets, so the phase ones that fail are
+    candidate tested has only faces as facets, so the phase ones that fail are
     exactly the minimal non-faces, which are returned beside the faces; the
     empty polytope has no face and the empty set as its one minimal
     non-face.  Phase ones run on the tableau of all rays, the candidate's

@@ -82,16 +82,15 @@ def _pair_table(rays) -> tuple[tuple[tuple[int, ...], GradedGroup], ...]:
     classes = [members for _, members in _ray_classes(rays)]
     d = max(f.bit_count() for f in class_faces) - 1
     v_mask = ((1 << len(classes)) - 1) ^ sum(m for m in non_faces if m.bit_count() == 1)
-    # ghosts are in no face, so the class faces are K_V; its dual has the other 2^|V| - |K_V|
+    # ghosts are in no face, so the class faces are K_V; its dual has the other 2^|V| - |K_V| sets
     if v_mask and (1 << v_mask.bit_count()) - len(class_faces) < len(class_faces):
-        side, degree = "its Alexander dual", v_mask.bit_count() - d - 3
-        group = _homology_from_masks(_alexander_dual(v_mask, non_faces))
+        side, degree = _alexander_dual(v_mask, non_faces), v_mask.bit_count() - d - 3
     else:
-        side, degree = "K_V", d
-        group = _homology_from_masks(class_faces)
+        side, degree = class_faces, d
+    group = _homology_from_masks(side)
     if group != GradedGroup.single(degree):
-        raise OracleMismatchError(f"the class complex on its vertices is not a {d}-sphere: "
-                                  f"reduced homology {group} on {side}")
+        raise OracleMismatchError(f"the class complex on its vertices is not a {d}-sphere: reduced homology "
+                                  f"{group} on the {len(side)} faces read, not Z in degree {degree}")
 
     half = v_mask.bit_count() // 2
     base = {m for m in non_faces if 1 < m.bit_count() <= half}
