@@ -13,7 +13,6 @@ from .configuration import (
     QuadbookError,
     SizeCapError,
     ValidationReport,
-    as_rational,
     complexify,
     coordinate_classes,
     delete_coordinate,
@@ -21,7 +20,7 @@ from .configuration import (
     make_configuration,
     validate,
 )
-from .complexes import GradedGroup, invariant_chain
+from .complexes import GradedGroup
 from .splitting import (
     DEFAULT_SUBSET_CAP,
     SplittingLedger,
@@ -37,7 +36,6 @@ from .classify import (
     Hypotheses,
     ManifoldDescription,
     SphereProduct,
-    canonical_cycle,
     classify_complex,
     classify_real,
     d_values,
@@ -50,13 +48,11 @@ from .classify import (
 )
 from .openbook import (
     CheckResult,
-    DiskTimesSphere,
     ExteriorSpace,
     OpenBookStructure,
     PageDescription,
+    ProductPiece,
     PuncturedProduct,
-    SphereSphereDisk,
-    SphereTimesDisk,
     boundary_consistency,
     exterior_homology,
     open_book_complex,

@@ -47,75 +47,29 @@ from .splitting import euler_cellcount, homology_Z, homology_Zplus
 
 
 @dataclass(frozen=True)
-class SphereTimesDisk:
-    """S^p x D^q."""
+class ProductPiece:
+    """A product of spheres and one disk, factors in render order: (("S", p), ("D", q)) is S^p x D^q."""
 
-    sphere: int
-    disk: int
-
-    @property
-    def dim(self) -> int:
-        return self.sphere + self.disk
-
-    def reduced_ranks(self) -> dict[int, int]:
-        return {self.sphere: 1}
-
-    def boundary(self) -> SphereProduct | None:
-        if self.disk < 1:
-            return None
-        return SphereProduct((self.sphere, self.disk - 1))
-
-    def render(self) -> str:
-        return f"S({self.sphere}) x D({self.disk})"
-
-
-@dataclass(frozen=True)
-class DiskTimesSphere:
-    """D^p x S^q."""
-
-    disk: int
-    sphere: int
+    factors: tuple[tuple[str, int], ...]
 
     @property
     def dim(self) -> int:
-        return self.disk + self.sphere
+        return sum(d for _, d in self.factors)
 
     def reduced_ranks(self) -> dict[int, int]:
-        return {self.sphere: 1}
-
-    def boundary(self) -> SphereProduct | None:
-        if self.disk < 1:
-            return None
-        return SphereProduct((self.disk - 1, self.sphere))
-
-    def render(self) -> str:
-        return f"D({self.disk}) x S({self.sphere})"
-
-
-@dataclass(frozen=True)
-class SphereSphereDisk:
-    """S^p x S^q x D^r, the single-piece page of the product case."""
-
-    first: int
-    second: int
-    disk: int
-
-    @property
-    def dim(self) -> int:
-        return self.first + self.second + self.disk
-
-    def reduced_ranks(self) -> dict[int, int]:
-        full = SphereProduct((self.first, self.second)).ranks()
+        full = SphereProduct(tuple(d for kind, d in self.factors if kind == "S")).ranks()
         full[0] -= 1
         return {d: r for d, r in full.items() if r}
 
     def boundary(self) -> SphereProduct | None:
-        if self.disk < 1:
-            return None  # closed page, empty boundary
-        return SphereProduct((self.first, self.second, self.disk - 1))
+        """D^q becomes S^(q-1) in place; None for a closed piece (q = 0)."""
+        (q,) = [d for kind, d in self.factors if kind == "D"]
+        if q < 1:
+            return None
+        return SphereProduct(tuple(d - (kind == "D") for kind, d in self.factors))
 
     def render(self) -> str:
-        return f"S({self.first}) x S({self.second}) x D({self.disk})"
+        return " x ".join(f"{kind}({d})" for kind, d in self.factors)
 
 
 @dataclass(frozen=True)
@@ -193,7 +147,7 @@ class ExteriorSpace:
         return f"E({self.p},{self.q};{self.m})"
 
 
-PagePiece = SphereTimesDisk | DiskTimesSphere | SphereSphereDisk | PuncturedProduct | ExteriorSpace
+PagePiece = ProductPiece | PuncturedProduct | ExteriorSpace
 
 
 def exterior_homology(p: int, q: int, m: int) -> GradedGroup:
@@ -212,7 +166,6 @@ class PageDescription:
     case: str
     pieces: tuple[PagePiece, ...]
     dim: int
-    complex_case: bool
     partition: tuple[int, ...]
     flags: tuple[str, ...] = ()
 
@@ -259,22 +212,21 @@ def page_topology(partition: CyclicPartition | Iterable[int], class_index: int =
     def dd(i: int) -> int:
         return ds[(i - 1) % m]
 
+    def product(i: int, first: str, second: str) -> ProductPiece:
+        return ProductPiece(((first, dd(i) - 1), (second, n - dd(i) - 2)))
+
     pieces: list[PagePiece] = []
     if ell == 1:
         case = "a"
-        pieces.append(SphereSphereDisk(nn(2) - 1, nn(3) - 1, nn(1) - 1))
+        pieces.append(ProductPiece((("S", nn(2) - 1), ("S", nn(3) - 1), ("D", nn(1) - 1))))
     elif real[0] > 1:
         case = "b"
-        for i in range(2, ell + 3):
-            pieces.append(SphereTimesDisk(dd(i) - 1, n - dd(i) - 2))
-        for i in _cyclic_indices(ell + 3, 1, m):
-            pieces.append(DiskTimesSphere(dd(i) - 1, n - dd(i) - 2))
+        pieces += [product(i, "S", "D") for i in range(2, ell + 3)]
+        pieces += [product(i, "D", "S") for i in _cyclic_indices(ell + 3, 1, m)]
     elif ell > 2:
         case = "c"
-        for i in range(3, ell + 2):
-            pieces.append(SphereTimesDisk(dd(i) - 1, n - dd(i) - 2))
-        for i in _cyclic_indices(ell + 3, 1, m):
-            pieces.append(DiskTimesSphere(dd(i) - 1, n - dd(i) - 2))
+        pieces += [product(i, "S", "D") for i in range(3, ell + 2)]
+        pieces += [product(i, "D", "S") for i in _cyclic_indices(ell + 3, 1, m)]
         pieces.append(PuncturedProduct(dd(2) - 1, dd(ell + 2) - 1, n - 3))
     else:
         case = "d"
@@ -295,7 +247,7 @@ def page_topology(partition: CyclicPartition | Iterable[int], class_index: int =
                 f"exterior {piece.render()} outside the recognition lemma regime "
                 "(needs p, q, m-p-q-1 >= 2)"
             )
-    return PageDescription(case, tuple(pieces), n - 3, complex_case, parts, tuple(flags))
+    return PageDescription(case, tuple(pieces), n - 3, parts, tuple(flags))
 
 
 def page_homology(page: PageDescription) -> GradedGroup:
@@ -327,7 +279,6 @@ class OpenBookStructure:
     binding: Configuration | None
     page: PageDescription | None
     page_model: Configuration | None
-    complex_case: bool
     page_label: str
     monodromy: str = "trivial"
 
@@ -389,7 +340,7 @@ def open_book_real(cfg: Configuration, i: int) -> OpenBookStructure:
     binding = _deleted_or_empty(underlying, partner_pos)
     page = _partition_page(underlying, partner_pos, complex_case=False)
     label = f"interior of the half manifold at {underlying.labels[partner_pos - 1]} >= 0"
-    return OpenBookStructure(cfg, binding, page, underlying, False, label)
+    return OpenBookStructure(cfg, binding, page, underlying, label)
 
 
 def open_book_complex(cfg: Configuration, i: int) -> OpenBookStructure:
@@ -408,7 +359,7 @@ def open_book_complex(cfg: Configuration, i: int) -> OpenBookStructure:
     # the page is the half manifold at i of the input with every other coordinate doubled
     model = delete_coordinate(total, 2 * i).with_distinguished(2 * i - 1) if page is not None else None
     label = f"interior of the complex half manifold at {cfg.labels[i - 1]}"
-    return OpenBookStructure(total, binding, page, model, True, label)
+    return OpenBookStructure(total, binding, page, model, label)
 
 
 # ---------------------------------------------------------------------------
@@ -448,66 +399,43 @@ def boundary_consistency(structure: OpenBookStructure) -> tuple[CheckResult, ...
     Mismatches are reported as findings, never raised.
     """
     results: list[CheckResult] = []
-    binding = structure.binding
+
+    def check(name: str, ok: bool | None, detail: str) -> None:
+        """Record one check; ok is None for a skip."""
+        results.append(CheckResult(name, "skip" if ok is None else "pass" if ok else "fail", detail))
+
+    binding, page, model = structure.binding, structure.page, structure.page_model
     binding_group = homology_Z(binding) if binding is not None else GradedGroup.zero()
     binding_euler = euler_cellcount(binding) if binding is not None else 0
-
     if structure.binding_dim % 2 == 1:
-        ok = binding_euler == 0
-        results.append(CheckResult(
-            "binding-euler-zero",
-            "pass" if ok else "fail",
-            f"odd-dimensional binding has chi = {binding_euler}",
-        ))
+        check("binding-euler-zero", binding_euler == 0, f"odd-dimensional binding has chi = {binding_euler}")
     else:
-        results.append(CheckResult(
-            "binding-euler-zero", "skip", "binding dimension is even"))
+        check("binding-euler-zero", None, "binding dimension is even")
 
-    if structure.page is None and structure.page_model is None:
-        results.append(CheckResult("page-double-euler", "skip", "no page model"))
-        results.append(CheckResult("page-boundary-betti", "skip", "no symbolic page"))
+    if model is None:  # both constructors set a model whenever they set a page
+        check("page-double-euler", None, "no page model")
+        check("page-boundary-betti", None, "no symbolic page")
         return tuple(results)
 
-    if structure.page is not None:
-        page_euler = page_homology(structure.page).euler()
+    # without a symbolic description, the half manifold of the model IS the page
+    page_euler = (page_homology(page) if page is not None else homology_Zplus(model)).euler()
+    if structure.page_dim % 2 == 0:
+        double_euler = euler_cellcount(model)
+        check("page-double-euler", double_euler == 2 * page_euler,
+              f"chi(double) = {double_euler}, 2 chi(page) = {2 * page_euler}")
     else:
-        # no symbolic description, but the half manifold of the model IS the page
-        page_euler = homology_Zplus(structure.page_model).euler()
-    if structure.page_dim % 2 == 0 and structure.page_model is not None:
-        double_euler = euler_cellcount(structure.page_model)
-        ok = double_euler == 2 * page_euler
-        results.append(CheckResult(
-            "page-double-euler",
-            "pass" if ok else "fail",
-            f"chi(double) = {double_euler}, 2 chi(page) = {2 * page_euler}",
-        ))
-    else:
-        results.append(CheckResult(
-            "page-double-euler", "skip",
-            "page dimension is odd" if structure.page_dim % 2 else "no page model"))
+        check("page-double-euler", None, "page dimension is odd")
 
-    if structure.page is None:
-        results.append(CheckResult("page-boundary-betti", "skip", "no symbolic page"))
+    if page is None:
+        check("page-boundary-betti", None, "no symbolic page")
         return tuple(results)
-    boundary = _page_boundary(structure.page)
+    boundary = _page_boundary(page)
     if boundary == "empty":
-        ok = binding_group.is_zero
-        results.append(CheckResult(
-            "page-boundary-betti",
-            "pass" if ok else "fail",
-            "closed page requires an empty binding",
-        ))
+        check("page-boundary-betti", binding_group.is_zero, "closed page requires an empty binding")
     elif boundary is None:
-        results.append(CheckResult(
-            "page-boundary-betti", "skip",
-            "boundary has a disconnected factor; connected-sum rule not applicable",
-        ))
+        check("page-boundary-betti", None,
+              "boundary has a disconnected factor; connected-sum rule not applicable")
     else:
-        expected = expected_homology(boundary)
-        ok = expected == binding_group
-        results.append(CheckResult(
-            "page-boundary-betti",
-            "pass" if ok else "fail",
-            f"boundary {boundary.render()} vs binding homology",
-        ))
+        check("page-boundary-betti", expected_homology(boundary) == binding_group,
+              f"boundary {boundary.render()} vs binding homology")
     return tuple(results)

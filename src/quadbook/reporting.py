@@ -97,8 +97,6 @@ def load_document(doc: dict) -> Configuration:
         if len(doc["lambdas"]) != doc["n"]:
             raise ParseError(f"n = {doc['n']} but {len(doc['lambdas'])} vectors given")
         return Configuration(doc["k"], doc["lambdas"], tuple(labels), distinguished)
-    except ParseError:
-        raise
     except ConfigurationError as exc:
         raise ParseError(str(exc)) from exc
 

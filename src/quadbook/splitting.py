@@ -67,8 +67,11 @@ def _pair_table(rays) -> tuple[tuple[tuple[int, ...], GradedGroup], ...]:
     empty, the boundary of the simplex on S, or the Alexander dual in S of
     the disjoint simplices S - M1 and S - M2.  K_V is the boundary of the
     simplicial polytope dual to the (simple) class polytope, a sphere of
-    dimension d = largest face size - 1, so Alexander duality gives every
-    larger restriction from its complement: H_i(K_S) has the rank of
+    dimension d = m - k - 2 for m classes (ghosts included) in R^k: a valid
+    configuration with a nonempty polytope has rank k, since otherwise at
+    most k of its vectors would hold the origin (Caratheodory), so the class
+    polytope has dimension m - k - 1.  Alexander duality gives every larger
+    restriction from its complement: H_i(K_S) has the rank of
     H_{d-1-i}(K_{V-S}) and the torsion of H_{d-2-i}(K_{V-S}), all
     reduced.  The sphere property is checked once, on K_V or on its
     Alexander dual {V - T : T on V no face}, whichever has fewer faces: K_V
@@ -80,7 +83,7 @@ def _pair_table(rays) -> tuple[tuple[tuple[int, ...], GradedGroup], ...]:
     if not class_faces:
         return ()  # empty polytope: empty variety, no cells
     classes = [members for _, members in _ray_classes(rays)]
-    d = max(f.bit_count() for f in class_faces) - 1
+    d = len(classes) - len(rays[0]) - 2
     v_mask = ((1 << len(classes)) - 1) ^ sum(m for m in non_faces if m.bit_count() == 1)
     # ghosts are in no face, so the class faces are K_V; its dual has the other 2^|V| - |K_V| sets
     if v_mask and (1 << v_mask.bit_count()) - len(class_faces) < len(class_faces):
@@ -216,9 +219,6 @@ class SplittingLedger:
     space: str
     entries: tuple[tuple[tuple[int, ...], GradedGroup], ...]
     total: GradedGroup
-
-    def contributions(self, degree: int) -> tuple[tuple[int, ...], ...]:
-        return tuple(J for J, g in self.entries if g.rank(degree) or g.torsion(degree))
 
 
 def splitting_ledger(cfg: Configuration, space: str = "Z", *,

@@ -155,10 +155,10 @@ def minimal_non_faces(masks, m) -> set[int]:
 
 def snf(matrix) -> tuple[tuple[int, ...], int]:
     """Smith normal form diagonal (d1 | d2 | ..., all positive) and rank, by the engine's elimination."""
-    from quadbook.complexes import _snf_diagonal
+    from quadbook.complexes import _snf_diagonal, invariant_chain
 
     diagonal = _snf_diagonal(matrix)
-    chain = qb.invariant_chain(diagonal)
+    chain = invariant_chain(diagonal)
     return (1,) * (len(diagonal) - len(chain)) + chain, len(diagonal)
 
 

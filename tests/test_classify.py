@@ -5,7 +5,7 @@ import pytest
 
 import quadbook as qb
 from quadbook import CyclicPartition, GradedGroup
-from quadbook.classify import _self_check
+from quadbook.classify import _self_check, canonical_cycle
 from quadbook.cli import main
 
 import helpers
@@ -31,8 +31,8 @@ def test_canonical_cycle_respects_cyclic_structure():
     base = (1, 2, 3, 1, 4)
     for r in range(5):
         rotated = base[r:] + base[:r]
-        assert qb.canonical_cycle(rotated) == qb.canonical_cycle(base)
-        assert qb.canonical_cycle(rotated[::-1]) == qb.canonical_cycle(base)
+        assert canonical_cycle(rotated) == canonical_cycle(base)
+        assert canonical_cycle(rotated[::-1]) == canonical_cycle(base)
 
 
 def test_d_values():

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import quadbook as qb
 from quadbook import GradedGroup
-from quadbook.complexes import _homology_from_masks, dual_face_masks
+from quadbook.complexes import _homology_from_masks, dual_face_masks, invariant_chain
 from quadbook.feasibility import hull_support
 from quadbook.reporting import dual_complex_report
 
@@ -37,11 +37,11 @@ def _restrict(masks, J):
 
 
 def test_invariant_chain():
-    assert qb.invariant_chain([2, 3]) == (6,)
-    assert qb.invariant_chain([2, 4]) == (2, 4)
-    assert qb.invariant_chain([6, 4]) == (2, 12)
-    assert qb.invariant_chain([1, 1]) == ()
-    assert qb.invariant_chain([]) == ()
+    assert invariant_chain([2, 3]) == (6,)
+    assert invariant_chain([2, 4]) == (2, 4)
+    assert invariant_chain([6, 4]) == (2, 12)
+    assert invariant_chain([1, 1]) == ()
+    assert invariant_chain([]) == ()
 
 
 def test_graded_group_basics():

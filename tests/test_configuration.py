@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 import quadbook as qb
 from quadbook import ConfigurationError
+from quadbook.configuration import as_rational
 
 import helpers
 
@@ -14,13 +15,13 @@ PENTAGON = qb.partition_configuration((1, 1, 1, 1, 1))
 
 
 def test_rational_parsing():
-    assert qb.as_rational("3/5") == qb.as_rational(3) / 5
-    assert qb.as_rational("-7") == -7
-    assert qb.as_rational("0.25") == qb.as_rational("1/4")
+    assert as_rational("3/5") == as_rational(3) / 5
+    assert as_rational("-7") == -7
+    assert as_rational("0.25") == as_rational("1/4")
     with pytest.raises(ConfigurationError):
-        qb.as_rational(0.25)
+        as_rational(0.25)
     with pytest.raises(ConfigurationError):
-        qb.as_rational("1/0")
+        as_rational("1/0")
 
 
 def test_construction_guards():

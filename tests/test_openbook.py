@@ -1,3 +1,4 @@
+import collections
 import random
 from fractions import Fraction
 
@@ -47,6 +48,19 @@ def test_exterior_boundary_euler():
 
 # ---------------------------------------------------------------------------
 # page topology
+
+
+def test_product_piece_ranks_and_boundary():
+    closed = qb.ProductPiece((("S", 0), ("S", 0), ("D", 0)))
+    assert (closed.dim, closed.render()) == (0, "S(0) x S(0) x D(0)")
+    assert closed.reduced_ranks() == {0: 3}  # four points
+    assert closed.boundary() is None
+    sphere_disk = qb.ProductPiece((("S", 3), ("D", 5)))
+    assert (sphere_disk.dim, sphere_disk.reduced_ranks()) == (8, {3: 1})
+    assert sphere_disk.boundary() == qb.SphereProduct((3, 4))
+    disk_sphere = qb.ProductPiece((("D", 4), ("S", 4)))
+    assert disk_sphere.render() == "D(4) x S(4)"
+    assert disk_sphere.boundary() == qb.SphereProduct((3, 4))  # the disk's factor stays first
 
 
 def test_page_case_selection_is_total_and_exclusive():
@@ -239,6 +253,25 @@ def test_real_book_checks_read_the_page_euler_off_the_model_for_k_3_and_4():
     assert book.page is not None and book.page_dim == 1
     checks = {c.name: c for c in qb.boundary_consistency(book)}
     assert checks["page-double-euler"] == qb.CheckResult("page-double-euler", "skip", "page dimension is odd")
+
+
+def test_every_book_on_small_partitions_passes_its_checks():
+    # the complex book at every coordinate, and the real book of the input with that coordinate doubled
+    passed = {"complex": collections.Counter(), "real": collections.Counter()}
+    for parts in helpers.partitions_up_to(8):
+        cfg = qb.partition_configuration(parts)
+        for i in range(1, cfg.n + 1):
+            doubled = qb.duplicate_coordinate(cfg, i)
+            for variant, book in (("complex", qb.open_book_complex(cfg, i)),
+                                  ("real", qb.open_book_real(doubled, doubled.distinguished))):
+                checks = {c.name: c.status for c in qb.boundary_consistency(book)}
+                assert "fail" not in checks.values(), (parts, i, variant, checks)
+                if checks["page-boundary-betti"] == "pass":
+                    passed[variant][book.page.case] += 1
+    # every case's page boundary meets its binding in both variants; the real
+    # books of cases a and d skip the rest for an S^0 factor in the boundary
+    assert passed == {"complex": {"a": 378, "b": 259, "c": 49, "d": 175},
+                      "real": {"a": 102, "b": 259, "c": 49, "d": 25}}
 
 
 def test_open_book_page_model_matches_page():

@@ -3,6 +3,8 @@
 import re
 from pathlib import Path
 
+import quadbook as qb
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
@@ -26,3 +28,20 @@ def test_library_surface_block_runs_as_documented():
             # a repr, or a str followed by a note in parentheses
             assert comment == repr(value) or re.fullmatch(re.escape(str(value)) + r"(\s+\(.*\))?", comment), \
                 (code, value, comment)
+
+
+def test_public_surface_is_pinned():
+    # the package exports what the README, the reports and the acceptance criteria use, and no helper
+    assert sorted(qb.__all__) == [
+        "CheckResult", "Configuration", "ConfigurationError", "CyclicPartition", "DEFAULT_SUBSET_CAP",
+        "ExteriorSpace", "GradedGroup", "Hypotheses", "InvalidConfigurationError", "ManifoldDescription",
+        "NormalFormError", "OpenBookError", "OpenBookStructure", "OracleMismatchError", "PageDescription",
+        "ParseError", "ProductPiece", "PuncturedProduct", "QuadbookError", "SizeCapError",
+        "SphereProduct", "SplittingLedger", "ValidationReport", "boundary_consistency", "classify_complex",
+        "classify_real", "complexify", "coordinate_classes", "d_values", "delete_coordinate",
+        "double_partition", "duplicate_coordinate", "euler_cellcount", "expected_homology",
+        "exterior_homology", "homology_Z", "homology_ZC", "homology_Zplus", "make_configuration",
+        "normal_form", "normal_form_labelled", "open_book_complex", "open_book_real", "page_homology",
+        "page_topology", "pair_homology", "partition_configuration", "rotate_parts", "splitting_ledger",
+        "validate",
+    ]

@@ -52,7 +52,7 @@ def test_homology_Zplus_goldens():
 
 def test_homology_Zplus_contributing_subsets():
     ledger = qb.splitting_ledger(PENTAGON, "Zplus")
-    degree_one = ledger.contributions(1)
+    degree_one = [J for J, g in ledger.entries if g.rank(1) or g.torsion(1)]
     assert set(degree_one) == {(2, 3), (3, 4), (4, 5), (2, 3, 4), (3, 4, 5)}
     assert ledger.total == qb.homology_Zplus(PENTAGON)
 
@@ -84,7 +84,7 @@ def test_euler_matches_homology_random():
 def test_ledger_totals_and_order():
     ledger = qb.splitting_ledger(PENTAGON, "Z")
     assert ledger.total == qb.homology_Z(PENTAGON)
-    degree_one = ledger.contributions(1)
+    degree_one = [J for J, g in ledger.entries if g.rank(1) or g.torsion(1)]
     assert len(degree_one) == 10
     sizes = [len(J) for J, _ in ledger.entries]
     assert sizes == sorted(sizes)
@@ -328,6 +328,18 @@ def test_sphere_guard_sides_agree():
         assert _homology_from_masks(dual) == GradedGroup.single(v_mask.bit_count() - d - 3), cfg
         smaller.add(len(dual) < len(faces))
     assert smaller == {False, True}  # the guard runs on each side somewhere in the corpus
+
+
+def test_sphere_dimension_reads_off_the_class_and_vector_counts():
+    # a nonempty polytope has rank k, so the class polytope has dimension m - k - 1
+    # and the class complex on its vertices is a sphere of dimension m - k - 2
+    from quadbook.complexes import class_face_masks
+
+    configs = helpers.duality_corpus() + [qb.partition_configuration(p) for p in helpers.odd_compositions(9)]
+    for cfg in configs:
+        faces = class_face_masks(cfg)
+        assert faces, cfg
+        assert max(f.bit_count() for f in faces) - 1 == len(qb.coordinate_classes(cfg)) - cfg.k - 2, cfg
 
 
 def test_sphere_guard_on_the_dual_side(reductions, monkeypatch, capsys):
