@@ -33,7 +33,6 @@ from .splitting import (
 )
 from .classify import (
     CyclicPartition,
-    Hypotheses,
     ManifoldDescription,
     SphereProduct,
     classify_complex,

@@ -280,60 +280,32 @@ class SphereProduct:
 
 
 @dataclass(frozen=True)
-class Hypotheses:
-    """Hypothesis bookkeeping attached to a classification."""
-
-    complex_case: bool = False
-    h1_zero: bool | None = None
-    dim_required: int | None = None
-    dim_actual: int | None = None
-    pi1_unverified: bool = False
-
-    def flags(self) -> tuple[str, ...]:
-        out = []
-        if self.complex_case:
-            out.append("complex-case: unconditional")
-        if self.h1_zero is not None:
-            out.append("h1=0" if self.h1_zero else "h1!=0")
-        if self.dim_required is not None:
-            ok = self.dim_actual >= self.dim_required
-            out.append(f"dim {self.dim_actual} {'>=' if ok else '<'} {self.dim_required}")
-            if not ok:
-                out.append("outside-stated-hypotheses")
-        if self.pi1_unverified:
-            out.append("pi1-unverified: diffeomorphism type assumes simple connectivity")
-        return tuple(out)
-
-
-KIND_SPHERE_PRODUCT = "sphere-product"
-KIND_CONNECTED_SUM = "connected-sum"
-
-
-@dataclass(frozen=True)
 class ManifoldDescription:
-    """Symbolic closed-manifold type: one sphere product or a connected sum of them."""
+    """Symbolic closed-manifold type: one sphere product or a connected sum of them.
 
-    kind: str
+    `flags` records the hypotheses the formula was read under.
+    """
+
     summands: tuple[SphereProduct, ...]
-    hypotheses: Hypotheses = Hypotheses()
+    flags: tuple[str, ...] = ()
 
     def __post_init__(self):
-        if self.kind not in (KIND_SPHERE_PRODUCT, KIND_CONNECTED_SUM):
-            raise ConfigurationError(f"unknown kind {self.kind!r}")
         if not self.summands:
             raise ConfigurationError("empty description")
         dims = {s.dim for s in self.summands}
         if len(dims) > 1:
             raise ConfigurationError(f"summands of mixed dimension: {sorted(dims)}")
-        if self.kind == KIND_SPHERE_PRODUCT and len(self.summands) != 1:
-            raise ConfigurationError("a sphere product has a single summand")
+
+    @property
+    def kind(self) -> str:
+        return "sphere-product" if len(self.summands) == 1 else "connected-sum"
 
     @property
     def dim(self) -> int:
         return self.summands[0].dim
 
     def render(self) -> str:
-        if self.kind == KIND_SPHERE_PRODUCT:
+        if len(self.summands) == 1:
             return self.summands[0].render()
         if len(set(self.summands)) == 1:
             return f"#_{len(self.summands)}({self.summands[0].render()})"
@@ -341,12 +313,19 @@ class ManifoldDescription:
 
     def annotation(self) -> str | None:
         # a connected sum of g tori is the orientable genus-g surface
-        if (self.kind == KIND_CONNECTED_SUM and self.dim == 2
+        if (len(self.summands) > 1 and self.dim == 2
                 and all(s.dims == (1, 1) for s in self.summands)):
             return f"genus {len(self.summands)} surface"
-        if self.kind == KIND_SPHERE_PRODUCT and all(d == 0 for d in self.summands[0].dims):
+        if len(self.summands) == 1 and all(d == 0 for d in self.summands[0].dims):
             return f"{2 ** len(self.summands[0].dims)} points"
         return None
+
+
+def _dimension_flags(actual: int, required: int) -> list[str]:
+    """The flags of a real statement stated for dimension at least `required`."""
+    if actual >= required:
+        return [f"dim {actual} >= {required}"]
+    return [f"dim {actual} < {required}", "outside-stated-hypotheses"]
 
 
 def classify_real(partition: CyclicPartition) -> ManifoldDescription:
@@ -359,21 +338,13 @@ def classify_real(partition: CyclicPartition) -> ManifoldDescription:
     parts = partition.parts
     n = partition.n
     if partition.ell == 1:
-        dims = (parts[0] - 1, parts[1] - 1, parts[2] - 1)
-        return ManifoldDescription(KIND_SPHERE_PRODUCT, (SphereProduct(dims),))
-    ds = d_values(partition)
-    summands = tuple(SphereProduct((d - 1, n - d - 2)) for d in ds)
+        return ManifoldDescription((SphereProduct((parts[0] - 1, parts[1] - 1, parts[2] - 1)),))
+    summands = tuple(SphereProduct((d - 1, n - d - 2)) for d in d_values(partition))
     factor_dims = [dim for s in summands for dim in s.dims]
-    h1_zero = 1 not in factor_dims
-    pi1_unverified = not (h1_zero and min(factor_dims) >= 2)
-    hyp = Hypotheses(
-        complex_case=False,
-        h1_zero=h1_zero,
-        dim_required=5,
-        dim_actual=n - 3,
-        pi1_unverified=pi1_unverified,
-    )
-    return ManifoldDescription(KIND_CONNECTED_SUM, summands, hyp)
+    flags = ["h1!=0" if 1 in factor_dims else "h1=0"] + _dimension_flags(n - 3, 5)
+    if min(factor_dims) < 2:
+        flags.append("pi1-unverified: diffeomorphism type assumes simple connectivity")
+    return ManifoldDescription(summands, tuple(flags))
 
 
 def classify_complex(partition: CyclicPartition) -> ManifoldDescription:
@@ -383,7 +354,7 @@ def classify_complex(partition: CyclicPartition) -> ManifoldDescription:
     doubles every part, so the real formula applies without its hypotheses.
     """
     real = classify_real(CyclicPartition(tuple(2 * p for p in partition.parts)))
-    return ManifoldDescription(real.kind, real.summands, Hypotheses(complex_case=True))
+    return ManifoldDescription(real.summands, ("complex-case: unconditional",))
 
 
 def expected_homology(description: ManifoldDescription) -> GradedGroup:
@@ -398,7 +369,7 @@ def expected_homology(description: ManifoldDescription) -> GradedGroup:
             "expected_homology takes a closed ManifoldDescription; page pieces "
             "with boundary have their own homology rules"
         )
-    if description.kind == KIND_SPHERE_PRODUCT:
+    if len(description.summands) == 1:
         return GradedGroup.from_parts(description.summands[0].ranks())
     dim = description.dim
     ranks = {0: 1, dim: 1}

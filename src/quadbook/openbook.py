@@ -17,10 +17,9 @@ from typing import Iterable
 
 from .classify import (
     CyclicPartition,
-    KIND_CONNECTED_SUM,
-    KIND_SPHERE_PRODUCT,
     ManifoldDescription,
     SphereProduct,
+    _dimension_flags,
     _odd_parts,
     d_values,
     double_partition,
@@ -74,23 +73,18 @@ class ProductPiece:
 
 @dataclass(frozen=True)
 class PuncturedProduct:
-    """S^p x S^q with an open top disk removed (m = p + q)."""
+    """S^p x S^q with an open top disk removed."""
 
     p: int
     q: int
-    m: int
 
     def __post_init__(self):
-        if self.m != self.p + self.q:
-            raise ConfigurationError(
-                f"punctured product S^{self.p} x S^{self.q} must lose a {self.p + self.q}-disk"
-            )
         if self.p < 1 or self.q < 1:
             raise ConfigurationError("punctured product needs positive sphere dimensions")
 
     @property
     def dim(self) -> int:
-        return self.m
+        return self.p + self.q
 
     def reduced_ranks(self) -> dict[int, int]:
         ranks = {self.p: 1}
@@ -98,10 +92,10 @@ class PuncturedProduct:
         return ranks
 
     def boundary(self) -> SphereProduct:
-        return SphereProduct((self.m - 1,))
+        return SphereProduct((self.dim - 1,))
 
     def render(self) -> str:
-        return f"PP({self.p},{self.q};{self.m})"
+        return f"PP({self.p},{self.q};{self.dim})"
 
 
 @dataclass(frozen=True)
@@ -227,20 +221,16 @@ def page_topology(partition: CyclicPartition | Iterable[int], class_index: int =
         case = "c"
         pieces += [product(i, "S", "D") for i in range(3, ell + 2)]
         pieces += [product(i, "D", "S") for i in _cyclic_indices(ell + 3, 1, m)]
-        pieces.append(PuncturedProduct(dd(2) - 1, dd(ell + 2) - 1, n - 3))
+        pieces.append(PuncturedProduct(dd(2) - 1, dd(ell + 2) - 1))
     else:
         case = "d"
-        pieces.append(PuncturedProduct(dd(2) - 1, dd(4) - 1, n - 3))
+        pieces.append(PuncturedProduct(dd(2) - 1, dd(4) - 1))
         pieces.append(ExteriorSpace(nn(2) - 1, nn(5) - 1, n - 3))
 
     flags: list[str] = []
     if not complex_case and ell > 1:
         flags.append("pi1: assumes the variety and its boundary slice simply connected")
-        if n - 3 >= 6:
-            flags.append(f"dim {n - 3} >= 6")
-        else:
-            flags.append(f"dim {n - 3} < 6")
-            flags.append("outside-stated-hypotheses")
+        flags += _dimension_flags(n - 3, 6)
     for piece in pieces:
         if isinstance(piece, ExteriorSpace) and not piece.lemma_applies:
             flags.append(
@@ -388,9 +378,7 @@ def _page_boundary(page: PageDescription) -> ManifoldDescription | str | None:
         boundaries.append(b)
     if any(0 in b.dims for b in boundaries):
         return None
-    if len(boundaries) == 1:
-        return ManifoldDescription(KIND_SPHERE_PRODUCT, (boundaries[0],))
-    return ManifoldDescription(KIND_CONNECTED_SUM, tuple(boundaries))
+    return ManifoldDescription(tuple(boundaries))
 
 
 def boundary_consistency(structure: OpenBookStructure) -> tuple[CheckResult, ...]:

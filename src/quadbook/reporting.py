@@ -14,6 +14,7 @@ from concurrent import futures
 from typing import Iterable
 
 from .classify import (
+    ManifoldDescription,
     classify_complex,
     classify_real,
     d_values,
@@ -78,7 +79,7 @@ def load_document(doc: dict) -> Configuration:
         raise ParseError("distinguished must be an integer coordinate index")
     try:
         if "partition" in doc:
-            if "lambdas" in doc or "k" in doc or "n" in doc:
+            if doc.keys() & {"k", "n", "lambdas", "labels"}:
                 raise ParseError("give either a partition or an explicit configuration, not both")
             parts = doc["partition"]
             if not _is_list_of(parts, _is_int):
@@ -175,33 +176,30 @@ def homology_report(cfg: Configuration, spaces: Iterable[str] = ("Z", "ZC", "Zpl
     return out
 
 
+def _description_document(desc: ManifoldDescription) -> dict:
+    out = {
+        "kind": desc.kind,
+        "summands": [list(s.dims) for s in desc.summands],
+        "symbol": desc.render(),
+        "flags": list(desc.flags),
+    }
+    note = desc.annotation()
+    if note is not None:
+        out["annotation"] = note
+    return out
+
+
 def classify_report(cfg: Configuration) -> dict:
     partition, classes = normal_form_labelled(cfg)
-    real = classify_real(partition)
-    cplx = classify_complex(partition)
-    out = {
+    return {
         "command": "classify",
         "input": config_document(cfg),
         "normal_form": list(partition.parts),
         "classes": [list(c) for c in classes],
         "d_values": list(d_values(partition)),
-        "real": {
-            "kind": real.kind,
-            "summands": [list(s.dims) for s in real.summands],
-            "symbol": real.render(),
-            "flags": list(real.hypotheses.flags()),
-        },
-        "complex": {
-            "kind": cplx.kind,
-            "summands": [list(s.dims) for s in cplx.summands],
-            "symbol": cplx.render(),
-            "flags": list(cplx.hypotheses.flags()),
-        },
+        "real": _description_document(classify_real(partition)),
+        "complex": _description_document(classify_complex(partition)),
     }
-    note = real.annotation()
-    if note:
-        out["real"]["annotation"] = note
-    return out
 
 
 def open_book_report(cfg: Configuration, coordinate: int, *, variant: str = "complex") -> dict:

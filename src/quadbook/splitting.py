@@ -177,10 +177,9 @@ def homology_Z(cfg: Configuration, *, cap: int = DEFAULT_SUBSET_CAP) -> GradedGr
     return splitting_ledger(cfg, "Z", cap=cap).total
 
 
-def homology_Zplus(cfg: Configuration, *, distinguished: int | None = None,
-                   cap: int = DEFAULT_SUBSET_CAP) -> GradedGroup:
-    """Integral homology of the half manifold: only subsets avoiding the marked coordinate."""
-    return splitting_ledger(cfg, "Zplus", distinguished=distinguished, cap=cap).total
+def homology_Zplus(cfg: Configuration, *, cap: int = DEFAULT_SUBSET_CAP) -> GradedGroup:
+    """Integral homology of the half manifold: only subsets avoiding the distinguished coordinate."""
+    return splitting_ledger(cfg, "Zplus", cap=cap).total
 
 
 def homology_ZC(cfg: Configuration, *, cap: int = DEFAULT_SUBSET_CAP) -> GradedGroup:
@@ -222,7 +221,6 @@ class SplittingLedger:
 
 
 def splitting_ledger(cfg: Configuration, space: str = "Z", *,
-                     distinguished: int | None = None,
                      cap: int = DEFAULT_SUBSET_CAP) -> SplittingLedger:
     """The full contributing-subsets ledger for one of the three spaces."""
     require_valid(cfg)
@@ -230,9 +228,7 @@ def splitting_ledger(cfg: Configuration, space: str = "Z", *,
         raise SizeCapError(f"n = {cfg.n} exceeds the subset cap {cap}")
     if space not in ("Z", "Zplus", "ZC"):
         raise ConfigurationError(f"unknown space {space!r}; expected Z, Zplus or ZC")
-    dist = cfg.distinguished if distinguished is None else distinguished
-    if not 1 <= dist <= cfg.n:
-        raise ConfigurationError(f"distinguished coordinate {dist} out of range")
     rows = tuple((J, group.shift(len(J)) if space == "ZC" else group)
-                 for J, group in _pair_table(cfg.rays) if not (space == "Zplus" and dist in J))
+                 for J, group in _pair_table(cfg.rays)
+                 if not (space == "Zplus" and cfg.distinguished in J))
     return SplittingLedger(space, rows, GradedGroup.sum(g for _, g in rows))

@@ -113,7 +113,7 @@ def test_criterion_7_page_oracle():
             marker = sum(parts[:class_index - 1]) + 1
             real_page = qb.page_topology(rotated, 1)
             assert qb.page_homology(real_page) == qb.homology_Zplus(
-                cfg, distinguished=marker), (parts, class_index, "real")
+                cfg.with_distinguished(marker)), (parts, class_index, "real")
             complex_page = qb.page_topology(rotated, 1, complex_case=True)
             assert qb.page_homology(complex_page) == doubled_engine(
                 qb.double_partition(rotated)), (parts, class_index, "complex")

@@ -7,6 +7,7 @@ import quadbook as qb
 from quadbook import CyclicPartition, GradedGroup
 from quadbook.classify import _self_check, canonical_cycle
 from quadbook.cli import main
+from quadbook.reporting import classify_report, odd_partitions
 
 import helpers
 
@@ -180,24 +181,24 @@ def test_classify_real_product_case():
     assert desc.kind == "sphere-product"
     assert desc.summands[0].dims == (1, 1, 1)
     assert desc.render() == "S^1 x S^1 x S^1"
-    assert not desc.hypotheses.pi1_unverified
+    assert desc.flags == ()
 
 
 def test_classify_real_pentagon():
     desc = qb.classify_real(CyclicPartition((1, 1, 1, 1, 1)))
     assert desc.render() == "#_5(S^1 x S^1)"
     assert desc.annotation() == "genus 5 surface"
-    flags = desc.hypotheses.flags()
+    flags = desc.flags
     assert any("dim 2 < 5" in f for f in flags)
-    assert desc.hypotheses.pi1_unverified
+    assert any(f.startswith("pi1-unverified") for f in flags)
 
 
 def test_classify_real_high_dimensional():
     desc = qb.classify_real(CyclicPartition((3, 3, 3, 3, 3)))
     assert desc.render() == "#_5(S^5 x S^7)"
-    assert desc.hypotheses.h1_zero
-    assert not desc.hypotheses.pi1_unverified
-    assert desc.hypotheses.dim_actual == 12
+    assert "h1=0" in desc.flags
+    assert not any(f.startswith("pi1-unverified") for f in desc.flags)
+    assert "dim 12 >= 5" in desc.flags
 
 
 def test_classify_complex_examples():
@@ -211,8 +212,7 @@ def test_classify_complex_examples():
 
 
 def test_expected_homology_examples():
-    torus3 = qb.ManifoldDescription(
-        "sphere-product", (qb.SphereProduct((1, 1, 1)),))
+    torus3 = qb.ManifoldDescription((qb.SphereProduct((1, 1, 1)),))
     assert helpers.betti(qb.expected_homology(torus3), 3) == (1, 3, 3, 1)
     five_34 = qb.classify_complex(CyclicPartition((1, 1, 1, 1, 1)))
     assert helpers.betti(qb.expected_homology(five_34), 7) == (1, 0, 0, 5, 5, 0, 0, 1)
@@ -224,7 +224,7 @@ def test_expected_homology_matches_independent_kunneth():
     rng = random.Random(13)
     for _ in range(20):
         dims = tuple(rng.randint(0, 4) for _ in range(rng.randint(1, 3)))
-        desc = qb.ManifoldDescription("sphere-product", (qb.SphereProduct(dims),))
+        desc = qb.ManifoldDescription((qb.SphereProduct(dims),))
         expected = helpers.kunneth_sphere_ranks(dims)
         got = qb.expected_homology(desc)
         assert {d: got.rank(d) for d in got.degrees} == expected
@@ -240,6 +240,32 @@ def test_expected_homology_connected_sum_oracle():
         expected = helpers.connected_sum_ranks([s.dims for s in desc.summands], dim)
         got = qb.expected_homology(desc)
         assert {d: got.rank(d) for d in got.degrees} == expected
+
+
+def test_description_kind_is_read_off_the_summands():
+    one = qb.ManifoldDescription((qb.SphereProduct((1, 1, 1)),))
+    five = qb.classify_real(CyclicPartition((1, 1, 1, 1, 1)))
+    assert (one.kind, len(five.summands), five.kind) == ("sphere-product", 5, "connected-sum")
+
+
+def test_description_refusals():
+    with pytest.raises(qb.ConfigurationError, match="empty description"):
+        qb.ManifoldDescription(())
+    with pytest.raises(qb.ConfigurationError, match="mixed dimension"):
+        qb.ManifoldDescription((qb.SphereProduct((1, 1)), qb.SphereProduct((1, 2))))
+    with pytest.raises(qb.ConfigurationError, match="negative sphere dimension"):
+        qb.SphereProduct((2, -1))
+    with pytest.raises(qb.ConfigurationError, match="page pieces"):
+        qb.expected_homology(qb.PuncturedProduct(1, 2))
+    # S^0 x S^2 is two spheres, so it cannot be a connected summand
+    with pytest.raises(qb.ConfigurationError, match="is not connected"):
+        qb.expected_homology(qb.ManifoldDescription((qb.SphereProduct((0, 2)),) * 2))
+
+
+def test_complex_description_has_no_annotation():
+    # a complex sphere factor has dimension >= 1 and a complex connected sum dimension >= 7
+    for parts in odd_partitions(9):
+        assert "annotation" not in classify_report(qb.partition_configuration(parts))["complex"], parts
 
 
 def test_partition_configuration_structure():

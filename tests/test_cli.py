@@ -76,6 +76,15 @@ def test_parse_errors_exit_one(tmp_path, capsys):
     assert "schema" in err
 
 
+def test_partition_document_refuses_labels(tmp_path, capsys):
+    # a partition names its coordinates x1..xn, so labels beside it would be dropped
+    path = tmp_path / "labelled.json"
+    path.write_text(json.dumps({"schema": 1, "partition": [1, 1, 1, 1, 1], "labels": ["a"]}))
+    code, out, err = run_cli(capsys, "check", "--config", str(path))
+    assert (code, out) == (1, "")
+    assert "not both" in err
+
+
 def test_cap_exit_code(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "homology", "--partition", "1,1,1,1,1", "--max-n", "3")
     assert code == 3

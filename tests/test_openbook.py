@@ -46,6 +46,16 @@ def test_exterior_boundary_euler():
     assert sum((-1) ** d * r for d, r in table.items()) == 0
 
 
+def test_page_piece_refusals():
+    assert (qb.PuncturedProduct(2, 3).dim, qb.PuncturedProduct(2, 3).render()) == (5, "PP(2,3;5)")
+    with pytest.raises(qb.ConfigurationError, match="positive sphere dimensions"):
+        qb.PuncturedProduct(0, 3)
+    with pytest.raises(qb.ConfigurationError, match="negative sphere dimension"):
+        qb.ExteriorSpace(-1, 2, 9)
+    with pytest.raises(qb.ConfigurationError, match="has dimension 5, page has 6"):
+        qb.PageDescription("c", (qb.PuncturedProduct(2, 3),), 6, (1, 1, 1, 1, 1, 1, 1))
+
+
 # ---------------------------------------------------------------------------
 # page topology
 
@@ -144,7 +154,7 @@ def test_page_oracle_small():
             rotated = qb.rotate_parts(parts, class_index)
             marker = sum(parts[:class_index - 1]) + 1
             real = qb.page_homology(qb.page_topology(rotated, 1))
-            assert real == qb.homology_Zplus(cfg, distinguished=marker), (parts, class_index)
+            assert real == qb.homology_Zplus(cfg.with_distinguished(marker)), (parts, class_index)
 
 
 # ---------------------------------------------------------------------------
@@ -186,6 +196,16 @@ def test_open_book_real_takes_a_positive_multiple_twin():
 def test_open_book_real_strict_mode():
     with pytest.raises(qb.OpenBookError):
         qb.open_book_real(PENTAGON, 1)
+
+
+def test_open_book_coordinate_out_of_range_is_refused():
+    doubled = qb.duplicate_coordinate(PENTAGON, 1)
+    for coordinate in (0, doubled.n + 1):
+        with pytest.raises(qb.ConfigurationError, match="out of range"):
+            qb.open_book_real(doubled, coordinate)
+    for coordinate in (0, PENTAGON.n + 1):
+        with pytest.raises(qb.ConfigurationError, match="out of range"):
+            qb.open_book_complex(PENTAGON, coordinate)
 
 
 def test_open_book_complex_triangle():

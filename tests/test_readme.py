@@ -34,7 +34,7 @@ def test_public_surface_is_pinned():
     # the package exports what the README, the reports and the acceptance criteria use, and no helper
     assert sorted(qb.__all__) == [
         "CheckResult", "Configuration", "ConfigurationError", "CyclicPartition", "DEFAULT_SUBSET_CAP",
-        "ExteriorSpace", "GradedGroup", "Hypotheses", "InvalidConfigurationError", "ManifoldDescription",
+        "ExteriorSpace", "GradedGroup", "InvalidConfigurationError", "ManifoldDescription",
         "NormalFormError", "OpenBookError", "OpenBookStructure", "OracleMismatchError", "PageDescription",
         "ParseError", "ProductPiece", "PuncturedProduct", "QuadbookError", "SizeCapError",
         "SphereProduct", "SplittingLedger", "ValidationReport", "boundary_consistency", "classify_complex",

@@ -131,18 +131,10 @@ def test_empty_variety_has_zero_homology():
     assert qb.euler_cellcount(cfg) == 0
 
 
-def test_distinguished_override():
-    by_marker = qb.homology_Zplus(PENTAGON.with_distinguished(3))
-    by_argument = qb.homology_Zplus(PENTAGON, distinguished=3)
-    assert by_marker == by_argument
-
-
 @pytest.mark.parametrize("distinguished", [0, PENTAGON.n + 1])
 def test_distinguished_out_of_range_is_refused(distinguished):
     with pytest.raises(qb.ConfigurationError):
-        qb.homology_Zplus(PENTAGON, distinguished=distinguished)
-    with pytest.raises(qb.ConfigurationError):
-        qb.splitting_ledger(PENTAGON, "Zplus", distinguished=distinguished)
+        PENTAGON.with_distinguished(distinguished)
 
 
 def _ledger_corpus():
