@@ -137,6 +137,15 @@ def normal_form_labelled(cfg: Configuration) -> tuple[CyclicPartition, tuple[tup
     if cfg.k != 2:
         raise NormalFormError(f"cyclic normal forms require k = 2, got k = {cfg.k}")
     require_valid(cfg)
+    return _normal_form(cfg)
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _normal_form(cfg: Configuration) -> tuple[CyclicPartition, tuple[tuple[int, ...], ...]]:
+    """The angular sweep and self-check of a valid k = 2 configuration, once per configuration.
+
+    A raise is not kept, so a configuration without a normal form sweeps again.
+    """
     dirs = dict(ray_classes(cfg))
     rays = sorted(dirs, key=cmp_to_key(_ray_cmp))
     antipodes = {(-x, -y) for (x, y) in dirs}

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import BrokenExecutor
 from functools import lru_cache
 
 from .configuration import (
@@ -26,6 +25,7 @@ from .configuration import (
     require_valid,
 )
 from .reporting import (
+    WorkerDiedError,
     check_report,
     classify_report,
     cross_validate,
@@ -44,6 +44,17 @@ EXIT_CAP = 3
 EXIT_MISMATCH = 4
 
 
+def _positive_int(text: str) -> int:
+    """An argparse type for counts: an int of at least 1, with int's message otherwise."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 @lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
     """The command line parser; built once, since parsing leaves it unchanged."""
@@ -52,25 +63,22 @@ def _build_parser() -> argparse.ArgumentParser:
         description="homology and open book structures of generic intersections of quadrics",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    inputs = argparse.ArgumentParser(add_help=False)
+    inputs.add_argument("--partition", help="comma separated odd cyclic partition, e.g. 1,1,1,1,1")
+    inputs.add_argument("--config", help="path to a schema-1 JSON configuration document")
+    inputs.add_argument("--distinguished", type=int, default=None,
+                        help="override the distinguished coordinate (1-based)")
+    inputs.add_argument("--format", choices=("text", "structured"), default="text")
 
-    def add_input_flags(p):
-        p.add_argument("--partition", help="comma separated odd cyclic partition, e.g. 1,1,1,1,1")
-        p.add_argument("--config", help="path to a schema-1 JSON configuration document")
-        p.add_argument("--distinguished", type=int, default=None,
-                       help="override the distinguished coordinate (1-based)")
-        p.add_argument("--format", choices=("text", "structured"), default="text")
-
-    add_input_flags(sub.add_parser("check", help="verify weak hyperbolicity"))
-    add_input_flags(sub.add_parser("dual-complex", help="list the faces of the dual complex"))
-    homology = sub.add_parser("homology", help="graded homology tables")
-    add_input_flags(homology)
+    sub.add_parser("check", parents=[inputs], help="verify weak hyperbolicity")
+    sub.add_parser("dual-complex", parents=[inputs], help="list the faces of the dual complex")
+    homology = sub.add_parser("homology", parents=[inputs], help="graded homology tables")
     homology.add_argument("--space", action="append", choices=("Z", "ZC", "Zplus"),
                           help="which spaces to compute (repeatable; default all)")
-    homology.add_argument("--max-n", type=int, default=DEFAULT_SUBSET_CAP,
+    homology.add_argument("--max-n", type=_positive_int, default=DEFAULT_SUBSET_CAP,
                           help=f"subset enumeration cap (default {DEFAULT_SUBSET_CAP})")
-    add_input_flags(sub.add_parser("classify", help="normal form and diffeomorphism types"))
-    book = sub.add_parser("open-book", help="binding, page and consistency report")
-    add_input_flags(book)
+    sub.add_parser("classify", parents=[inputs], help="normal form and diffeomorphism types")
+    book = sub.add_parser("open-book", parents=[inputs], help="binding, page and consistency report")
     book.add_argument("--variant", choices=("real", "complex"), default="complex")
     book.add_argument("--facet", type=int, default=None,
                       help="coordinate carrying the book (default: the distinguished one)")
@@ -176,7 +184,7 @@ def main(argv=None) -> int:
     except OracleMismatchError as exc:
         print(f"internal oracle mismatch (this is a bug): {exc}", file=sys.stderr)
         return EXIT_MISMATCH
-    except BrokenExecutor as exc:  # the base of BrokenProcessPool, which would import multiprocessing
+    except WorkerDiedError as exc:
         print(f"cross-validate: a worker process died: {exc}", file=sys.stderr)
         return EXIT_MISMATCH
     except QuadbookError as exc:

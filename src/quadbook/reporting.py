@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import re
-from concurrent import futures
 from typing import Iterable
 
 from .classify import (
@@ -30,6 +29,7 @@ from .configuration import (
     Configuration,
     ConfigurationError,
     ParseError,
+    QuadbookError,
     SizeCapError,
     complexify,
     coordinate_classes,
@@ -309,12 +309,18 @@ def _cross_validate_item(parts: tuple[int, ...]) -> dict:
 _CHUNK = 4  # partitions per task that cross_validate hands a worker
 
 
+class WorkerDiedError(QuadbookError):
+    """A cross-validation worker process died, so its pool gave no result."""
+
+
 def cross_validate(families: Iterable[str], *, jobs: int = 1) -> dict:
     """Run the oracle battery over partition families; deterministic output."""
     limit = max(parse_family(f) for f in families)
     items = odd_partitions(limit)
     workers = min(jobs, (len(items) + _CHUNK - 1) // _CHUNK)  # one per chunk that pool.map hands out
     if workers > 1:
+        from concurrent import futures  # only a pool needs it, and it loads logging
+
         results = []
         try:
             with futures.ProcessPoolExecutor(max_workers=workers) as pool:
@@ -324,8 +330,7 @@ def cross_validate(families: Iterable[str], *, jobs: int = 1) -> dict:
             # starts here; a dying worker fails every pending chunk, so it need
             # not be the chunk that killed the worker
             lost = ", ".join(str(tuple(parts)) for parts in items[len(results):len(results) + _CHUNK])
-            raise futures.BrokenExecutor(
-                f"{exc}; the chunk of partitions {lost} got no result") from exc
+            raise WorkerDiedError(f"{exc}; the chunk of partitions {lost} got no result") from exc
     else:
         results = [_cross_validate_item(parts) for parts in items]
     ok = all(r["ok"] for r in results)

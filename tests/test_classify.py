@@ -168,6 +168,7 @@ def test_self_check_raises_on_a_mismatched_realisation(wrong, monkeypatch, capsy
     wrong_polygon = qb.partition_configuration(wrong((1, 1, 1, 1, 1)))
     non_faces = quadbook.classify.class_minimal_non_faces(wrong_polygon)
     monkeypatch.setattr(quadbook.classify, "class_minimal_non_faces", lambda cfg: non_faces)
+    quadbook.classify._normal_form.cache_clear()  # an earlier test's sweep would skip the check
     with pytest.raises(qb.OracleMismatchError, match="self-check failed"):
         qb.normal_form(PENTAGON)
     assert main(["classify", "--partition", "1,1,1,1,1", "--format", "structured"]) == 4
@@ -276,3 +277,34 @@ def test_partition_configuration_structure():
     assert cfg.distinguished == 1
     with pytest.raises(qb.ConfigurationError):
         qb.partition_configuration((1, 2))
+
+
+def test_rotate_parts_refuses_a_class_out_of_range():
+    with pytest.raises(qb.ConfigurationError, match=r"class index 0 out of range 1\.\.3"):
+        qb.rotate_parts((1, 2, 2), 0)
+
+
+def test_one_sweep_per_configuration(monkeypatch):
+    import quadbook.classify
+    from quadbook.reporting import open_book_report
+
+    calls = []
+    monkeypatch.setattr(quadbook.classify, "_self_check",
+                        lambda cfg, *rest: calls.append(cfg) or _self_check(cfg, *rest))
+    cfg = qb.partition_configuration((1, 2, 2))
+    quadbook.classify._normal_form.cache_clear()
+    classify_report(cfg)
+    for i in range(1, cfg.n + 1):
+        open_book_report(cfg, i)
+    assert calls == [cfg]
+
+
+def test_memoised_normal_form_equals_a_fresh_one():
+    import quadbook.classify
+
+    for parts in odd_partitions(9):
+        cfg = qb.partition_configuration(parts)
+        memoised = qb.normal_form_labelled(cfg)
+        assert qb.normal_form_labelled(cfg) is memoised, parts
+        quadbook.classify._normal_form.cache_clear()
+        assert qb.normal_form_labelled(cfg) == memoised, parts

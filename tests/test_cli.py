@@ -277,7 +277,7 @@ class _FakePool:
 @pytest.fixture
 def fake_pool(monkeypatch):
     monkeypatch.setattr(_FakePool, "sizes", [])
-    monkeypatch.setattr(reporting.futures, "ProcessPoolExecutor", _FakePool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _FakePool)
     monkeypatch.setattr(reporting, "_cross_validate_item",
                         lambda parts: {"partition": list(parts), "checks": {}, "ok": True})
     return _FakePool
@@ -471,3 +471,51 @@ def test_parser_state_does_not_leak_between_calls(capsys, monkeypatch):
     assert main(["cross-validate"]) == 0
     assert main(["cross-validate", "--family", "partitions:n<=5"]) == 0
     assert seen == [["partitions:n<=4"], ["partitions:n<=6"], ["partitions:n<=5"]]
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_max_n_below_one_is_a_parse_error(value, capsys):
+    code, out, err = run_cli(capsys, "homology", "--partition", "1,1,1", "--max-n", value)
+    assert (code, out) == (1, "")
+    assert f"argument --max-n: must be at least 1, got {value}" in err
+
+
+def test_import_leaves_the_process_pool_unloaded():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(qb.__file__).resolve().parents[1])
+    probe = ("import sys, quadbook.cli; "
+             "print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, check=True)
+    assert done.stdout == "[]\n"
+
+
+def test_document_refusals(tmp_path, capsys):
+    with pytest.raises(qb.ParseError, match="input document must be a mapping"):
+        load_document([])
+    with pytest.raises(qb.ParseError, match="missing field 'lambdas'"):
+        load_document({"schema": 1, "k": 2, "n": 3})
+    path = tmp_path / "float.json"
+    path.write_text(json.dumps({"schema": 1, "k": 2, "n": 3,
+                                "lambdas": [[1.5, 0], [0, 1], [-1, -1]]}))
+    code, out, err = run_cli(capsys, "check", "--config", str(path))
+    assert (code, out) == (1, "")
+    assert err == "parse error: not an exact rational: 1.5\n"
+
+
+def test_report_refusals():
+    with pytest.raises(qb.ParseError, match="unknown open book variant 'x'"):
+        reporting.open_book_report(PENTAGON_CFG, 1, variant="x")
+    with pytest.raises(qb.ParseError, match="unknown family 'cubes'"):
+        reporting.parse_family("cubes")
+
+
+def test_unreadable_config_is_a_parse_error(tmp_path, capsys):
+    for path in (tmp_path / "missing.json", tmp_path):
+        code, out, err = run_cli(capsys, "check", "--config", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"parse error: cannot read {path}: ")

@@ -385,3 +385,8 @@ def test_class_faces_match_the_brute_hull_oracle_on_every_class_set():
                 outside = [ray for c, ray in enumerate(rays) if not t >> c & 1]
                 assert (t in faces) == helpers.brute_origin_in_hull(outside), (cfg, t)
     assert shared  # some inputs repeat a ray
+
+
+def test_graded_group_refuses_a_negative_rank():
+    with pytest.raises(qb.ConfigurationError, match="negative rank -1 in degree 0"):
+        GradedGroup.from_parts({0: -1})

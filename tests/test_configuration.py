@@ -334,3 +334,18 @@ def test_validate_witness_is_least_with_repeated_rays():
         mapped += least is not None and len(qb.coordinate_classes(cfg)) < cfg.n
     # most draws repeat a ray and fail, so the witness is mapped back from classes
     assert mapped >= 60
+
+
+def test_construction_refusals_name_their_cause():
+    with pytest.raises(ConfigurationError, match=r"not an exact rational: 1\.5"):
+        as_rational(1.5)  # floats never reach a predicate
+    with pytest.raises(ConfigurationError, match="k must be a positive integer, got 0"):
+        qb.Configuration(0, ((1,), (2,)))
+    with pytest.raises(ConfigurationError, match="1 labels for 3 coordinates"):
+        qb.Configuration(2, ((1, 0), (0, 1), (-1, -1)), ("a",))
+    with pytest.raises(ConfigurationError, match="empty configuration"):
+        qb.make_configuration([])
+    with pytest.raises(ConfigurationError, match=r"coordinate 0 out of range 1\.\.5"):
+        PENTAGON.vector(0)
+    with pytest.raises(ConfigurationError, match=r"coordinate 0 out of range 1\.\.5"):
+        qb.duplicate_coordinate(PENTAGON, 0)

@@ -364,3 +364,10 @@ def test_euler_cellcount_matches_coordinate_sum():
             configs.append(helpers.with_repeated_rays(rng, cfg, rng.randint(0, 3)))
     for cfg in configs:
         assert qb.euler_cellcount(cfg) == helpers.reference_euler_cellcount(cfg), cfg
+
+
+def test_subset_and_space_refusals():
+    with pytest.raises(qb.ConfigurationError, match=r"index 0 out of range 1\.\.5"):
+        qb.pair_homology(PENTAGON, [0])
+    with pytest.raises(qb.ConfigurationError, match="unknown space 'Q'; expected Z, Zplus or ZC"):
+        qb.splitting_ledger(PENTAGON, "Q")
