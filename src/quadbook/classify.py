@@ -21,8 +21,6 @@ from .configuration import (
     ConfigurationError,
     NormalFormError,
     OracleMismatchError,
-    coordinate_classes,
-    ray_classes,
     require_valid,
 )
 
@@ -146,7 +144,7 @@ def _normal_form(cfg: Configuration) -> tuple[CyclicPartition, tuple[tuple[int, 
 
     A raise is not kept, so a configuration without a normal form sweeps again.
     """
-    dirs = dict(ray_classes(cfg))
+    dirs = dict(zip(cfg.class_rays, cfg.classes))
     rays = sorted(dirs, key=cmp_to_key(_ray_cmp))
     antipodes = {(-x, -y) for (x, y) in dirs}
     if antipodes & set(rays):
@@ -194,7 +192,7 @@ def _self_check(cfg: Configuration, parts: tuple[int, ...], groups: list[list[in
     m runs of ell consecutive parts.  Pulled back to the classes of their
     coordinates, these runs must be exactly the minimal non-faces of cfg.
     """
-    index = {coord: c for c, members in enumerate(coordinate_classes(cfg)) for coord in members}
+    index = {coord: c for c, members in enumerate(cfg.classes) for coord in members}
     needs = [sum(1 << c for c in {index[coord] for coord in group}) for group in groups]
     m, ell = len(parts), (len(parts) - 1) // 2
     runs = {sum(needs[(p + t) % m] for t in range(ell)) for p in range(m)}

@@ -85,7 +85,7 @@ def _build_parser() -> argparse.ArgumentParser:
     xv = sub.add_parser("cross-validate", help="run the oracle battery over a family")
     xv.add_argument("--family", action="append", default=None,
                     help="family spec, e.g. 'partitions:n<=6' (repeatable)")
-    xv.add_argument("--jobs", type=int, default=1, help="parallelism degree")
+    xv.add_argument("--jobs", type=_positive_int, default=1, help="parallelism degree")
     xv.add_argument("--format", choices=("text", "structured"), default="text")
     return parser
 
@@ -145,7 +145,7 @@ def main(argv=None) -> int:
     try:
         if args.command == "cross-validate":
             families = args.family or ["partitions:n<=6"]
-            report = cross_validate(families, jobs=max(1, args.jobs))
+            report = cross_validate(families, jobs=args.jobs)
             _emit(report, args.format, out)
             return EXIT_OK if report["ok"] else EXIT_MISMATCH
 

@@ -18,8 +18,7 @@ from functools import lru_cache
 from math import gcd
 from typing import Iterable, Mapping, Sequence
 
-from .configuration import (MEMO_SIZE, Configuration, ConfigurationError, _ray_classes,
-                            require_valid)
+from .configuration import MEMO_SIZE, Configuration, ConfigurationError, require_valid
 from .feasibility import _fresh_start, _phase_one
 
 
@@ -30,23 +29,18 @@ from .feasibility import _fresh_start, _phase_one
 def invariant_chain(values: Iterable[int]) -> tuple[int, ...]:
     """Normalise torsion coefficients to a divisibility chain d1 | d2 | ...
 
-    Repeatedly replaces incomparable pairs (a, b) by (gcd, lcm); the fixpoint
-    is the invariant factor multiset, returned in ascending order without 1s.
+    One sweep replaces each pair (d_i, d_j), i < j, by (gcd, lcm).  After row
+    i every later entry is a multiple of d_i, and gcd and lcm keep each
+    prime's multiset of exponents, so the result is the invariant factor
+    chain, in ascending order; it is returned without 1s.
     """
     vals = [abs(int(v)) for v in values if abs(int(v)) > 1]
-    changed = True
-    while changed:
-        changed = False
-        for a_pos in range(len(vals)):
-            for b_pos in range(a_pos + 1, len(vals)):
-                a, b = vals[a_pos], vals[b_pos]
-                if a % b and b % a:
-                    g = gcd(a, b)
-                    vals[a_pos], vals[b_pos] = g, a // g * b
-                    changed = True
-        vals = [v for v in vals if v > 1]
-    vals.sort()
-    return tuple(vals)
+    for i in range(len(vals)):
+        for j in range(i + 1, len(vals)):
+            a, b = vals[i], vals[j]
+            g = gcd(a, b)
+            vals[i], vals[j] = g, a // g * b
+    return tuple(v for v in vals if v > 1)
 
 
 @dataclass(frozen=True)
@@ -346,18 +340,13 @@ def _mask(coordinates: Iterable[int]) -> int:
 def class_face_masks(cfg: Configuration) -> tuple[int, ...]:
     """The dual complex on the ray classes, as bitmasks (bit c for class c + 1)."""
     require_valid(cfg)
-    return _class_complex(cfg.rays)[0]
+    return _class_faces(cfg.class_rays)[0]
 
 
 def class_minimal_non_faces(cfg: Configuration) -> tuple[int, ...]:
     """The class sets that are no face while each of their facets is one, as bitmasks."""
     require_valid(cfg)
-    return _class_complex(cfg.rays)[1]
-
-
-def _class_complex(rays: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Class faces and minimal non-faces of a valid configuration with these per-coordinate rays."""
-    return _class_faces(tuple(ray for ray, _ in _ray_classes(rays)))
+    return _class_faces(cfg.class_rays)[1]
 
 
 @lru_cache(maxsize=MEMO_SIZE)
@@ -438,18 +427,19 @@ def dual_face_masks(cfg: Configuration) -> tuple[int, ...]:
     proper part of every class outside it.
     """
     require_valid(cfg)
-    return _dual_faces(cfg.rays)
+    return _dual_faces(cfg.class_rays, cfg.classes)
 
 
 @lru_cache(maxsize=MEMO_SIZE)
-def _dual_faces(rays: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
-    """`dual_face_masks` keyed on the per-coordinate rays, so labels, scale and marking drop out."""
+def _dual_faces(rays: tuple[tuple[int, ...], ...],
+                classes: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
+    """`dual_face_masks` keyed on the class signature, so labels, scale and marking drop out."""
     # per class: the whole class, and every proper part of it
     choices = [([_mask(members)], [_mask(part) for size in range(len(members))
                                    for part in itertools.combinations(members, size)])
-               for _, members in _ray_classes(rays)]
+               for members in classes]
     out: list[int] = []
-    for t in _class_complex(rays)[0]:
+    for t in _class_faces(rays)[0]:
         layer = [0]
         for c, (whole, proper) in enumerate(choices):
             layer = [f | s for f in layer for s in (whole if t >> c & 1 else proper)]

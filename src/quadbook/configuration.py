@@ -88,8 +88,12 @@ class Configuration:
     The distinguished coordinate is the one the half manifold is cut along.
     It defaults to coordinate 1.  The constructor alone parses entries (ints,
     Fractions or rational strings, by `as_rational`) and computes each
-    coordinate's primitive integer ray once, in ``rays``, the face predicate's
-    only input; equality and the hash compare integers only.
+    coordinate's primitive integer ray once, in ``rays``; equality and the
+    hash compare integers only.  In the same pass it groups the coordinates
+    by ray: ``class_rays`` holds each distinct ray in first-occurrence order
+    and ``classes`` the coordinates on it.  Every predicate is invariant under
+    positive scaling of a vector, so the coordinates of one class are
+    interchangeable, and the class rays are the face predicate's only input.
     """
 
     k: int
@@ -117,11 +121,19 @@ class Configuration:
             raise ConfigurationError(f"{len(labels)} labels for {n} coordinates")
         if not 1 <= self.distinguished <= n:
             raise ConfigurationError(f"distinguished coordinate {self.distinguished} out of range")
-        rays, coords = zip(*map(_ray_and_key, vectors))
-        key = (self.k, coords, labels, self.distinguished)
+        rays, coords = [], []
+        groups: dict[tuple[int, ...], list[int]] = {}
+        for i, vec in enumerate(vectors, start=1):
+            ray, coord = _ray_and_key(vec)
+            rays.append(ray)
+            coords.append(coord)
+            groups.setdefault(ray, []).append(i)
+        key = (self.k, tuple(coords), labels, self.distinguished)
         object.__setattr__(self, "lambdas", vectors)
         object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "rays", rays)
+        object.__setattr__(self, "rays", tuple(rays))
+        object.__setattr__(self, "class_rays", tuple(groups))
+        object.__setattr__(self, "classes", tuple(map(tuple, groups.values())))
         object.__setattr__(self, "_key", key)
         object.__setattr__(self, "_hash", hash(key))
 
@@ -187,28 +199,9 @@ def _ray_and_key(vec: Sequence[Fraction]) -> tuple[tuple[int, ...], tuple[int, .
     return ray, (*ray, g, scale)
 
 
-def ray_classes(cfg: Configuration) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
-    """(primitive ray, coordinates) per ray class, in first-occurrence order.
-
-    Every predicate on a configuration is invariant under positive scaling of
-    a vector, so the coordinates of one class are interchangeable.  This is
-    the only place that decides which coordinates share a class.
-    """
-    return _ray_classes(cfg.rays)
-
-
-@lru_cache(maxsize=MEMO_SIZE)
-def _ray_classes(rays: tuple[tuple[int, ...], ...]):
-    """`ray_classes` keyed on the per-coordinate rays, so labels, scale and marking drop out."""
-    groups: dict[tuple[int, ...], list[int]] = {}
-    for i, ray in enumerate(rays, start=1):
-        groups.setdefault(ray, []).append(i)
-    return tuple((ray, tuple(members)) for ray, members in groups.items())
-
-
 def coordinate_classes(cfg: Configuration) -> tuple[tuple[int, ...], ...]:
     """The coordinates of each ray class, in first-occurrence order."""
-    return tuple(members for _, members in ray_classes(cfg))
+    return cfg.classes
 
 
 @dataclass(frozen=True)
@@ -236,14 +229,14 @@ def _lex_subsets(m: int, k: int, prefix: tuple[int, ...] = ()):
 
 
 @lru_cache(maxsize=MEMO_SIZE)
-def _first_failure(rays: tuple[tuple[int, ...], ...], k: int) -> tuple[int, ...] | None:
+def _first_failure(rays: tuple[tuple[int, ...], ...]) -> tuple[int, ...] | None:
     """The least class subset of size <= k whose rays hold the origin, or None.
 
-    Keyed on geometry alone, so labels, scale and multiplicity share one walk.
+    Keyed on the class rays alone, so labels, scale and multiplicity share one walk.
     """
     from .feasibility import hull_support
 
-    return next((s for s in _lex_subsets(len(rays), k)
+    return next((s for s in _lex_subsets(len(rays), len(rays[0]))
                  if hull_support([rays[c] for c in s]) is not None), None)
 
 
@@ -254,22 +247,13 @@ def validate(cfg: Configuration) -> ValidationReport:
     meets, so the search runs over class subsets of size <= k and stops at the
     first that fails.  Only then is the failure mapped back to coordinates.
     """
-    return _validate(cfg.rays)
-
-
-@lru_cache(maxsize=MEMO_SIZE)
-def _validate(coordinate_rays: tuple[tuple[int, ...], ...]) -> ValidationReport:
-    """`validate` keyed on the per-coordinate rays, so labels, scale and marking drop out."""
-    from .feasibility import hull_support
-
-    k, n = len(coordinate_rays[0]), len(coordinate_rays)
-    classes = _ray_classes(coordinate_rays)
-    rays = tuple(ray for ray, _ in classes)
-    first = _first_failure(rays, k)
+    rays, classes, k = cfg.class_rays, cfg.classes, cfg.k
+    first = _first_failure(rays)
     if first is None:
         return ValidationReport(True)
-    if len(rays) == n:  # one coordinate per class: class c is coordinate c + 1
+    if len(rays) == cfg.n:  # one coordinate per class: class c is coordinate c + 1
         return ValidationReport(False, tuple(c + 1 for c in first))
+    from .feasibility import hull_support
 
     @lru_cache(maxsize=None)
     def fails(s: tuple[int, ...]) -> bool:  # the class sets before `first` all hold up
@@ -287,7 +271,7 @@ def _validate(coordinate_rays: tuple[tuple[int, ...], ...]) -> ValidationReport:
             return None
         last = prefix[-1] if prefix else 0
         nxt = sorted((members[bisect.bisect(members, last)], c)
-                     for c, (_, members) in enumerate(classes) if members[-1] > last)
+                     for c, members in enumerate(classes) if members[-1] > last)
         return next(filter(None, (least(prefix + (j,), tuple(sorted({*class_set, c})))
                                   for j, c in nxt)), None)
 

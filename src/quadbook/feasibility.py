@@ -1,9 +1,9 @@
 """Exact face predicate: is the origin in the convex hull of a set of vectors?
 
 The single geometric predicate behind weak hyperbolicity and the dual complex.
-It takes integer vectors only, the primitive rays of `Configuration.rays`, and
-runs a phase-one simplex with fraction-free integer pivoting and Bland's rule:
-exact and deterministic.
+It takes integer vectors only, the primitive rays of
+`Configuration.class_rays`, and runs a phase-one simplex with fraction-free
+integer pivoting and Bland's rule: exact and deterministic.
 `hull_support` also returns the support of the point it finds; the class-face
 search resumes each phase one from an earlier one's final state.
 """

@@ -34,7 +34,6 @@ from .configuration import (
     NormalFormError,
     OpenBookError,
     complexify,
-    coordinate_classes,
     delete_coordinate,
     require_valid,
 )
@@ -319,7 +318,7 @@ def open_book_real(cfg: Configuration, i: int) -> OpenBookStructure:
     require_valid(cfg)
     if not 1 <= i <= cfg.n:
         raise ConfigurationError(f"coordinate {i} out of range 1..{cfg.n}")
-    ray_class = next(members for members in coordinate_classes(cfg) if i in members)
+    ray_class = next(members for members in cfg.classes if i in members)
     twins = [j for j in ray_class if j != i]
     if not twins:
         raise OpenBookError(f"coordinate {i} is not part of a duplicated pair; duplicate it first")

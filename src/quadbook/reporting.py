@@ -32,7 +32,6 @@ from .configuration import (
     QuadbookError,
     SizeCapError,
     complexify,
-    coordinate_classes,
     validate,
 )
 from .openbook import (
@@ -140,7 +139,7 @@ def dual_complex_report(cfg: Configuration) -> dict:
     whole and a proper part of every other class, so the maximal ones come
     from the maximal class faces, with every class outside T missing one member.
     """
-    classes = coordinate_classes(cfg)
+    classes = cfg.classes
     class_faces = class_face_masks(cfg)
     is_face = set(class_faces)
     outside = [[c for c in range(len(classes)) if not t >> c & 1] for t in class_faces]
@@ -280,7 +279,7 @@ def _cross_validate_item(parts: tuple[int, ...]) -> dict:
     h_zc = homology_ZC(cfg)
     # summed at coordinate level over the class unions J, not through the class engine
     dbl = complexify(cfg)
-    unions = itertools.product(*[((), members) for members in coordinate_classes(dbl)])
+    unions = itertools.product(*[((), members) for members in dbl.classes])
     checks["doubling"] = h_zc == GradedGroup.sum(pair_homology(dbl, sum(J, ())) for J in unions)
     checks["euler"] = h_z.euler() == euler_cellcount(cfg)
     checks["complex-formula"] = expected_homology(classify_complex(partition)) == h_zc

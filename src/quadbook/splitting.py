@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
-from .complexes import (GradedGroup, _class_complex, _homology_from_masks, _mask,
+from .complexes import (GradedGroup, _class_faces, _homology_from_masks, _mask,
                         class_face_masks, dual_face_masks)
 from .configuration import (
     MEMO_SIZE,
@@ -35,8 +35,6 @@ from .configuration import (
     ConfigurationError,
     OracleMismatchError,
     SizeCapError,
-    _ray_classes,
-    coordinate_classes,
     require_valid,
 )
 
@@ -44,11 +42,11 @@ DEFAULT_SUBSET_CAP = 20
 
 
 @lru_cache(maxsize=MEMO_SIZE)
-def _pair_table(rays) -> tuple[tuple[tuple[int, ...], GradedGroup], ...]:
+def _pair_table(rays, classes) -> tuple[tuple[tuple[int, ...], GradedGroup], ...]:
     """Nonzero pair homologies H(P, P_J) in Z-degrees, sorted by size then content of J.
 
-    Keyed on the per-coordinate rays of a valid configuration, so labels,
-    scale and the distinguished coordinate drop out.
+    Keyed on the class signature of a valid configuration, its class rays and
+    classes, so labels, scale and the distinguished coordinate drop out.
 
     Only unions J of ray classes can contribute: if J splits a class, the
     restricted dual complex is a cone on any included copy whose twin was left
@@ -79,10 +77,9 @@ def _pair_table(rays) -> tuple[tuple[tuple[int, ...], GradedGroup], ...]:
     With V empty, K_V = {empty set} is kept, since duality needs a vertex.
     Anything but a sphere raises OracleMismatchError.
     """
-    class_faces, non_faces = _class_complex(rays)
+    class_faces, non_faces = _class_faces(rays)
     if not class_faces:
         return ()  # empty polytope: empty variety, no cells
-    classes = [members for _, members in _ray_classes(rays)]
     d = len(classes) - len(rays[0]) - 2
     v_mask = ((1 << len(classes)) - 1) ^ sum(m for m in non_faces if m.bit_count() == 1)
     # ghosts are in no face, so the class faces are K_V; its dual has the other 2^|V| - |K_V| sets
@@ -198,7 +195,7 @@ def euler_cellcount(cfg: Configuration) -> int:
     (2 - 1)^|c| - (-1)^|c|, so the sum runs over class faces alone.
     """
     require_valid(cfg)
-    classes = coordinate_classes(cfg)
+    classes = cfg.classes
     odd = sum(1 << c for c, members in enumerate(classes) if len(members) % 2)
     even = ((1 << len(classes)) - 1) ^ odd
     # an even class outside T gives the factor 0, an odd one 2, an odd one inside -1
@@ -229,6 +226,6 @@ def splitting_ledger(cfg: Configuration, space: str = "Z", *,
     if space not in ("Z", "Zplus", "ZC"):
         raise ConfigurationError(f"unknown space {space!r}; expected Z, Zplus or ZC")
     rows = tuple((J, group.shift(len(J)) if space == "ZC" else group)
-                 for J, group in _pair_table(cfg.rays)
+                 for J, group in _pair_table(cfg.class_rays, cfg.classes)
                  if not (space == "Zplus" and cfg.distinguished in J))
     return SplittingLedger(space, rows, GradedGroup.sum(g for _, g in rows))

@@ -64,6 +64,9 @@ def test_parse_errors_exit_one(tmp_path, capsys):
     assert code == 1
     code, _, err = run_cli(capsys, "classify")
     assert code == 1
+    code, out, err = run_cli(capsys, "homology", "--partition", "1,1,1", "--max-n", "abc")
+    assert (code, out) == (1, "")
+    assert "argument --max-n: invalid int value: 'abc'" in err
     doc = {"schema": 1, "partition": [1, 1, 1], "surprise": True}
     path = tmp_path / "unknown.json"
     path.write_text(json.dumps(doc))
@@ -473,11 +476,14 @@ def test_parser_state_does_not_leak_between_calls(capsys, monkeypatch):
     assert seen == [["partitions:n<=4"], ["partitions:n<=6"], ["partitions:n<=5"]]
 
 
-@pytest.mark.parametrize("value", ["0", "-1"])
-def test_max_n_below_one_is_a_parse_error(value, capsys):
-    code, out, err = run_cli(capsys, "homology", "--partition", "1,1,1", "--max-n", value)
+@pytest.mark.parametrize("argv, value", [
+    pytest.param(argv, value, id=value if argv[-1] == "--max-n" else "jobs" + value)
+    for argv in (("homology", "--partition", "1,1,1", "--max-n"), ("cross-validate", "--jobs"))
+    for value in ("0", "-1")])
+def test_max_n_below_one_is_a_parse_error(argv, value, capsys):
+    code, out, err = run_cli(capsys, *argv, value)
     assert (code, out) == (1, "")
-    assert f"argument --max-n: must be at least 1, got {value}" in err
+    assert f"argument {argv[-1]}: must be at least 1, got {value}" in err
 
 
 def test_import_leaves_the_process_pool_unloaded():
@@ -505,6 +511,17 @@ def test_document_refusals(tmp_path, capsys):
     code, out, err = run_cli(capsys, "check", "--config", str(path))
     assert (code, out) == (1, "")
     assert err == "parse error: not an exact rational: 1.5\n"
+    # JSON true is an int to Python, but no rational
+    path.write_text(json.dumps({"schema": 1, "k": 2, "n": 3,
+                                "lambdas": [[True, 0], [0, 1], [-1, -1]]}))
+    code, out, err = run_cli(capsys, "check", "--config", str(path))
+    assert (code, out) == (1, "")
+    assert err == "parse error: not an exact rational: True\n"
+    path.write_text(json.dumps({"schema": 1, "k": 2, "n": 4,
+                                "lambdas": [[1, 0], [0, 1], [-1, -1]]}))
+    code, out, err = run_cli(capsys, "check", "--config", str(path))
+    assert (code, out) == (1, "")
+    assert err == "parse error: n = 4 but 3 vectors given\n"
 
 
 def test_report_refusals():

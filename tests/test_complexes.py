@@ -44,6 +44,39 @@ def test_invariant_chain():
     assert invariant_chain([]) == ()
 
 
+def _prime_exponents(value: int) -> dict[int, int]:
+    """The prime factorisation of a positive integer, by trial division."""
+    out: dict[int, int] = {}
+    p = 2
+    while p * p <= value:
+        while value % p == 0:
+            out[p] = out.get(p, 0) + 1
+            value //= p
+        p += 1
+    if value > 1:
+        out[value] = out.get(value, 0) + 1
+    return out
+
+
+@given(st.lists(st.integers(-720, 720), max_size=8))
+@settings(max_examples=300, deadline=None)
+def test_invariant_chain_keeps_each_primes_exponents(values):
+    chain = invariant_chain(values)
+    assert 1 not in chain
+    assert all(b % a == 0 for a, b in zip(chain, chain[1:]))
+
+    def exponents(nums):
+        """Per prime, the sorted exponents with which it divides the nonzero entries of nums."""
+        out: dict[int, list[int]] = {}
+        for v in nums:
+            if v:
+                for p, e in _prime_exponents(abs(v)).items():
+                    out.setdefault(p, []).append(e)
+        return {p: sorted(es) for p, es in out.items()}
+
+    assert exponents(chain) == exponents(values)
+
+
 def test_graded_group_basics():
     g = GradedGroup.from_parts({0: 1, 2: 3}, {1: [2, 2]})
     assert g.rank(2) == 3 and g.rank(5) == 0
@@ -322,7 +355,6 @@ def test_dual_complex_requires_validity():
 
 def test_class_search_solves_only_minimal_non_faces(monkeypatch):
     import quadbook.complexes
-    from quadbook.configuration import ray_classes
 
     rng = random.Random(17)
     configs = [qb.partition_configuration((1,) * 11), qb.partition_configuration((1,) * 13)]
@@ -337,7 +369,7 @@ def test_class_search_solves_only_minimal_non_faces(monkeypatch):
             return support, d
 
         monkeypatch.setattr(quadbook.complexes, "_phase_one", counted)
-        rays = tuple(ray for ray, _ in ray_classes(cfg))
+        rays = cfg.class_rays
         masks, non_faces = quadbook.complexes._class_faces.__wrapped__(rays)  # past the memo
         # a phase one that fails proves a minimal non-face; facet pruning skips every other non-face
         assert found.count(False) == len(non_faces)
@@ -371,14 +403,13 @@ def test_class_faces_match_the_brute_hull_oracle_on_every_class_set():
     # states are never degenerate here; the resume test in test_feasibility.py
     # reaches degenerate rows and artificials basic at zero on arbitrary rays.
     from quadbook.complexes import class_face_masks
-    from quadbook.configuration import ray_classes
 
     rng = random.Random(43)
     shared = 0
     for k, count in ((2, 6), (3, 5), (4, 3), (5, 2)):  # the oracle's cost grows fast with k
         for _ in range(count):
             cfg = _degenerate_valid_configuration(rng, k)
-            rays = [ray for ray, _ in ray_classes(cfg)]
+            rays = cfg.class_rays
             shared += len(rays) < cfg.n
             faces = set(class_face_masks(cfg))
             for t in range(1 << len(rays)):

@@ -266,8 +266,7 @@ def test_derived_configurations_equal_fresh_ones():
 def test_scaled_and_relabelled_copies_hit_the_ray_keyed_memos():
     from quadbook import complexes, configuration, splitting
 
-    memos = (configuration._ray_classes, configuration._validate, complexes._dual_faces,
-             splitting._pair_table)
+    memos = (configuration._first_failure, complexes._dual_faces, splitting._pair_table)
     # a linear image of (2, 1, 2) that no other test builds
     cfg = qb.make_configuration([(4 * x - y, x + 6 * y)
                                  for x, y in qb.partition_configuration((2, 1, 2)).lambdas])
@@ -275,7 +274,7 @@ def test_scaled_and_relabelled_copies_hit_the_ray_keyed_memos():
               qb.make_configuration([[5 * x for x in vec] for vec in cfg.lambdas], distinguished=2))
 
     def run(c):
-        return (qb.validate(c), configuration.ray_classes(c), complexes.dual_face_masks(c),
+        return (qb.validate(c), (c.class_rays, c.classes), complexes.dual_face_masks(c),
                 qb.homology_Z(c))
 
     first = run(cfg)
@@ -299,7 +298,7 @@ def test_every_package_memo_is_bounded():
             for value in vars(module).values():
                 if callable(getattr(value, "cache_clear", None)):
                     memos[value.__wrapped__.__qualname__] = value
-    assert {"_validate", "_ray_classes", "_pair_table", "_dual_faces", "_parse_input"} <= set(memos)
+    assert {"_first_failure", "_class_faces", "_pair_table", "_dual_faces", "_parse_input"} <= set(memos)
     assert [name for name, memo in memos.items() if memo.cache_parameters()["maxsize"] is None] == []
 
 

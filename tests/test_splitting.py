@@ -192,7 +192,7 @@ def test_pair_table_matches_direct_restrictions(reductions):
         saw_ghost |= bool(faces) and any(1 << c not in faces for c in range(len(classes)))
         saw_large_class |= any(len(members) >= 2 for members in classes)
         reductions.clear()
-        assert splitting._pair_table(cfg.rays) == helpers.reference_pair_table(cfg), cfg
+        assert splitting._pair_table(cfg.class_rays, cfg.classes) == helpers.reference_pair_table(cfg), cfg
         if cfg.n >= 10 and len(classes) == cfg.n:  # the general-position inputs
             vertices = sum(1 for c in range(len(classes)) if 1 << c in faces)
             walked += sum(math.comb(vertices, j) for j in range(vertices // 2 + 1))
@@ -212,7 +212,7 @@ def test_pair_table_work_bound(reductions, cfg, count):
     from quadbook import splitting
     from quadbook.complexes import class_face_masks
 
-    splitting._pair_table(cfg.rays)
+    splitting._pair_table(cfg.class_rays, cfg.classes)
     faces = class_face_masks(cfg)
     m = len(qb.coordinate_classes(cfg))
     non_faces = helpers.minimal_non_faces(faces, m)
@@ -264,7 +264,7 @@ def test_unions_of_at_most_two_minimal_non_faces_are_spheres():
             continue
         classes = qb.coordinate_classes(cfg)
         non_faces = [m for m in helpers.minimal_non_faces(faces, len(classes)) if m.bit_count() > 1]
-        table = dict(splitting._pair_table(cfg.rays))
+        table = dict(splitting._pair_table(cfg.class_rays, cfg.classes))
         for s in {0} | {a | b for a in non_faces for b in non_faces}:
             r = sum(1 for m in non_faces if m & ~s == 0)
             if r > 2:
@@ -285,7 +285,7 @@ def test_sphere_guard(monkeypatch, capsys, faces):
     from quadbook import splitting
     from quadbook.cli import main
 
-    monkeypatch.setattr(splitting, "_class_complex", lambda rays: (faces, ()))
+    monkeypatch.setattr(splitting, "_class_faces", lambda rays: (faces, ()))
     splitting._pair_table.cache_clear()
     try:
         with pytest.raises(qb.OracleMismatchError):
@@ -342,7 +342,7 @@ def test_sphere_guard_on_the_dual_side(reductions, monkeypatch, capsys):
     # pentagon's five classes against its dual's 15, the boundary of a tetrahedron
     faces = tuple(range(16)) + (16,)
     non_faces = (17, 18, 20, 24)
-    monkeypatch.setattr(splitting, "_class_complex", lambda rays: (faces, non_faces))
+    monkeypatch.setattr(splitting, "_class_faces", lambda rays: (faces, non_faces))
     with pytest.raises(qb.OracleMismatchError):
         qb.homology_Z(PENTAGON)
     assert reductions == [[0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14]]
