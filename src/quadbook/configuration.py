@@ -9,6 +9,7 @@ floating point never enters any predicate.
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -220,11 +221,11 @@ class ValidationReport:
 
 
 def _lex_subsets(m: int, k: int, prefix: tuple[int, ...] = ()):
-    """Subsets of range(m) with at most k elements, lazily, in lexicographic order."""
-    for c in range(prefix[-1] + 1 if prefix else 0, m):
-        subset = prefix + (c,)
-        yield subset
-        if len(subset) < k:
+    """Nonempty subsets of range(m) with at most k elements, lazily, in tuple order."""
+    if len(prefix) < k:
+        for c in range(prefix[-1] + 1 if prefix else 0, m):
+            subset = prefix + (c,)
+            yield subset
             yield from _lex_subsets(m, k, subset)
 
 
@@ -232,20 +233,31 @@ def _lex_subsets(m: int, k: int, prefix: tuple[int, ...] = ()):
 def _first_failure(rays: tuple[tuple[int, ...], ...]) -> tuple[int, ...] | None:
     """The least class subset of size <= k whose rays hold the origin, or None.
 
-    Keyed on the class rays alone, so labels, scale and multiplicity share one walk.
+    Holding the origin passes to supersets, so the sets of size min(m, k)
+    decide validity.  The least failing set is the first of those or a smaller
+    one before it in tuple order, which is then some (0, ..., j - 1): an
+    invalid input costs at most one phase one more than a walk over every
+    set.  Keyed on the class rays alone, so labels, scale and multiplicity
+    share one walk.
     """
     from .feasibility import hull_support
 
-    return next((s for s in _lex_subsets(len(rays), len(rays[0]))
-                 if hull_support([rays[c] for c in s]) is not None), None)
+    def holds(s: tuple[int, ...]) -> bool:
+        return hull_support([rays[c] for c in s]) is not None
+
+    top = min(len(rays), len(rays[0]))
+    first = next(filter(holds, itertools.combinations(range(len(rays)), top)), None)
+    before = itertools.takewhile(lambda s: s < first, _lex_subsets(len(rays), top - 1))
+    return first and next(filter(holds, before), first)
 
 
 def validate(cfg: Configuration) -> ValidationReport:
     """Check weak hyperbolicity: no J with |J| <= k has the origin in conv(lambda_J).
 
     Whether conv(lambda_J) holds the origin depends only on the ray classes J
-    meets, so the search runs over class subsets of size <= k and stops at the
-    first that fails.  Only then is the failure mapped back to coordinates.
+    meets, so the search runs over class subsets, and a valid input tests only
+    those of size min(m, k) (`_first_failure`).  Only a failure is mapped back
+    to coordinates.
     """
     rays, classes, k = cfg.class_rays, cfg.classes, cfg.k
     first = _first_failure(rays)

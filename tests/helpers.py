@@ -69,11 +69,27 @@ def brute_origin_in_hull(vectors) -> bool:
     return False
 
 
-def matrix_rank(rows) -> int:
+def reference_first_failure(rays, k) -> tuple[tuple[int, ...] | None, int]:
+    """The least subset of at most k positions whose rays hold the origin, and the sets tested.
+
+    Every nonempty subset of size <= k is tested by `brute_origin_in_hull`, in
+    tuple order, up to the first that holds the origin.
+    """
+    sets = sorted(itertools.chain.from_iterable(
+        itertools.combinations(range(len(rays)), size) for size in range(1, k + 1)))
+    for tested, s in enumerate(sets, start=1):
+        if brute_origin_in_hull([rays[c] for c in s]):
+            return s, tested
+    return None, len(sets)
+
+
+def _row_reduce(rows) -> tuple[list[list[Fraction]], list[int]]:
+    """The reduced row echelon form of a rational matrix, its zero rows dropped, and its pivot columns."""
     m = [[Fraction(x) for x in row] for row in rows]
-    rank = 0
+    pivots = []
     cols = len(m[0]) if m else 0
     for c in range(cols):
+        rank = len(pivots)
         pivot = next((i for i in range(rank, len(m)) if m[i][c] != 0), None)
         if pivot is None:
             continue
@@ -83,8 +99,51 @@ def matrix_rank(rows) -> int:
             if i != rank and m[i][c] != 0:
                 factor = m[i][c]
                 m[i] = [x - factor * y for x, y in zip(m[i], m[rank])]
-        rank += 1
-    return rank
+        pivots.append(c)
+    return m[:len(pivots)], pivots
+
+
+def matrix_rank(rows) -> int:
+    return len(_row_reduce(rows)[1])
+
+
+def left_kernel(rows) -> list[list[Fraction]]:
+    """A basis of {x : x^T M = 0} for the matrix M with these rows: one vector per free column of M^T."""
+    reduced, pivots = _row_reduce(zip(*rows))
+    basis = []
+    for free in (c for c in range(len(rows)) if c not in pivots):
+        x = [F0] * len(rows)
+        x[free] = F1
+        for row, c in zip(reduced, pivots):
+            x[c] = -row[free]
+        basis.append(x)
+    return basis
+
+
+# the triangles of the 6-vertex projective plane
+RP2_TRIANGLES = ((1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 2, 6),
+                 (2, 3, 5), (3, 4, 6), (2, 4, 5), (3, 5, 6), (2, 4, 6))
+
+
+def rp2_configuration() -> qb.Configuration:
+    """The Gale dual of a simple polytope whose facet complex on facets 1..6 is the 6-vertex RP^2.
+
+    P is the 5-simplex {y : y_j >= 0, 1 - sum y >= 0}, whose facet slacks
+    x_1..x_6 meet in every triangle, cut by sum_{i in s} x_i >= 8^-(j+1) for
+    the j-th of the ten triangles s that RP^2 lacks, in lexicographic order;
+    each cut takes its triangle out.  lambda_i is row i of a basis of the left
+    kernel of the 16 x 6 matrix [A | b] of P = {y : Ay + b >= 0}, so that
+    sum lambda_i x_i = 0 on P: n = 16, k = 10.  Hochster's formula puts
+    H_1(RP^2) = Z/2 in H_8 of Z^C, and Alexander duality in H_12.
+    """
+    facets = [[int(i == j) for j in range(5)] + [0] for i in range(5)] + [[-1] * 5 + [1]]
+    kept = {tuple(sorted(t)) for t in RP2_TRIANGLES}
+    missing = [s for s in itertools.combinations(range(1, 7), 3) if s not in kept]
+    cuts = [[sum(facets[i - 1][c] for i in s) for c in range(6)] for s in missing]
+    for j, cut in enumerate(cuts):
+        cut[5] -= Fraction(1, 8 ** (j + 1))
+    kernel = left_kernel(facets + cuts)
+    return qb.make_configuration(zip(*kernel), k=len(kernel))
 
 
 def rational_betti(masks) -> dict[int, int]:

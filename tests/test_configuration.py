@@ -165,15 +165,15 @@ def _count_predicate_calls(monkeypatch, module, limit=None, name="hull_support")
     return calls
 
 
-def test_validate_calls_the_predicate_once_per_class_subset(monkeypatch):
+def test_valid_input_tests_only_its_top_size_class_subsets(monkeypatch):
     import quadbook.feasibility
 
     cfg = qb.partition_configuration((2000, 1, 1))
     qb.configuration._first_failure.cache_clear()  # the triangle's rays, shared with other tests
-    calls = _count_predicate_calls(monkeypatch, quadbook.feasibility, limit=6)
+    calls = _count_predicate_calls(monkeypatch, quadbook.feasibility, limit=3)
     assert qb.validate(cfg).ok
-    # three classes, k = 2: three singletons and three pairs
-    assert calls[0] == 6
+    # three classes, k = 2: the three pairs; a singleton holding the origin would fail a pair
+    assert calls[0] == 3
 
 
 def test_validate_witness_is_built_in_linear_time(monkeypatch):
@@ -333,6 +333,68 @@ def test_validate_witness_is_least_with_repeated_rays():
         mapped += least is not None and len(qb.coordinate_classes(cfg)) < cfg.n
     # most draws repeat a ray and fail, so the witness is mapped back from classes
     assert mapped >= 60
+
+
+def _engine_walk(monkeypatch, rays):
+    """The engine's class witness for these rays, uncached, and the phase ones it ran."""
+    import quadbook.feasibility
+
+    calls = _count_predicate_calls(monkeypatch, quadbook.feasibility)
+    witness = qb.configuration._first_failure.__wrapped__(rays)
+    monkeypatch.undo()
+    return witness, calls[0]
+
+
+def test_validate_walk_matches_the_full_reference_walk(monkeypatch):
+    from math import comb
+
+    rng = random.Random(29)
+    seen = {"valid": 0, "top size": 0, "smaller": 0}
+    for _ in range(120):
+        cfg = _planted_configuration(rng, rng.choice((2, 3, 4)))
+        rays = cfg.class_rays
+        least, tested = helpers.reference_first_failure(rays, cfg.k)
+        witness, calls = _engine_walk(monkeypatch, rays)
+        assert witness == least, cfg
+        assert calls <= tested + 1, cfg
+        top = min(len(rays), cfg.k)
+        if least is None:
+            seen["valid"] += 1
+            assert calls == comb(len(rays), top), cfg  # the top-size sets alone
+        else:
+            seen["top size" if len(least) == top else "smaller"] += 1
+    # every branch of the walk is reached
+    assert min(seen.values()) >= 10, seen
+
+
+@pytest.mark.parametrize("vectors, witness, calls", [
+    # k = 3: the top-size walk stops at (1, 2, 3), and the pair before it is the witness
+    ([(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, 0, 1)], (1, 2), 3),
+    # k = 4: a zero vector holds the origin alone, but (1, 2) comes before (2,)
+    ([(1, 0, 0, 0), (0, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)], (1, 2), 3),
+    # two classes at k = 3, so the top size is m = 2: one phase one decides
+    ([(1, 0, 0), (2, 0, 0), (0, 1, 0), (0, 3, 0)], None, 1),
+    # its class witness (1, 2) maps to coordinates (1, 2, 3), which come before (1, 3)
+    ([(1, 0, 0), (2, 0, 0), (-1, 0, 0), (-3, 0, 0)], (1, 2, 3), 2),
+], ids=["k3-pair", "k4-zero", "two-classes-valid", "two-classes-antipodal"])
+def test_validate_walk_on_explicit_cases(monkeypatch, vectors, witness, calls):
+    cfg = qb.make_configuration(vectors)
+    least, tested = helpers.reference_first_failure(cfg.class_rays, cfg.k)
+    assert _engine_walk(monkeypatch, cfg.class_rays) == (least, calls)
+    assert calls <= tested + 1
+    assert qb.validate(cfg).witness == witness
+
+
+@pytest.mark.parametrize("m, k", [(0, 2), (4, 0), (5, 1), (5, 3), (6, 6), (3, 5)])
+def test_lex_subsets_is_the_tuple_order_of_the_small_subsets(m, k):
+    import itertools
+
+    from quadbook.configuration import _lex_subsets
+
+    # the witness pass stops at the first top-size failure by tuple comparison
+    expected = sorted(itertools.chain.from_iterable(
+        itertools.combinations(range(m), size) for size in range(1, k + 1)))
+    assert list(_lex_subsets(m, k)) == expected
 
 
 def test_construction_refusals_name_their_cause():

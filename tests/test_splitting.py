@@ -104,12 +104,23 @@ def test_zplus_is_degreewise_subsum():
 
 
 def test_poincare_duality_for_complex_variety():
-    for parts in helpers.partitions_up_to(6):
-        cfg = qb.partition_configuration(parts)
+    # Z^C is a closed orientable manifold: ranks pair i with N - i, torsion i with N - 1 - i
+    cases = [qb.partition_configuration(parts) for parts in helpers.partitions_up_to(6)]
+    for cfg in cases + [helpers.rp2_configuration()]:
         group = qb.homology_ZC(cfg)
         top = cfg.dim_ZC
         for degree in range(top + 1):
-            assert group.rank(degree) == group.rank(top - degree), parts
+            assert group.rank(degree) == group.rank(top - degree), cfg
+            assert group.torsion(degree) == group.torsion(top - 1 - degree), cfg
+
+
+def test_rp2_input_has_torsion():
+    """The first input with torsion in a pair group: its Alexander dual moves torsion by d - 2 - i."""
+    cfg = helpers.rp2_configuration()
+    assert (cfg.n, cfg.k) == (16, 10) and qb.validate(cfg).ok
+    torsion = {space: {d: g.torsion(d) for d in g.degrees if g.torsion(d)}
+               for space, g in (("Z", qb.homology_Z(cfg)), ("ZC", qb.homology_ZC(cfg)))}
+    assert torsion == {"Z": {2: (2, 2)}, "ZC": {8: (2,), 12: (2,)}}
 
 
 def test_subset_cap():
