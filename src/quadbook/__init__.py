@@ -14,7 +14,6 @@ from .configuration import (
     SizeCapError,
     ValidationReport,
     complexify,
-    coordinate_classes,
     delete_coordinate,
     duplicate_coordinate,
     make_configuration,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import cmp_to_key, lru_cache
 from typing import Sequence
 
-from .complexes import GradedGroup, class_minimal_non_faces
+from .complexes import GradedGroup, _class_faces
 from .configuration import (
     MEMO_SIZE,
     Configuration,
@@ -135,36 +135,34 @@ def normal_form_labelled(cfg: Configuration) -> tuple[CyclicPartition, tuple[tup
     if cfg.k != 2:
         raise NormalFormError(f"cyclic normal forms require k = 2, got k = {cfg.k}")
     require_valid(cfg)
-    return _normal_form(cfg)
+    return _normal_form(cfg.class_rays, cfg.classes)
 
 
 @lru_cache(maxsize=MEMO_SIZE)
-def _normal_form(cfg: Configuration) -> tuple[CyclicPartition, tuple[tuple[int, ...], ...]]:
-    """The angular sweep and self-check of a valid k = 2 configuration, once per configuration.
+def _normal_form(rays, classes) -> tuple[CyclicPartition, tuple[tuple[int, ...], ...]]:
+    """The angular sweep and self-check of a valid k = 2 configuration, once per class signature.
 
-    A raise is not kept, so a configuration without a normal form sweeps again.
+    Keyed on the class rays and classes, so labels, scale and the
+    distinguished coordinate drop out.  The sweep groups class indices; the
+    canonical groups are mapped to their sorted coordinates once.  A raise is
+    not kept, so a configuration without a normal form sweeps again.
     """
-    dirs = dict(zip(cfg.class_rays, cfg.classes))
-    rays = sorted(dirs, key=cmp_to_key(_ray_cmp))
-    antipodes = {(-x, -y) for (x, y) in dirs}
+    antipodes = {(-x, -y) for (x, y) in rays}
     if antipodes & set(rays):
         raise OracleMismatchError("antipodal pair survived validation")
-    events = sorted(
-        [(r, True) for r in rays] + [(a, False) for a in antipodes],
-        key=cmp_to_key(lambda a, b: _ray_cmp(a[0], b[0])),
-    )
-    first_anti = next(pos for pos, ev in enumerate(events) if not ev[1])
-    ordered = events[first_anti:] + events[:first_anti]
+    events = sorted([(r, c) for c, r in enumerate(rays)] + [(a, None) for a in antipodes],
+                    key=cmp_to_key(lambda a, b: _ray_cmp(a[0], b[0])))
+    first_anti = next(pos for pos, (_, c) in enumerate(events) if c is None)
     groups: list[list[int]] = []
     fresh = True
-    for ray, is_lambda in ordered:
-        if is_lambda:
-            if fresh:
-                groups.append([])
-                fresh = False
-            groups[-1].extend(dirs[ray])
-        else:
+    for _, c in events[first_anti:] + events[:first_anti]:
+        if c is None:
             fresh = True
+        elif fresh:
+            groups.append([c])
+            fresh = False
+        else:
+            groups[-1].append(c)
     if len(groups) < 3:
         raise NormalFormError(
             "fewer than three direction classes: the variety is empty and has no "
@@ -172,31 +170,29 @@ def _normal_form(cfg: Configuration) -> tuple[CyclicPartition, tuple[tuple[int, 
         )
     if len(groups) % 2 == 0:
         raise OracleMismatchError("even class count contradicts weak hyperbolicity")
-    found_parts = tuple(len(g) for g in groups)
-    _self_check(cfg, found_parts, groups)
+    found_parts = tuple(sum(len(classes[c]) for c in group) for group in groups)
+    _self_check(rays, found_parts, [sum(1 << c for c in group) for group in groups])
     # canonicalise, keeping the classes aligned with the chosen representative
     parts, order = _canonical_order(found_parts)
-    classes = tuple(tuple(sorted(groups[src])) for src in order)
-    return CyclicPartition(parts), classes
+    coordinates = tuple(tuple(sorted(x for c in groups[src] for x in classes[c])) for src in order)
+    return CyclicPartition(parts), coordinates
 
 
-def _self_check(cfg: Configuration, parts: tuple[int, ...], groups: list[list[int]]) -> None:
-    """Raise unless the odd polygon with these parts has the dual complex of cfg.
+def _self_check(rays, parts: tuple[int, ...], class_masks: Sequence[int]) -> None:
+    """Raise unless the odd polygon with these parts has the class complex of rays.
 
-    Each group must be a union of whole ray classes of cfg; group p becomes
-    part p of the polygon.  A complex is fixed by its minimal non-faces.  The
-    rays of a set of parts hold the origin in their hull iff no cyclic gap
-    between them reaches ell + 1 steps.  A set of parts is a face iff the
-    parts outside it hold the origin, so it is a non-face iff it contains ell
-    cyclically consecutive parts, and the polygon's minimal non-faces are its
-    m runs of ell consecutive parts.  Pulled back to the classes of their
-    coordinates, these runs must be exactly the minimal non-faces of cfg.
+    Group p, the classes of mask p, becomes part p of the polygon.  A complex
+    is fixed by its minimal non-faces.  The rays of a set of parts hold the
+    origin in their hull iff no cyclic gap between them reaches ell + 1
+    steps.  A set of parts is a face iff the parts outside it hold the
+    origin, so it is a non-face iff it contains ell cyclically consecutive
+    parts, and the polygon's minimal non-faces are its m runs of ell
+    consecutive parts.  Pulled back to their classes, these runs must be
+    exactly the minimal non-faces of the class complex of rays.
     """
-    index = {coord: c for c, members in enumerate(cfg.classes) for coord in members}
-    needs = [sum(1 << c for c in {index[coord] for coord in group}) for group in groups]
     m, ell = len(parts), (len(parts) - 1) // 2
-    runs = {sum(needs[(p + t) % m] for t in range(ell)) for p in range(m)}
-    if runs != set(class_minimal_non_faces(cfg)):
+    runs = {sum(class_masks[(p + t) % m] for t in range(ell)) for p in range(m)}
+    if runs != set(_class_faces(rays)[1]):
         raise OracleMismatchError(
             f"normal form self-check failed: dual complex of {parts} realisation "
             "does not match the configuration"
@@ -235,14 +231,22 @@ def _polygon_vertices(m: int) -> tuple[tuple[int, int], ...]:
     return tuple(verts)
 
 
+# the largest total n a partition may ask for: a few digits of a part denote
+# any n, and the configuration holds one vector per coordinate
+MAX_PARTITION_N = 10 ** 6
+
+
 def partition_configuration(partition: CyclicPartition | Sequence[int], *,
                             distinguished: int = 1) -> Configuration:
     """The polygon configuration realising a partition: class i with multiplicity n_i.
 
     Coordinates are grouped class by class in cyclic order, so coordinate 1
-    lies in class 1.
+    lies in class 1.  A total n above MAX_PARTITION_N is refused before any
+    vector is built.
     """
     parts = _odd_parts(partition)
+    if sum(parts) > MAX_PARTITION_N:
+        raise ConfigurationError(f"partition total n = {sum(parts)} exceeds the bound {MAX_PARTITION_N}")
     verts = _polygon_vertices(len(parts))
     vectors = []
     for mult, vert in zip(parts, verts):

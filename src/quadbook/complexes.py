@@ -343,12 +343,6 @@ def class_face_masks(cfg: Configuration) -> tuple[int, ...]:
     return _class_faces(cfg.class_rays)[0]
 
 
-def class_minimal_non_faces(cfg: Configuration) -> tuple[int, ...]:
-    """The class sets that are no face while each of their facets is one, as bitmasks."""
-    require_valid(cfg)
-    return _class_faces(cfg.class_rays)[1]
-
-
 @lru_cache(maxsize=MEMO_SIZE)
 def _class_faces(rays: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The class faces and minimal non-faces of rays in this order, as sorted masks.

@@ -200,11 +200,6 @@ def _ray_and_key(vec: Sequence[Fraction]) -> tuple[tuple[int, ...], tuple[int, .
     return ray, (*ray, g, scale)
 
 
-def coordinate_classes(cfg: Configuration) -> tuple[tuple[int, ...], ...]:
-    """The coordinates of each ray class, in first-occurrence order."""
-    return cfg.classes
-
-
 @dataclass(frozen=True)
 class ValidationReport:
     """Outcome of the weak hyperbolicity check.

@@ -175,14 +175,6 @@ class PageDescription:
         return " #b ".join(piece.render() for piece in self.pieces)
 
 
-def _cyclic_indices(start: int, stop: int, m: int) -> list[int]:
-    """1-based indices start, start+1, ..., stop, wrapping cyclically."""
-    out = [((start - 1) % m) + 1]
-    while out[-1] != ((stop - 1) % m) + 1:
-        out.append((out[-1] % m) + 1)
-    return out
-
-
 def page_topology(partition: CyclicPartition | Iterable[int], class_index: int = 1, *,
                   complex_case: bool = False) -> PageDescription:
     """The page over the given distinguished class, with exact summand dimensions.
@@ -215,11 +207,11 @@ def page_topology(partition: CyclicPartition | Iterable[int], class_index: int =
     elif real[0] > 1:
         case = "b"
         pieces += [product(i, "S", "D") for i in range(2, ell + 3)]
-        pieces += [product(i, "D", "S") for i in _cyclic_indices(ell + 3, 1, m)]
+        pieces += [product(i, "D", "S") for i in [*range(ell + 3, m + 1), 1]]
     elif ell > 2:
         case = "c"
         pieces += [product(i, "S", "D") for i in range(3, ell + 2)]
-        pieces += [product(i, "D", "S") for i in _cyclic_indices(ell + 3, 1, m)]
+        pieces += [product(i, "D", "S") for i in [*range(ell + 3, m + 1), 1]]
         pieces.append(PuncturedProduct(dd(2) - 1, dd(ell + 2) - 1))
     else:
         case = "d"

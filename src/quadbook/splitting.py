@@ -212,7 +212,6 @@ class SplittingLedger:
     (already shifted for the complex variety), sorted by size then content.
     """
 
-    space: str
     entries: tuple[tuple[tuple[int, ...], GradedGroup], ...]
     total: GradedGroup
 
@@ -228,4 +227,4 @@ def splitting_ledger(cfg: Configuration, space: str = "Z", *,
     rows = tuple((J, group.shift(len(J)) if space == "ZC" else group)
                  for J, group in _pair_table(cfg.class_rays, cfg.classes)
                  if not (space == "Zplus" and cfg.distinguished in J))
-    return SplittingLedger(space, rows, GradedGroup.sum(g for _, g in rows))
+    return SplittingLedger(rows, GradedGroup.sum(g for _, g in rows))

@@ -288,7 +288,7 @@ def reference_pair_table(cfg: qb.Configuration):
     class_faces = class_face_masks(cfg)
     if not class_faces:
         return ()
-    classes = qb.coordinate_classes(cfg)
+    classes = cfg.classes
     entries = []
     for t in range(1 << len(classes)):
         chosen = [members for c, members in enumerate(classes) if t >> c & 1]

@@ -110,7 +110,7 @@ def test_normal_form_requires_k2_and_nonempty():
 def _groupings(cfg, found, rng):
     """Groupings of whole ray classes: the found one, two groups swapped, one class
     moved to another group, three groups merged into one, and one group split in three."""
-    classes = qb.coordinate_classes(cfg)
+    classes = cfg.classes
     out = [list(found)]
     i, j = rng.sample(range(len(found)), 2)
     swapped = list(found)
@@ -148,8 +148,10 @@ def test_self_check_matches_coordinate_reference():
         _, found = qb.normal_form_labelled(cfg)
         for groups in _groupings(cfg, found, rng):
             parts = tuple(len(group) for group in groups)
+            class_masks = [sum(1 << c for c, members in enumerate(cfg.classes) if set(members) <= set(group))
+                           for group in groups]
             try:
-                _self_check(cfg, parts, groups)
+                _self_check(cfg.class_rays, parts, class_masks)
                 verdict = True
             except qb.OracleMismatchError:
                 verdict = False
@@ -166,8 +168,8 @@ def test_self_check_raises_on_a_mismatched_realisation(wrong, monkeypatch, capsy
     import quadbook.classify
 
     wrong_polygon = qb.partition_configuration(wrong((1, 1, 1, 1, 1)))
-    non_faces = quadbook.classify.class_minimal_non_faces(wrong_polygon)
-    monkeypatch.setattr(quadbook.classify, "class_minimal_non_faces", lambda cfg: non_faces)
+    wrong_faces = quadbook.classify._class_faces(wrong_polygon.class_rays)
+    monkeypatch.setattr(quadbook.classify, "_class_faces", lambda rays: wrong_faces)
     quadbook.classify._normal_form.cache_clear()  # an earlier test's sweep would skip the check
     with pytest.raises(qb.OracleMismatchError, match="self-check failed"):
         qb.normal_form(PENTAGON)
@@ -290,13 +292,31 @@ def test_one_sweep_per_configuration(monkeypatch):
 
     calls = []
     monkeypatch.setattr(quadbook.classify, "_self_check",
-                        lambda cfg, *rest: calls.append(cfg) or _self_check(cfg, *rest))
+                        lambda rays, *rest: calls.append(rays) or _self_check(rays, *rest))
     cfg = qb.partition_configuration((1, 2, 2))
     quadbook.classify._normal_form.cache_clear()
     classify_report(cfg)
     for i in range(1, cfg.n + 1):
         open_book_report(cfg, i)
-    assert calls == [cfg]
+    assert calls == [cfg.class_rays]
+
+
+def test_normal_form_is_one_sweep_per_class_signature():
+    import quadbook.classify
+
+    cfg = qb.make_configuration([(2, 0), (0, 1), (-1, 1), (-1, -1), (1, -3), (4, 0)], k=2)
+    same_signature = [
+        cfg,
+        cfg.with_distinguished(4),
+        qb.make_configuration(cfg.lambdas, labels=[f"y{i}" for i in range(cfg.n)]),
+        qb.make_configuration([tuple(3 * x for x in vec) for vec in cfg.lambdas]),
+        qb.delete_coordinate(qb.duplicate_coordinate(cfg, 2), 2),
+    ]
+    assert len(set(same_signature)) == 5
+    quadbook.classify._normal_form.cache_clear()
+    forms = [qb.normal_form_labelled(c) for c in same_signature]
+    assert quadbook.classify._normal_form.cache_info().misses == 1
+    assert forms == [forms[0]] * 5
 
 
 def test_memoised_normal_form_equals_a_fresh_one():

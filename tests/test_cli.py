@@ -404,6 +404,14 @@ def test_malformed_documents_are_parse_errors(raw, tmp_path, capsys):
     assert err.startswith("parse error:")
 
 
+def test_partition_total_above_the_bound_is_a_parse_error(capsys):
+    # a few characters denote any n; the refusal comes before one vector is built
+    code, out, err = run_cli(capsys, "check", "--partition", "1000000000000,1,1")
+    assert (code, out) == (1, "")
+    assert err == "parse error: partition total n = 1000000000002 exceeds the bound 1000000\n"
+    assert "Traceback" not in err
+
+
 def test_max_n_belongs_to_homology_only(capsys):
     code, _, err = run_cli(capsys, "open-book", "--partition", "1,1,1", "--max-n", "5")
     assert code == 1

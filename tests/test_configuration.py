@@ -143,11 +143,11 @@ def test_validate_invariant_under_linear_maps(a, b, c, d):
 
 def test_coordinate_classes():
     doubled = qb.complexify(TRIANGLE)
-    classes = qb.coordinate_classes(doubled)
+    classes = doubled.classes
     assert classes == ((1, 2), (3, 4), (5, 6))
     # a positive multiple shares the ray of its vector; the antipode does not
     cfg = qb.make_configuration([(1, 0), (-1, 1), ("5/2", 0), (2, -2), (-1, -1), (-3, "3/2")])
-    assert qb.coordinate_classes(cfg) == ((1, 3), (2,), (4,), (5,), (6,))
+    assert cfg.classes == ((1, 3), (2,), (4,), (5,), (6,))
     assert cfg.rays[5] == (-2, 1)
 
 
@@ -330,7 +330,7 @@ def test_validate_witness_is_least_with_repeated_rays():
         least = min((J for J in tuples
                      if helpers.brute_origin_in_hull([cfg.vector(i) for i in J])), default=None)
         assert qb.validate(cfg).witness == least
-        mapped += least is not None and len(qb.coordinate_classes(cfg)) < cfg.n
+        mapped += least is not None and len(cfg.classes) < cfg.n
     # most draws repeat a ray and fail, so the witness is mapped back from classes
     assert mapped >= 60
 

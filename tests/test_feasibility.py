@@ -183,7 +183,7 @@ def test_defining_system_matches_face_masks():
             factor = rng.randint(1, 4)
             copies.append(tuple(factor * x for x in base.vector(rng.randint(1, base.n))))
         cfg = qb.make_configuration(list(base.lambdas) + copies, k=k)
-        assert len(qb.coordinate_classes(cfg)) < cfg.n
+        assert len(cfg.classes) < cfg.n
         masks = set(dual_face_masks(cfg))
         for size in range(cfg.n + 1):
             for L in itertools.combinations(range(1, cfg.n + 1), size):

@@ -333,7 +333,7 @@ def test_complex_page_model_on_repeated_and_scaled_rays():
         cfg = qb.make_configuration(vectors, k=2)
         _, classes = qb.normal_form_labelled(cfg)
         # a part of the normal form may hold several ray classes of the input
-        merged += len(classes) < len(qb.coordinate_classes(cfg))
+        merged += len(classes) < len(cfg.classes)
         for i in range(1, cfg.n + 1):
             _assert_complex_page_model(cfg, i)
     assert merged

@@ -38,7 +38,7 @@ def test_public_surface_is_pinned():
         "NormalFormError", "OpenBookError", "OpenBookStructure", "OracleMismatchError", "PageDescription",
         "ParseError", "ProductPiece", "PuncturedProduct", "QuadbookError", "SizeCapError",
         "SphereProduct", "SplittingLedger", "ValidationReport", "boundary_consistency", "classify_complex",
-        "classify_real", "complexify", "coordinate_classes", "d_values", "delete_coordinate",
+        "classify_real", "complexify", "d_values", "delete_coordinate",
         "double_partition", "duplicate_coordinate", "euler_cellcount", "expected_homology",
         "exterior_homology", "homology_Z", "homology_ZC", "homology_Zplus", "make_configuration",
         "normal_form", "normal_form_labelled", "open_book_complex", "open_book_real", "page_homology",

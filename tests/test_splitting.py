@@ -199,7 +199,7 @@ def test_pair_table_matches_direct_restrictions(reductions):
     walked = reduced = 0
     for cfg in helpers.duality_corpus():
         faces = set(class_face_masks(cfg))
-        classes = qb.coordinate_classes(cfg)
+        classes = cfg.classes
         saw_ghost |= bool(faces) and any(1 << c not in faces for c in range(len(classes)))
         saw_large_class |= any(len(members) >= 2 for members in classes)
         reductions.clear()
@@ -225,7 +225,7 @@ def test_pair_table_work_bound(reductions, cfg, count):
 
     splitting._pair_table(cfg.class_rays, cfg.classes)
     faces = class_face_masks(cfg)
-    m = len(qb.coordinate_classes(cfg))
+    m = len(cfg.classes)
     non_faces = helpers.minimal_non_faces(faces, m)
     vertices = [c for c in range(m) if 1 << c not in non_faces]
     # the sphere guard first, on K_V or on its Alexander dual, whichever has
@@ -273,7 +273,7 @@ def test_unions_of_at_most_two_minimal_non_faces_are_spheres():
         faces = class_face_masks(cfg)
         if not faces:
             continue
-        classes = qb.coordinate_classes(cfg)
+        classes = cfg.classes
         non_faces = [m for m in helpers.minimal_non_faces(faces, len(classes)) if m.bit_count() > 1]
         table = dict(splitting._pair_table(cfg.class_rays, cfg.classes))
         for s in {0} | {a | b for a in non_faces for b in non_faces}:
@@ -312,14 +312,14 @@ def test_sphere_guard(monkeypatch, capsys, faces):
 
 def test_sphere_guard_sides_agree():
     from quadbook import splitting
-    from quadbook.complexes import _homology_from_masks, class_face_masks, class_minimal_non_faces
+    from quadbook.complexes import _homology_from_masks, class_face_masks
 
     configs = helpers.duality_corpus() + [qb.partition_configuration((1,) * m) for m in (15, 17)]
     smaller = set()
     for cfg in configs:
         faces = class_face_masks(cfg)
-        non_faces = class_minimal_non_faces(cfg)
-        v_mask = ((1 << len(qb.coordinate_classes(cfg))) - 1) ^ sum(m for m in non_faces if m.bit_count() == 1)
+        non_faces = helpers.minimal_non_faces(faces, len(cfg.classes))
+        v_mask = ((1 << len(cfg.classes)) - 1) ^ sum(m for m in non_faces if m.bit_count() == 1)
         if not faces or not v_mask:  # the empty polytope, and the triangle's K_V = {empty set}
             continue
         dual = splitting._alexander_dual(v_mask, non_faces)
@@ -342,7 +342,7 @@ def test_sphere_dimension_reads_off_the_class_and_vector_counts():
     for cfg in configs:
         faces = class_face_masks(cfg)
         assert faces, cfg
-        assert max(f.bit_count() for f in faces) - 1 == len(qb.coordinate_classes(cfg)) - cfg.k - 2, cfg
+        assert max(f.bit_count() for f in faces) - 1 == len(cfg.classes) - cfg.k - 2, cfg
 
 
 def test_sphere_guard_on_the_dual_side(reductions, monkeypatch, capsys):
