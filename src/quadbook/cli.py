@@ -103,7 +103,7 @@ def _load_input(args) -> "Configuration":
             cfg = _parse_input(text, partition=False)
         except OSError as exc:
             raise ParseError(f"cannot read {args.config}: {exc}") from exc
-        except ValueError as exc:  # bad JSON, bad UTF-8, or an integer too long to parse
+        except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, too long an integer, too deep
             raise ParseError(f"invalid JSON in {args.config}: {exc}") from exc
     try:
         return cfg if args.distinguished is None else cfg.with_distinguished(args.distinguished)

@@ -382,7 +382,8 @@ def _class_faces(rays: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], tu
             yield level[child ^ low]
 
     states: dict[int, tuple] = {}  # per witness: the final tableau, basis and D
-    witness = support(0, *_fresh_start(rays), 1)
+    tab, basis, *_ = _fresh_start(rays)(range(len(rays)))
+    witness = support(0, tab, basis, 1)
     if witness is None:
         return (), (0,)
     out, missing = [0], []

@@ -235,10 +235,12 @@ def _first_failure(rays: tuple[tuple[int, ...], ...]) -> tuple[int, ...] | None:
     set.  Keyed on the class rays alone, so labels, scale and multiplicity
     share one walk.
     """
-    from .feasibility import hull_support
+    from .feasibility import _fresh_start, _phase_one
+
+    start = _fresh_start(rays)  # the rays of a Configuration are already shape-checked
 
     def holds(s: tuple[int, ...]) -> bool:
-        return hull_support([rays[c] for c in s]) is not None
+        return _phase_one(*start(s))[0] is not None
 
     top = min(len(rays), len(rays[0]))
     first = next(filter(holds, itertools.combinations(range(len(rays)), top)), None)

@@ -83,6 +83,36 @@ def reference_first_failure(rays, k) -> tuple[tuple[int, ...] | None, int]:
     return None, len(sets)
 
 
+def reference_phase_one(rays, barred=0) -> tuple[list[int], tuple[int, ...] | None]:
+    """Bland's phase one over Fractions, independent of the engine's integer pivots.
+
+    The columns are the rays with a 1 appended, b = (0, ..., 0, 1), and one
+    artificial per row, basic at the start; barred columns (bit j for ray j)
+    never enter.  Every step recomputes the artificial objective's reduced
+    costs from the tableau; the first column that lowers it enters, and the
+    least ratio leaves, ties to the least basic column.  Returns the final
+    basis and the columns of its positive basic variables, ascending, or
+    None for them if the objective stays positive.
+    """
+    n = len(rays)
+    tab = [[Fraction(x) for x in (*row, 0)] for row in zip(*rays)] + [[F1] * (n + 1)]
+    basis = list(range(n, n + len(tab)))
+    while True:
+        cost = [sum(row[j] for row, i in zip(tab, basis) if i >= n) for j in range(n + 1)]
+        entering = next((j for j in range(n) if not barred >> j & 1 and cost[j] > 0), None)
+        if entering is None:
+            break
+        leave = min((i for i, row in enumerate(tab) if row[entering] > 0),
+                    key=lambda i: (tab[i][n] / tab[i][entering], basis[i]))
+        pivot_row = [x / tab[leave][entering] for x in tab[leave]]
+        tab = [pivot_row if i == leave else [x - row[entering] * y for x, y in zip(row, pivot_row)]
+               for i, row in enumerate(tab)]
+        basis[leave] = entering
+    if cost[n]:
+        return basis, None
+    return basis, tuple(sorted(j for j, row in zip(basis, tab) if j < n and row[n] > 0))
+
+
 def _row_reduce(rows) -> tuple[list[list[Fraction]], list[int]]:
     """The reduced row echelon form of a rational matrix, its zero rows dropped, and its pivot columns."""
     m = [[Fraction(x) for x in row] for row in rows]

@@ -61,6 +61,10 @@ MUTANTS = {
         "classify.py", "if c is None:\n            fresh = True", "if c is None:\n            fresh = False"),
     "canonical-classes-in-sweep-order": (
         "classify.py", "for src in order)", "for src in range(len(order)))"),
+    "bland-leaving-tie-break": (
+        "feasibility.py", "basis[i] < basis[leave]", "basis[i] > basis[leave]"),
+    "bland-entering-last": (
+        "feasibility.py", "for entering in allowed:", "for entering in reversed(allowed):"),
 }
 
 # name: the open item that will kill it

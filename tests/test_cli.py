@@ -393,8 +393,10 @@ def _document_bytes(**fields) -> bytes:
     b'{"schema": 1, "partition": [' + b"1" * 5000 + b', 1, 1]}',
     _document_bytes(lambdas=[["1e5000", "0"], ["-1", "1"], ["-1", "-1"]]),
     _document_bytes(lambdas=[["0." + "1" * 4300, "0"], ["-1", "1"], ["-1", "-1"]]),
+    b"[" * 100000 + b"]" * 100000,
 ], ids=["lambdas-int", "lambdas-flat", "labels-int", "labels-ints", "distinguished-bool",
-        "schema-bool", "not-utf8", "huge-int-literal", "exponent-string", "long-decimal"])
+        "schema-bool", "not-utf8", "huge-int-literal", "exponent-string", "long-decimal",
+        "deeply-nested"])
 def test_malformed_documents_are_parse_errors(raw, tmp_path, capsys):
     path = tmp_path / "doc.json"
     path.write_bytes(raw)

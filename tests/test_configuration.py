@@ -151,9 +151,9 @@ def test_coordinate_classes():
     assert cfg.rays[5] == (-2, 1)
 
 
-def _count_predicate_calls(monkeypatch, module, limit=None, name="hull_support"):
-    """Route the predicate `module.<name>` through a counter; returns the count list."""
-    original = getattr(module, name)
+def _count_predicate_calls(monkeypatch, module, limit=None):
+    """Route `module._phase_one`, one call per predicate test, through a counter; returns the count list."""
+    original = module._phase_one
     calls = [0]
 
     def counted(*args):
@@ -161,7 +161,7 @@ def _count_predicate_calls(monkeypatch, module, limit=None, name="hull_support")
         assert limit is None or calls[0] <= limit, f"more than {limit} predicate calls"
         return original(*args)
 
-    monkeypatch.setattr(module, name, counted)
+    monkeypatch.setattr(module, "_phase_one", counted)
     return calls
 
 
@@ -220,7 +220,7 @@ def test_class_complex_search_is_shared_by_equal_geometry(monkeypatch):
     copies = (qb.complexify(cfg), cfg.with_distinguished(2), relabelled, rescaled)
     for other in (cfg,) + copies:
         assert qb.validate(other).ok
-    calls = _count_predicate_calls(monkeypatch, quadbook.complexes, name="_phase_one")
+    calls = _count_predicate_calls(monkeypatch, quadbook.complexes)
     first = quadbook.complexes.class_face_masks(cfg)
     searched = calls[0]
     assert searched > 0

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -120,7 +121,7 @@ def test_resumed_phase_one_matches_a_fresh_solve(data):
     rays, first, second = data
     # a kept state: the final tableau, basis and D of a solve with the first mask
     # barred, which may have failed and may hold artificials basic at zero
-    tab, basis = _fresh_start(rays)  # on the artificial basis
+    tab, basis, *_ = _fresh_start(rays)(range(len(rays)))  # on the artificial basis
     _, d = _phase_one(tab, basis, 1, first)
     support, _ = _phase_one(tab[:], basis[:], d, second)
     unbarred = [i for i in range(len(rays)) if not second >> i & 1]
@@ -129,6 +130,53 @@ def test_resumed_phase_one_matches_a_fresh_solve(data):
     if support is not None:
         assert all(not second >> i & 1 for i in support)
         assert helpers.brute_origin_in_hull([rays[i] for i in support])
+
+
+@given(_resumed_solves())
+@settings(max_examples=300, deadline=None)
+def test_fresh_phase_one_makes_blands_pivots(data):
+    rays, barred, _ = data
+    # a fresh solve with columns barred, and the validate walk's solve on the
+    # other rays with its objective row passed in: the final basis pins
+    # every entering and leaving choice on the way
+    tab, basis, *_ = _fresh_start(rays)(range(len(rays)))
+    support, _ = _phase_one(tab, basis, 1, barred)
+    assert (basis, support) == helpers.reference_phase_one(rays, barred)
+    kept = [i for i in range(len(rays)) if not barred >> i & 1]
+    if kept:
+        start = _fresh_start(rays)(kept)
+        support, _ = _phase_one(*start)
+        assert (start[1], support) == helpers.reference_phase_one([rays[i] for i in kept])
+
+
+def _determinant(rows) -> int:
+    """By the Leibniz formula, for the small square matrices of these tests."""
+    total = 0
+    for perm in itertools.permutations(range(len(rows))):
+        inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+        total += (-1) ** inversions * math.prod(row[j] for row, j in zip(rows, perm))
+    return total
+
+
+@given(_resumed_solves())
+@settings(max_examples=300, deadline=None)
+def test_phase_one_leaves_d_times_the_inverse_basis(data):
+    rays, first, second = data
+    # the state a resumed solve starts from, after a fresh and then a resumed
+    # solve, found or not: tab = D * B^-1 [A | b] and D = det B > 0, recomputed
+    # with Fractions from the final basis (an artificial column is a unit
+    # vector); each pivot is positive, so det B keeps its sign
+    tab, basis, *_ = _fresh_start(rays)(range(len(rays)))
+    start = [row[:] for row in tab]  # [A | b]
+    n, d = len(rays), 1
+    for barred in (first, second):
+        _, d = _phase_one(tab, basis, d, barred)
+        columns = [[row[j] if j < n else int(j - n == r) for r, row in enumerate(start)] for j in basis]
+        B = [list(row) for row in zip(*columns)]
+        assert d == _determinant(B) > 0
+        reduced, pivots = helpers._row_reduce([b_row + a_row for b_row, a_row in zip(B, start)])
+        assert pivots[:len(B)] == list(range(len(B)))
+        assert tab == [[d * x for x in row[len(B):]] for row in reduced]
 
 
 def test_face_nonempty_empty_subset():
