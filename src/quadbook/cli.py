@@ -115,9 +115,8 @@ def _load_input(args) -> "Configuration":
 def _parse_input(text: str, partition: bool) -> "Configuration":
     """The configuration of a --partition value or a --config document's text.
 
-    Memoised on the text, so the commands of one session share one object and
-    hit every engine memo by identity; a rewritten file is parsed again, and
-    a failure raises and is not kept.
+    Memoised on the text, so the commands of one session parse it once; a
+    rewritten file is parsed again, and a failure raises and is not kept.
     """
     if partition:
         try:

@@ -82,17 +82,17 @@ def as_rational(value) -> Fraction:
     raise ConfigurationError(f"not an exact rational: {value!r}")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Configuration:
     """n rational vectors in Q^k with one distinguished coordinate (1-based).
 
     The distinguished coordinate is the one the half manifold is cut along.
     It defaults to coordinate 1.  The constructor alone parses entries (ints,
-    Fractions or rational strings, by `as_rational`) and computes each
-    coordinate's primitive integer ray once, in ``rays``; equality and the
-    hash compare integers only.  In the same pass it groups the coordinates
-    by ray: ``class_rays`` holds each distinct ray in first-occurrence order
-    and ``classes`` the coordinates on it.  Every predicate is invariant under
+    Fractions or rational strings, by `as_rational`), so each entry is one
+    canonical `Fraction` and the dataclass fields compare and hash as they
+    are.  In the same pass it groups the coordinates by primitive integer
+    ray: ``class_rays`` holds each distinct ray in first-occurrence order and
+    ``classes`` the coordinates on it.  Every predicate is invariant under
     positive scaling of a vector, so the coordinates of one class are
     interchangeable, and the class rays are the face predicate's only input.
     """
@@ -103,7 +103,7 @@ class Configuration:
     distinguished: int = 1
 
     def __post_init__(self):
-        if not isinstance(self.k, int) or self.k < 1:
+        if not _is_int(self.k) or self.k < 1:
             raise ConfigurationError(f"k must be a positive integer, got {self.k!r}")
         vectors = tuple(tuple(as_rational(x) for x in vec) for vec in self.lambdas)
         for pos, vec in enumerate(vectors, start=1):
@@ -120,31 +120,21 @@ class Configuration:
         labels = tuple(self.labels) if self.labels else tuple(f"x{i}" for i in range(1, n + 1))
         if len(labels) != n:
             raise ConfigurationError(f"{len(labels)} labels for {n} coordinates")
+        bad = next((label for label in labels if not isinstance(label, str)), None)
+        if bad is not None:
+            raise ConfigurationError(f"labels must be strings, got {bad!r}")
+        if not _is_int(self.distinguished):
+            raise ConfigurationError(
+                f"distinguished coordinate must be an integer, got {self.distinguished!r}")
         if not 1 <= self.distinguished <= n:
             raise ConfigurationError(f"distinguished coordinate {self.distinguished} out of range")
-        rays, coords = [], []
         groups: dict[tuple[int, ...], list[int]] = {}
         for i, vec in enumerate(vectors, start=1):
-            ray, coord = _ray_and_key(vec)
-            rays.append(ray)
-            coords.append(coord)
-            groups.setdefault(ray, []).append(i)
-        key = (self.k, tuple(coords), labels, self.distinguished)
+            groups.setdefault(_ray(vec), []).append(i)
         object.__setattr__(self, "lambdas", vectors)
         object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "rays", tuple(rays))
         object.__setattr__(self, "class_rays", tuple(groups))
         object.__setattr__(self, "classes", tuple(map(tuple, groups.values())))
-        object.__setattr__(self, "_key", key)
-        object.__setattr__(self, "_hash", hash(key))
-
-    def __hash__(self):
-        return self._hash
-
-    def __eq__(self, other):
-        if not isinstance(other, Configuration):
-            return NotImplemented
-        return self._key == other._key
 
     @property
     def n(self) -> int:
@@ -187,17 +177,17 @@ def make_configuration(vectors: Iterable[Sequence], *, k: int | None = None,
     return Configuration(kk, vecs, tuple(labels) if labels else (), distinguished)
 
 
-def _ray_and_key(vec: Sequence[Fraction]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The primitive integer ray of vec, and a key of integers: the ray, then g and s.
+def _is_int(value) -> bool:
+    # True and False (JSON true/false too) are ints to Python, but not indices
+    return isinstance(value, int) and not isinstance(value, bool)
 
-    vec = ray * g / s with g / s in lowest terms, so equal vectors, and only
-    they, have equal keys.
-    """
+
+def _ray(vec: Sequence[Fraction]) -> tuple[int, ...]:
+    """The primitive integer ray of vec: the positive multiple of it with coprime integer entries."""
     scale = math.lcm(*(x.denominator for x in vec))
     ints = [x.numerator * (scale // x.denominator) for x in vec]
     g = math.gcd(*ints)
-    ray = tuple(a // g for a in ints) if g > 1 else tuple(ints)
-    return ray, (*ray, g, scale)
+    return tuple(a // g for a in ints) if g > 1 else tuple(ints)
 
 
 @dataclass(frozen=True)
@@ -215,24 +205,19 @@ class ValidationReport:
         return self.ok
 
 
-def _lex_subsets(m: int, k: int, prefix: tuple[int, ...] = ()):
-    """Nonempty subsets of range(m) with at most k elements, lazily, in tuple order."""
-    if len(prefix) < k:
-        for c in range(prefix[-1] + 1 if prefix else 0, m):
-            subset = prefix + (c,)
-            yield subset
-            yield from _lex_subsets(m, k, subset)
-
-
 @lru_cache(maxsize=MEMO_SIZE)
 def _first_failure(rays: tuple[tuple[int, ...], ...]) -> tuple[int, ...] | None:
     """The least class subset of size <= k whose rays hold the origin, or None.
 
-    Holding the origin passes to supersets, so the sets of size min(m, k)
-    decide validity.  The least failing set is the first of those or a smaller
-    one before it in tuple order, which is then some (0, ..., j - 1): an
-    invalid input costs at most one phase one more than a walk over every
-    set.  Keyed on the class rays alone, so labels, scale and multiplicity
+    Holding the origin passes to supersets, so the sets of size top = min(m, k)
+    decide validity, and the least failing set is the first failing one of
+    them, ``first``, unless a smaller one comes before it in tuple order.  A
+    failing S that is not some (0, ..., j - 1) cannot: adding the least
+    missing elements gives a failing top-size set before S.  And if
+    (0, ..., j - 1) fails, so does (0, ..., top - 1), which is then
+    ``first``.  So only that case tests the prefixes of ``first``: an
+    invalid input costs at most top - 1 phase ones more than its top-size
+    walk.  Keyed on the class rays alone, so labels, scale and multiplicity
     share one walk.
     """
     from .feasibility import _fresh_start, _phase_one
@@ -244,8 +229,9 @@ def _first_failure(rays: tuple[tuple[int, ...], ...]) -> tuple[int, ...] | None:
 
     top = min(len(rays), len(rays[0]))
     first = next(filter(holds, itertools.combinations(range(len(rays)), top)), None)
-    before = itertools.takewhile(lambda s: s < first, _lex_subsets(len(rays), top - 1))
-    return first and next(filter(holds, before), first)
+    if first != tuple(range(top)):
+        return first
+    return next(filter(holds, (first[:j] for j in range(1, top))), first)
 
 
 def validate(cfg: Configuration) -> ValidationReport:

@@ -31,6 +31,7 @@ from .configuration import (
     ParseError,
     QuadbookError,
     SizeCapError,
+    _is_int,
     complexify,
     validate,
 )
@@ -53,11 +54,6 @@ from .splitting import (
 
 SCHEMA_VERSION = 1
 _ALLOWED_KEYS = {"schema", "k", "n", "lambdas", "labels", "distinguished", "partition"}
-
-
-def _is_int(value) -> bool:
-    # JSON true/false arrive as bool, which Python counts as int
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _is_list_of(value, item_check) -> bool:

@@ -411,7 +411,7 @@ def random_valid_configuration(rng, k, n, require_nonempty=True) -> qb.Configura
         cfg = qb.make_configuration(vecs, k=k)
         if not qb.validate(cfg).ok:
             continue
-        if require_nonempty and hull_support(cfg.rays) is None:
+        if require_nonempty and hull_support(cfg.class_rays) is None:
             continue
         return cfg
 

@@ -47,8 +47,10 @@ MUTANTS = {
         "splitting.py", "if len(inside) <= 2:", "if len(inside) <= 3:"),
     "lowered-half-bound": (
         "splitting.py", "half = v_mask.bit_count() // 2", "half = v_mask.bit_count() // 2 - 1"),
-    "lex-subsets-one-size-early": (
-        "configuration.py", "if len(prefix) < k:", "if len(prefix) < k - 1:"),
+    "prefix-pass-one-short": (
+        "configuration.py", "range(1, top))", "range(1, top - 1))"),
+    "prefix-pass-skipped": (
+        "configuration.py", "if first != tuple(range(top)):", "if True:"),
     "self-check-disabled": (
         "classify.py", "    _self_check(rays, found_parts,", "    (lambda *_: None)(rays, found_parts,"),
     "torsion-dropped": (

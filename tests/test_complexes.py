@@ -394,7 +394,7 @@ def _degenerate_valid_configuration(rng, k):
             if any(w):
                 vectors.insert(rng.randint(0, len(vectors)), w)
         cfg = qb.make_configuration(vectors, k=k)
-        if qb.validate(cfg).ok and hull_support(cfg.rays) is not None:
+        if qb.validate(cfg).ok and hull_support(cfg.class_rays) is not None:
             return cfg
 
 

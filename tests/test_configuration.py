@@ -148,7 +148,7 @@ def test_coordinate_classes():
     # a positive multiple shares the ray of its vector; the antipode does not
     cfg = qb.make_configuration([(1, 0), (-1, 1), ("5/2", 0), (2, -2), (-1, -1), (-3, "3/2")])
     assert cfg.classes == ((1, 3), (2,), (4,), (5,), (6,))
-    assert cfg.rays[5] == (-2, 1)
+    assert cfg.class_rays[4] == (-2, 1)
 
 
 def _count_predicate_calls(monkeypatch, module, limit=None):
@@ -235,16 +235,16 @@ def test_equal_rationals_give_equal_configurations():
     configs = [qb.Configuration(2, ((half, 0), (0, 1), (-1, -1))) for half in ("1/2", "2/4", Fraction(1, 2))]
     assert configs[0] == configs[1] == configs[2]
     assert len({hash(cfg) for cfg in configs}) == 1
-    assert configs[0].rays == ((1, 0), (0, 1), (-1, -1))
+    assert configs[0].class_rays == ((1, 0), (0, 1), (-1, -1))
     # a positive multiple lies on the same ray but is another configuration
     scaled = qb.Configuration(2, ((1, 0), (0, 1), (-1, -1)))
-    assert scaled.rays == configs[0].rays and scaled != configs[0]
+    assert scaled.class_rays == configs[0].class_rays and scaled != configs[0]
 
 
 def test_labels_and_distinguished_separate_configurations():
     relabelled = qb.Configuration(PENTAGON.k, PENTAGON.lambdas, tuple("abcde"))
     marked = PENTAGON.with_distinguished(2)
-    assert relabelled.rays == marked.rays == PENTAGON.rays
+    assert relabelled.class_rays == marked.class_rays == PENTAGON.class_rays
     assert len({PENTAGON, relabelled, marked, relabelled.with_distinguished(2)}) == 4
     assert relabelled != PENTAGON and marked != PENTAGON
 
@@ -260,7 +260,7 @@ def test_derived_configurations_equal_fresh_ones():
         fresh = qb.Configuration(cfg.k, tuple(tuple(str(x) for x in vec) for vec in cfg.lambdas),
                                  cfg.labels, cfg.distinguished)
         assert cfg == fresh and hash(cfg) == hash(fresh), cfg
-        assert cfg.rays == fresh.rays
+        assert cfg.class_rays == fresh.class_rays
 
 
 def test_scaled_and_relabelled_copies_hit_the_ray_keyed_memos():
@@ -376,25 +376,15 @@ def test_validate_walk_matches_the_full_reference_walk(monkeypatch):
     ([(1, 0, 0), (2, 0, 0), (0, 1, 0), (0, 3, 0)], None, 1),
     # its class witness (1, 2) maps to coordinates (1, 2, 3), which come before (1, 3)
     ([(1, 0, 0), (2, 0, 0), (-1, 0, 0), (-3, 0, 0)], (1, 2, 3), 2),
-], ids=["k3-pair", "k4-zero", "two-classes-valid", "two-classes-antipodal"])
+    # the first top-size failure (2, 3) is not (1, 2), so no smaller set comes before it
+    ([(1, 0), (0, 1), (0, -1)], (2, 3), 3),
+], ids=["k3-pair", "k4-zero", "two-classes-valid", "two-classes-antipodal", "k2-late-pair"])
 def test_validate_walk_on_explicit_cases(monkeypatch, vectors, witness, calls):
     cfg = qb.make_configuration(vectors)
     least, tested = helpers.reference_first_failure(cfg.class_rays, cfg.k)
     assert _engine_walk(monkeypatch, cfg.class_rays) == (least, calls)
     assert calls <= tested + 1
     assert qb.validate(cfg).witness == witness
-
-
-@pytest.mark.parametrize("m, k", [(0, 2), (4, 0), (5, 1), (5, 3), (6, 6), (3, 5)])
-def test_lex_subsets_is_the_tuple_order_of_the_small_subsets(m, k):
-    import itertools
-
-    from quadbook.configuration import _lex_subsets
-
-    # the witness pass stops at the first top-size failure by tuple comparison
-    expected = sorted(itertools.chain.from_iterable(
-        itertools.combinations(range(m), size) for size in range(1, k + 1)))
-    assert list(_lex_subsets(m, k)) == expected
 
 
 def test_construction_refusals_name_their_cause():
@@ -410,3 +400,13 @@ def test_construction_refusals_name_their_cause():
         PENTAGON.vector(0)
     with pytest.raises(ConfigurationError, match=r"coordinate 0 out of range 1\.\.5"):
         qb.duplicate_coordinate(PENTAGON, 0)
+    # a configuration's document must load again, so the constructor refuses
+    # what load_document refuses, and a str index raises no bare TypeError
+    vectors = ((1, 0), (0, 1), (-1, -1))
+    with pytest.raises(ConfigurationError, match="k must be a positive integer, got True"):
+        qb.Configuration(True, ((1,), (-1,)))
+    for distinguished in (2.0, "2", True):
+        with pytest.raises(ConfigurationError, match="distinguished coordinate must be an integer"):
+            qb.Configuration(2, vectors, (), distinguished)
+    with pytest.raises(ConfigurationError, match="labels must be strings, got 1"):
+        qb.Configuration(2, vectors, (1, 2, 3))

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import quadbook as qb
 from quadbook.complexes import dual_face_masks
+from quadbook.configuration import _ray, as_rational
 from quadbook.feasibility import _fresh_start, _phase_one, hull_support
 
 import helpers
@@ -32,16 +33,15 @@ def _face_oracle(cfg, pinned) -> bool:
 
 
 def _rays(vectors) -> tuple[tuple[int, ...], ...]:
-    """The primitive rays the constructor makes of rational vectors; copies of the first pad n to k + 1."""
-    k = len(vectors[0])
-    return qb.Configuration(k, [*vectors, *[vectors[0]] * k]).rays[:len(vectors)]
+    """The primitive ray the constructor makes of each rational vector."""
+    return tuple(_ray([as_rational(x) for x in vec]) for vec in vectors)
 
 
 def test_origin_in_convex_hull_examples():
     assert hull_support([(1, 0)]) is None
     assert hull_support([(1, 0), (-1, 0)]) is not None
-    assert hull_support(PENTAGON.rays) is not None
-    for pair in itertools.combinations(PENTAGON.rays, 2):
+    assert hull_support(PENTAGON.class_rays) is not None
+    for pair in itertools.combinations(PENTAGON.class_rays, 2):
         assert hull_support(pair) is None
         assert not helpers.brute_origin_in_hull(pair)
 
