@@ -120,7 +120,9 @@ def _parse_input(text: str, partition: bool) -> "Configuration":
     """
     if partition:
         try:
-            parts = [int(p) for p in text.split(",") if p.strip()]
+            if "_" in text:  # int() reads "1_0" as 10
+                raise ValueError(text)
+            parts = [int(p) for p in text.split(",")]  # an empty piece fails here
         except ValueError as exc:
             raise ParseError(f"bad partition {text!r}") from exc
         return load_document({"schema": 1, "partition": parts})

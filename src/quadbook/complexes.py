@@ -18,8 +18,7 @@ from functools import lru_cache
 from math import gcd
 from typing import Iterable, Mapping, Sequence
 
-from .configuration import MEMO_SIZE, Configuration, ConfigurationError, require_valid
-from .feasibility import _fresh_start, _phase_one
+from .configuration import MEMO_SIZE, Configuration, ConfigurationError, _fresh_start, _phase_one, require_valid
 
 
 # ---------------------------------------------------------------------------

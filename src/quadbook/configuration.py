@@ -4,6 +4,15 @@ A configuration holds the n rational vectors in Q^k that cut out a generic
 intersection of quadrics, plus one distinguished coordinate used by the half
 manifold and the open book constructions.  All arithmetic is exact rational;
 floating point never enters any predicate.
+
+Weak hyperbolicity and the dual complex rest on one face predicate: does the
+origin lie in the convex hull of some primitive integer rays, those of
+`Configuration.class_rays`?  `_phase_one` decides it by a phase-one simplex
+with fraction-free integer pivoting and Bland's rule, exact and
+deterministic.  The objective row is kept apart from the tableau, and a pivot
+rewrites only the rows it changes.  `validate` builds each tableau from
+columns set up once per input (`_fresh_start`); the class-face search of
+`complexes` resumes each phase one from an earlier one's final state.
 """
 
 from __future__ import annotations
@@ -14,7 +23,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 
 # keys each package memo keeps; one CLI request uses at most 3 in any of them
@@ -105,6 +114,9 @@ class Configuration:
     def __post_init__(self):
         if not _is_int(self.k) or self.k < 1:
             raise ConfigurationError(f"k must be a positive integer, got {self.k!r}")
+        if not _is_int(self.distinguished):  # refused before any vector is parsed
+            raise ConfigurationError(
+                f"distinguished coordinate must be an integer, got {self.distinguished!r}")
         vectors = tuple(tuple(as_rational(x) for x in vec) for vec in self.lambdas)
         for pos, vec in enumerate(vectors, start=1):
             if len(vec) != self.k:
@@ -123,9 +135,6 @@ class Configuration:
         bad = next((label for label in labels if not isinstance(label, str)), None)
         if bad is not None:
             raise ConfigurationError(f"labels must be strings, got {bad!r}")
-        if not _is_int(self.distinguished):
-            raise ConfigurationError(
-                f"distinguished coordinate must be an integer, got {self.distinguished!r}")
         if not 1 <= self.distinguished <= n:
             raise ConfigurationError(f"distinguished coordinate {self.distinguished} out of range")
         groups: dict[tuple[int, ...], list[int]] = {}
@@ -205,6 +214,90 @@ class ValidationReport:
         return self.ok
 
 
+def _phase_one(tab: list[list[int]], basis: list[int], d: int = 1, barred: int = 0,
+               objective: list[int] | None = None) -> tuple[tuple[int, ...] | None, int]:
+    """Find x >= 0 with Ax = b and the barred columns (bit j for column j) zero, by Bland's rule.
+
+    `tab` is D * B^-1 [A | b] for the feasible basis B in `basis` (a column
+    past A is its row's artificial), D = det B > 0; a fresh start is [A | b],
+    b >= 0, on the artificial basis with D = 1.  Both are left in their final
+    state and D is returned, so that a later solve over the same columns may
+    resume there with other columns barred.  The objective row, kept apart
+    from `tab`, sums the rows whose basic variable is artificial or barred:
+    every row on a fresh start, which may pass it, its column sums, instead.
+    Barred columns never enter: the result is None iff no feasible point has
+    them all zero, else the columns of the positive basic variables at the
+    end, ascending.  Signs and ratios are those of B^-1 [A | b], so the
+    pivots are the rational simplex's.  D becomes each pivot p and entries
+    stay integers: a row's division by the previous D is exact, and so is
+    the objective row's, a sum of rows in which the leaving row's term, if
+    there, (p * lead - p * lead) / D cancels.  A row with a 0 in the entering
+    column is left as it is while p = D, and no division is made while
+    D = 1.
+    """
+    width = len(tab[0]) - 1
+    if objective is None:
+        rows = [row for row, j in zip(tab, basis) if j >= width or barred >> j & 1]
+        objective = [sum(column) for column in zip(*rows)] if rows else [0] * (width + 1)
+    allowed = [j for j in range(width) if not barred >> j & 1] if barred else range(width)
+    while True:
+        # Bland: the first column with a negative reduced cost enters
+        for entering in allowed:
+            if objective[entering] > 0:
+                break
+        else:
+            if objective[width]:
+                return None, d
+            return tuple(sorted([j for j, row in zip(basis, tab) if j < width and row[width] > 0])), d
+        leave = None
+        for i, row in enumerate(tab):
+            a = row[entering]
+            if a > 0:
+                if leave is None:
+                    leave, lead = i, row
+                    continue
+                # ratio b_i / a against the best b / a, by cross-multiplication
+                cross = row[width] * lead[entering] - lead[width] * a
+                if cross < 0 or (cross == 0 and basis[i] < basis[leave]):
+                    leave, lead = i, row
+        if leave is None:
+            raise OracleMismatchError("phase-one simplex found an unbounded direction")
+        p = lead[entering]
+        for i, row in enumerate(tab):
+            f = row[entering]
+            if i == leave or (not f and p == d):
+                continue
+            if d == 1:
+                tab[i] = [p * x - f * y for x, y in zip(row, lead)]
+            else:
+                tab[i] = [(p * x - f * y) // d for x, y in zip(row, lead)]
+        f = objective[entering]
+        if d == 1:
+            objective = [p * x - f * y for x, y in zip(objective, lead)]
+        else:
+            objective = [(p * x - f * y) // d for x, y in zip(objective, lead)]
+        d = p
+        basis[leave] = entering
+
+
+def _fresh_start(rays: Sequence[Sequence[int]]) -> Callable[[Sequence[int]], tuple]:
+    """Fresh phase ones on subsets of these rays, with their columns set up once.
+
+    The result maps positions s to the arguments of `_phase_one` for the rays
+    at s: [A | b] with a row of ones last, so that b = (0, ..., 0, 1), its
+    artificial basis, and its objective row, the column sums.
+    """
+    columns = [(*ray, 1) for ray in rays]
+    sums = [sum(column) for column in columns]
+    b = (0,) * len(rays[0]) + (1,)
+
+    def start(s: Sequence[int]) -> tuple[list[list[int]], list[int], int, int, list[int]]:
+        tab = list(map(list, zip(*map(columns.__getitem__, s), b)))
+        return tab, list(range(len(s), len(s) + len(b))), 1, 0, [*map(sums.__getitem__, s), 1]
+
+    return start
+
+
 @lru_cache(maxsize=MEMO_SIZE)
 def _first_failure(rays: tuple[tuple[int, ...], ...]) -> tuple[int, ...] | None:
     """The least class subset of size <= k whose rays hold the origin, or None.
@@ -220,9 +313,7 @@ def _first_failure(rays: tuple[tuple[int, ...], ...]) -> tuple[int, ...] | None:
     walk.  Keyed on the class rays alone, so labels, scale and multiplicity
     share one walk.
     """
-    from .feasibility import _fresh_start, _phase_one
-
-    start = _fresh_start(rays)  # the rays of a Configuration are already shape-checked
+    start = _fresh_start(rays)
 
     def holds(s: tuple[int, ...]) -> bool:
         return _phase_one(*start(s))[0] is not None
@@ -248,11 +339,11 @@ def validate(cfg: Configuration) -> ValidationReport:
         return ValidationReport(True)
     if len(rays) == cfg.n:  # one coordinate per class: class c is coordinate c + 1
         return ValidationReport(False, tuple(c + 1 for c in first))
-    from .feasibility import hull_support
+    start = _fresh_start(rays)
 
     @lru_cache(maxsize=None)
     def fails(s: tuple[int, ...]) -> bool:  # the class sets before `first` all hold up
-        return s == first if s <= first else hull_support([rays[c] for c in s]) is not None
+        return s == first if s <= first else _phase_one(*start(s))[0] is not None
 
     def least(prefix: tuple[int, ...], class_set: tuple[int, ...]) -> tuple[int, ...] | None:
         """The least tuple of at most k coordinates extending prefix whose class set fails.

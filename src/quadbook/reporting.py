@@ -70,8 +70,6 @@ def load_document(doc: dict) -> Configuration:
     if not _is_int(doc.get("schema")) or doc["schema"] != SCHEMA_VERSION:
         raise ParseError(f"missing or unsupported schema version (expected {SCHEMA_VERSION})")
     distinguished = doc.get("distinguished", 1)
-    if not _is_int(distinguished):
-        raise ParseError("distinguished must be an integer coordinate index")
     try:
         if "partition" in doc:
             if doc.keys() & {"k", "n", "lambdas", "labels"}:
@@ -83,12 +81,12 @@ def load_document(doc: dict) -> Configuration:
         for key in ("k", "n", "lambdas"):
             if key not in doc:
                 raise ParseError(f"missing field {key!r}")
-        if not _is_int(doc["k"]) or not _is_int(doc["n"]):
-            raise ParseError("k and n must be integers")
+        if not _is_int(doc["n"]):
+            raise ParseError("n must be an integer")
         if not _is_list_of(doc["lambdas"], lambda row: isinstance(row, list)):
             raise ParseError("lambdas must be a list of vectors, each a list of rationals")
         labels = doc.get("labels", [])
-        if not _is_list_of(labels, lambda label: isinstance(label, str)):
+        if not isinstance(labels, list):  # a string would be a sequence of one-letter labels
             raise ParseError("labels must be a list of strings")
         if len(doc["lambdas"]) != doc["n"]:
             raise ParseError(f"n = {doc['n']} but {len(doc['lambdas'])} vectors given")

@@ -4,7 +4,8 @@ The oracles are deliberately written from scratch against the definitions,
 not by calling the package's own code paths: exhaustive enumeration for
 convex-position and feasibility questions, plain rank arithmetic for homology
 cross-checks.  The adapters (`closure_masks`, `snf`) only put test data into
-the form the homology engine reads.
+the form the homology engine reads, and `hull_support` runs the engine's face
+predicate on a list of integer rays.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import random
 from fractions import Fraction
 
 import quadbook as qb
-from quadbook.feasibility import hull_support
+from quadbook.configuration import _fresh_start, _phase_one
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -81,6 +82,11 @@ def reference_first_failure(rays, k) -> tuple[tuple[int, ...] | None, int]:
         if brute_origin_in_hull([rays[c] for c in s]):
             return s, tested
     return None, len(sets)
+
+
+def hull_support(rays) -> tuple[int, ...] | None:
+    """The engine's face predicate: the support of the hull point at the origin it finds, or None."""
+    return _phase_one(*_fresh_start(rays)(range(len(rays))))[0]
 
 
 def reference_phase_one(rays, barred=0) -> tuple[list[int], tuple[int, ...] | None]:

@@ -64,9 +64,21 @@ MUTANTS = {
     "canonical-classes-in-sweep-order": (
         "classify.py", "for src in order)", "for src in range(len(order)))"),
     "bland-leaving-tie-break": (
-        "feasibility.py", "basis[i] < basis[leave]", "basis[i] > basis[leave]"),
+        "configuration.py", "basis[i] < basis[leave]", "basis[i] > basis[leave]"),
     "bland-entering-last": (
-        "feasibility.py", "for entering in allowed:", "for entering in reversed(allowed):"),
+        "configuration.py", "for entering in allowed:", "for entering in reversed(allowed):"),
+    "alexander-dual-without-empty-face": (
+        "splitting.py", "dual.add(0)", "dual.discard(0)"),
+    "dual-faces-without-largest-proper-parts": (
+        "complexes.py", "for size in range(len(members))", "for size in range(len(members) - 1)"),
+    "euler-sign": (
+        "splitting.py", "(-1) ** (cfg.n - cfg.k - 1) * total", "(-1) ** (cfg.n - cfg.k) * total"),
+    "zplus-filter-off-by-one": (
+        "splitting.py", "cfg.distinguished in J", "cfg.distinguished + 1 in J"),
+    "angular-order-reversed-in-half": (
+        "classify.py", "c = _cross(u, v)", "c = _cross(v, u)"),
+    "witness-mapping-trusts-first": (
+        "configuration.py", "else _phase_one(*start(s))[0] is not None", "else False"),
 }
 
 # name: the open item that will kill it

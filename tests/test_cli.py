@@ -62,6 +62,12 @@ def test_check_valid(capsys):
 def test_parse_errors_exit_one(tmp_path, capsys):
     code, _, err = run_cli(capsys, "classify", "--partition", "1,banana")
     assert code == 1
+    # an empty piece is no part, and int() alone would read "1_0" as 10
+    for text in ("1,,1,1", "1,1,1,", "1_0,1,1"):
+        code, out, err = run_cli(capsys, "check", "--partition", text)
+        assert (code, out, err) == (1, "", f"parse error: bad partition {text!r}\n")
+    code, _, _ = run_cli(capsys, "check", "--partition", " 1, 1 ,1 ")
+    assert code == 0
     code, _, err = run_cli(capsys, "classify")
     assert code == 1
     code, out, err = run_cli(capsys, "homology", "--partition", "1,1,1", "--max-n", "abc")
@@ -532,6 +538,16 @@ def test_document_refusals(tmp_path, capsys):
     code, out, err = run_cli(capsys, "check", "--config", str(path))
     assert (code, out) == (1, "")
     assert err == "parse error: n = 4 but 3 vectors given\n"
+    # the constructor alone checks the types of k, distinguished and each label
+    triangle = {"schema": 1, "k": 2, "n": 3, "lambdas": [[1, 0], [-1, 1], [-1, -1]]}
+    for key, value, message in (("k", 2.0, "k must be a positive integer, got 2.0"),
+                                ("distinguished", "2", "distinguished coordinate must be an integer, got '2'"),
+                                ("labels", ["a", 2, "c"], "labels must be strings, got 2"),
+                                ("n", "3", "n must be an integer"),
+                                ("labels", "abc", "labels must be a list of strings")):
+        path.write_text(json.dumps({**triangle, key: value}))
+        code, out, err = run_cli(capsys, "check", "--config", str(path))
+        assert (code, out, err) == (1, "", f"parse error: {message}\n")
 
 
 def test_report_refusals():

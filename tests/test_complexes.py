@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 import quadbook as qb
 from quadbook import GradedGroup
 from quadbook.complexes import _homology_from_masks, dual_face_masks, invariant_chain
-from quadbook.feasibility import hull_support
 from quadbook.reporting import dual_complex_report
 
 import helpers
@@ -394,7 +393,7 @@ def _degenerate_valid_configuration(rng, k):
             if any(w):
                 vectors.insert(rng.randint(0, len(vectors)), w)
         cfg = qb.make_configuration(vectors, k=k)
-        if qb.validate(cfg).ok and hull_support(cfg.class_rays) is not None:
+        if qb.validate(cfg).ok and helpers.hull_support(cfg.class_rays) is not None:
             return cfg
 
 

@@ -166,38 +166,32 @@ def _count_predicate_calls(monkeypatch, module, limit=None):
 
 
 def test_valid_input_tests_only_its_top_size_class_subsets(monkeypatch):
-    import quadbook.feasibility
-
     cfg = qb.partition_configuration((2000, 1, 1))
     qb.configuration._first_failure.cache_clear()  # the triangle's rays, shared with other tests
-    calls = _count_predicate_calls(monkeypatch, quadbook.feasibility, limit=3)
+    calls = _count_predicate_calls(monkeypatch, qb.configuration, limit=3)
     assert qb.validate(cfg).ok
     # three classes, k = 2: the three pairs; a singleton holding the origin would fail a pair
     assert calls[0] == 3
 
 
 def test_validate_witness_is_built_in_linear_time(monkeypatch):
-    import quadbook.feasibility
-
     # the witness starts late: every tuple of two early coordinates holds up
     N = 2000
     cfg = qb.make_configuration([(1, 0)] * N + [(0, 1)] * N + [(0, -1)])
     qb.configuration._first_failure.cache_clear()
-    calls = _count_predicate_calls(monkeypatch, quadbook.feasibility, limit=6)
+    calls = _count_predicate_calls(monkeypatch, qb.configuration, limit=6)
     assert qb.validate(cfg).witness == (N + 1, 2 * N + 1)
     # the class walk and the mapping back test each of the six class subsets at most once
     assert calls[0] <= 6
 
 
 def test_validate_walk_is_shared_by_equal_geometry(monkeypatch):
-    import quadbook.feasibility
-
     # a linear image of the pentagon that no other test builds, and an invalid extension
     good = qb.make_configuration([(5 * x - 2 * y, 3 * x + 4 * y) for x, y in PENTAGON.lambdas])
     bad = qb.make_configuration(list(good.lambdas) + [[-x for x in good.vector(3)]])
     reports = {cfg: qb.validate(cfg) for cfg in (good, bad)}
     assert reports[good].ok and reports[bad].witness == (3, 6)
-    calls = _count_predicate_calls(monkeypatch, quadbook.feasibility)
+    calls = _count_predicate_calls(monkeypatch, qb.configuration)
     for cfg, report in reports.items():
         labels = tuple(f"y{i}" for i in range(1, cfg.n + 1))
         relabelled = qb.Configuration(cfg.k, cfg.lambdas, labels)
@@ -337,9 +331,7 @@ def test_validate_witness_is_least_with_repeated_rays():
 
 def _engine_walk(monkeypatch, rays):
     """The engine's class witness for these rays, uncached, and the phase ones it ran."""
-    import quadbook.feasibility
-
-    calls = _count_predicate_calls(monkeypatch, quadbook.feasibility)
+    calls = _count_predicate_calls(monkeypatch, qb.configuration)
     witness = qb.configuration._first_failure.__wrapped__(rays)
     monkeypatch.undo()
     return witness, calls[0]
@@ -400,13 +392,16 @@ def test_construction_refusals_name_their_cause():
         PENTAGON.vector(0)
     with pytest.raises(ConfigurationError, match=r"coordinate 0 out of range 1\.\.5"):
         qb.duplicate_coordinate(PENTAGON, 0)
-    # a configuration's document must load again, so the constructor refuses
-    # what load_document refuses, and a str index raises no bare TypeError
+    # a configuration's document must load again, and load_document leaves
+    # these types to the constructor; a str index raises no bare TypeError
     vectors = ((1, 0), (0, 1), (-1, -1))
     with pytest.raises(ConfigurationError, match="k must be a positive integer, got True"):
         qb.Configuration(True, ((1,), (-1,)))
     for distinguished in (2.0, "2", True):
         with pytest.raises(ConfigurationError, match="distinguished coordinate must be an integer"):
             qb.Configuration(2, vectors, (), distinguished)
+    # before any vector is parsed, so a long partition document is refused at once
+    with pytest.raises(ConfigurationError, match="distinguished coordinate must be an integer, got 'x'"):
+        qb.Configuration(2, (("junk", 0),) * 3, (), "x")
     with pytest.raises(ConfigurationError, match="labels must be strings, got 1"):
         qb.Configuration(2, vectors, (1, 2, 3))

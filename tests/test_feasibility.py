@@ -3,13 +3,11 @@ import math
 import random
 from fractions import Fraction
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 import quadbook as qb
 from quadbook.complexes import dual_face_masks
-from quadbook.configuration import _ray, as_rational
-from quadbook.feasibility import _fresh_start, _phase_one, hull_support
+from quadbook.configuration import _fresh_start, _phase_one, _ray, as_rational
 
 import helpers
 
@@ -38,19 +36,12 @@ def _rays(vectors) -> tuple[tuple[int, ...], ...]:
 
 
 def test_origin_in_convex_hull_examples():
-    assert hull_support([(1, 0)]) is None
-    assert hull_support([(1, 0), (-1, 0)]) is not None
-    assert hull_support(PENTAGON.class_rays) is not None
+    assert helpers.hull_support([(1, 0)]) is None
+    assert helpers.hull_support([(1, 0), (-1, 0)]) is not None
+    assert helpers.hull_support(PENTAGON.class_rays) is not None
     for pair in itertools.combinations(PENTAGON.class_rays, 2):
-        assert hull_support(pair) is None
+        assert helpers.hull_support(pair) is None
         assert not helpers.brute_origin_in_hull(pair)
-
-
-def test_hull_support_refuses_empty_and_mixed_lengths():
-    with pytest.raises(qb.ConfigurationError, match="nonempty"):
-        hull_support([])
-    with pytest.raises(qb.ConfigurationError, match="mixed lengths"):
-        hull_support([(1, 0), (-1, 0, 0)])
 
 
 def test_origin_in_convex_hull_matches_brute_force():
@@ -58,7 +49,7 @@ def test_origin_in_convex_hull_matches_brute_force():
     for _ in range(200):
         k = rng.choice((2, 3))
         vectors = helpers.random_vectors(rng, k, rng.randint(1, k + 2))
-        assert (hull_support(_rays(vectors)) is not None) == helpers.brute_origin_in_hull(vectors)
+        assert (helpers.hull_support(_rays(vectors)) is not None) == helpers.brute_origin_in_hull(vectors)
 
 
 def _degenerate_vectors(rng, k, scale):
@@ -90,19 +81,19 @@ def test_origin_in_convex_hull_degenerate_inputs():
         expected = helpers.brute_origin_in_hull(vectors)
         found += expected
         # the support is a real witness: its vectors alone hold the origin
-        support = hull_support(vectors)
+        support = helpers.hull_support(vectors)
         assert (support is not None) == expected, vectors
         assert support is None or helpers.brute_origin_in_hull([vectors[i] for i in support])
         # positive rational rescaling, given as Fractions and as strings, changes no ray and no answer
         rays = _rays(vectors)
-        assert (hull_support(rays) is not None) == expected, vectors
+        assert (helpers.hull_support(rays) is not None) == expected, vectors
         scaled = [[Fraction(a, d) for a in v] for v, d in
                   zip(vectors, (rng.randint(1, 10 ** 6) for _ in vectors))]
         assert _rays(scaled) == rays
         assert _rays([[str(a) for a in v] for v in scaled]) == rays
-    assert hull_support(_rays([(0, 0)])) is not None
-    assert hull_support(_rays([("1/3", "-2/7"), ("-5/3", "10/7")])) is not None
-    assert hull_support(_rays([("1/3", "-2/7"), ("5/3", "-10/7")])) is None
+    assert helpers.hull_support(_rays([(0, 0)])) is not None
+    assert helpers.hull_support(_rays([("1/3", "-2/7"), ("-5/3", "10/7")])) is not None
+    assert helpers.hull_support(_rays([("1/3", "-2/7"), ("5/3", "-10/7")])) is None
     assert 40 < found < 200  # both answers are well represented
 
 
@@ -125,7 +116,7 @@ def test_resumed_phase_one_matches_a_fresh_solve(data):
     _, d = _phase_one(tab, basis, 1, first)
     support, _ = _phase_one(tab[:], basis[:], d, second)
     unbarred = [i for i in range(len(rays)) if not second >> i & 1]
-    fresh = hull_support([rays[i] for i in unbarred]) if unbarred else None
+    fresh = helpers.hull_support([rays[i] for i in unbarred]) if unbarred else None
     assert (support is None) == (fresh is None)
     if support is not None:
         assert all(not second >> i & 1 for i in support)
