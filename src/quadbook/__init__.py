@@ -19,7 +19,7 @@ from .configuration import (
     make_configuration,
     validate,
 )
-from .complexes import GradedGroup
+from .complexes import GradedGroup, pair_homology
 from .splitting import (
     DEFAULT_SUBSET_CAP,
     SplittingLedger,
@@ -27,7 +27,6 @@ from .splitting import (
     homology_Z,
     homology_ZC,
     homology_Zplus,
-    pair_homology,
     splitting_ledger,
 )
 from .classify import (

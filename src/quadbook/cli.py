@@ -16,7 +16,6 @@ from functools import lru_cache
 
 from .configuration import (
     MEMO_SIZE,
-    ConfigurationError,
     InvalidConfigurationError,
     OracleMismatchError,
     ParseError,
@@ -95,28 +94,25 @@ def _load_input(args) -> "Configuration":
     if len(sources) != 1:
         raise ParseError("exactly one of --partition or --config is required")
     if args.partition:
-        cfg = _parse_input(args.partition, partition=True)
-    else:
-        try:
-            with open(args.config, "r", encoding="utf-8") as handle:
-                text = handle.read()
-            cfg = _parse_input(text, partition=False)
-        except OSError as exc:
-            raise ParseError(f"cannot read {args.config}: {exc}") from exc
-        except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, too long an integer, too deep
-            raise ParseError(f"invalid JSON in {args.config}: {exc}") from exc
+        return _parse_input(args.partition, True, args.distinguished)
     try:
-        return cfg if args.distinguished is None else cfg.with_distinguished(args.distinguished)
-    except ConfigurationError as exc:
-        raise ParseError(str(exc)) from exc
+        with open(args.config, "r", encoding="utf-8") as handle:
+            text = handle.read()
+        return _parse_input(text, False, args.distinguished)
+    except OSError as exc:
+        raise ParseError(f"cannot read {args.config}: {exc}") from exc
+    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, too long an integer, too deep
+        raise ParseError(f"invalid JSON in {args.config}: {exc}") from exc
 
 
 @lru_cache(maxsize=MEMO_SIZE)
-def _parse_input(text: str, partition: bool) -> "Configuration":
+def _parse_input(text: str, partition: bool, distinguished: int | None) -> "Configuration":
     """The configuration of a --partition value or a --config document's text.
 
-    Memoised on the text, so the commands of one session parse it once; a
-    rewritten file is parsed again, and a failure raises and is not kept.
+    A --distinguished value is written into the document before it is
+    loaded, so the configuration is built once.  Memoised on the text and
+    that value, so the commands of one session parse it once; a rewritten
+    file is parsed again, and a failure raises and is not kept.
     """
     if partition:
         try:
@@ -125,8 +121,12 @@ def _parse_input(text: str, partition: bool) -> "Configuration":
             parts = [int(p) for p in text.split(",")]  # an empty piece fails here
         except ValueError as exc:
             raise ParseError(f"bad partition {text!r}") from exc
-        return load_document({"schema": 1, "partition": parts})
-    return load_document(json.loads(text))
+        doc = {"schema": 1, "partition": parts}
+    else:
+        doc = json.loads(text)
+    if distinguished is not None and isinstance(doc, dict):
+        doc["distinguished"] = distinguished
+    return load_document(doc)
 
 
 def _emit(report: dict, fmt: str, stream) -> None:

@@ -1,10 +1,12 @@
 """The dual complex of a configuration, Smith normal form, and integral homology.
 
 A complex is a sorted, downward-closed list of face bitmasks, bit i for
-vertex i + 1; the engine reads it on ray classes, and the coordinate faces
-follow by the wedge rule.  Homology cancels a complex to its Morse core and
-reads the core's boundary matrices, in lexicographic vertex orientation, off
-one Smith normal form routine.  Reduced homology is indexed from degree -1
+vertex i + 1; the engine reads it on ray classes.  The coordinate faces
+follow by the wedge rule, expanded on demand inside the coordinates asked
+for: all of them for `dual_face_masks`, those in J for `pair_homology`, the
+coordinate-level side of the doubling check.  Homology cancels a complex to
+its Morse core and reads the core's boundary matrices, in lexicographic
+vertex orientation, off one Smith normal form routine.  Reduced homology is indexed from degree -1
 with two fixed conventions: the void complex (no faces at all) and the
 complex whose only face is the empty one both have a single Z in degree -1.
 """
@@ -414,28 +416,47 @@ def _class_faces(rays: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], tu
 
 
 def dual_face_masks(cfg: Configuration) -> tuple[int, ...]:
-    """All index sets with a nonempty face, as bitmasks (bit i-1 for coordinate i).
+    """All index sets with a nonempty face, as sorted bitmasks (bit i-1 for coordinate i)."""
+    require_valid(cfg)
+    return tuple(sorted(_coordinate_faces(cfg, (1 << cfg.n) - 1)))
 
-    The wedge rule: a coordinate set is a face iff the classes it contains
-    whole form a class face.  So each class face expands to itself plus any
-    proper part of every class outside it.
+
+def pair_homology(cfg: Configuration, J: Iterable[int]) -> GradedGroup:
+    """H(P, P_J): the reduced homology of the dual complex on J, shifted up by one.
+
+    An empty restriction gives Z in degree 0, matching the homology of the
+    contractible polytope itself.  This reads the coordinate faces inside J,
+    not the class complex with the wedge shift, on purpose: it is the
+    independent side of the doubling check in `cross-validate`, which would
+    prove nothing if both sides ran through the wedge shift.
     """
     require_valid(cfg)
-    return _dual_faces(cfg.class_rays, cfg.classes)
+    Jset = frozenset(J)
+    for j in Jset:
+        if not 1 <= j <= cfg.n:
+            raise ConfigurationError(f"index {j} out of range 1..{cfg.n}")
+    return _homology_from_masks(sorted(_coordinate_faces(cfg, _mask(Jset)))).shift(1)
 
 
-@lru_cache(maxsize=MEMO_SIZE)
-def _dual_faces(rays: tuple[tuple[int, ...], ...],
-                classes: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
-    """`dual_face_masks` keyed on the class signature, so labels, scale and marking drop out."""
-    # per class: the whole class, and every proper part of it
-    choices = [([_mask(members)], [_mask(part) for size in range(len(members))
-                                   for part in itertools.combinations(members, size)])
-               for members in classes]
+def _coordinate_faces(cfg: Configuration, within: int) -> list[int]:
+    """The coordinate faces inside the bitmask `within`, unsorted, by the wedge rule.
+
+    A coordinate set is a face iff the classes it contains whole form a class
+    face, so each class face T expands to itself plus any proper part of
+    every class outside T.  Inside `within`, a class face holding a class
+    not wholly inside gives nothing, and the proper parts of the other
+    classes are drawn from their members inside.
+    """
+    choices = []  # per class: the whole class if it lies inside, and its proper parts inside
+    for members in cfg.classes:
+        inside = [i for i in members if within >> (i - 1) & 1]
+        choices.append(([_mask(members)] if len(inside) == len(members) else [],
+                        [_mask(part) for size in range(min(len(inside), len(members) - 1) + 1)
+                         for part in itertools.combinations(inside, size)]))
     out: list[int] = []
-    for t in _class_faces(rays)[0]:
+    for t in _class_faces(cfg.class_rays)[0]:
         layer = [0]
         for c, (whole, proper) in enumerate(choices):
             layer = [f | s for f in layer for s in (whole if t >> c & 1 else proper)]
         out.extend(layer)
-    return tuple(sorted(out))
+    return out

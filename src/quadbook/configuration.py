@@ -114,9 +114,12 @@ class Configuration:
     def __post_init__(self):
         if not _is_int(self.k) or self.k < 1:
             raise ConfigurationError(f"k must be a positive integer, got {self.k!r}")
-        if not _is_int(self.distinguished):  # refused before any vector is parsed
+        # both refused before any vector is parsed, so a long input is refused at once
+        if not _is_int(self.distinguished):
             raise ConfigurationError(
                 f"distinguished coordinate must be an integer, got {self.distinguished!r}")
+        if not 1 <= self.distinguished <= len(self.lambdas):
+            raise ConfigurationError(f"distinguished coordinate {self.distinguished} out of range")
         vectors = tuple(tuple(as_rational(x) for x in vec) for vec in self.lambdas)
         for pos, vec in enumerate(vectors, start=1):
             if len(vec) != self.k:
@@ -135,8 +138,6 @@ class Configuration:
         bad = next((label for label in labels if not isinstance(label, str)), None)
         if bad is not None:
             raise ConfigurationError(f"labels must be strings, got {bad!r}")
-        if not 1 <= self.distinguished <= n:
-            raise ConfigurationError(f"distinguished coordinate {self.distinguished} out of range")
         groups: dict[tuple[int, ...], list[int]] = {}
         for i, vec in enumerate(vectors, start=1):
             groups.setdefault(_ray(vec), []).append(i)

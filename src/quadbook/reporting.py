@@ -24,7 +24,7 @@ from .classify import (
     partition_configuration,
     rotate_parts,
 )
-from .complexes import GradedGroup, class_face_masks, dual_face_masks
+from .complexes import GradedGroup, dual_face_masks, pair_homology
 from .configuration import (
     Configuration,
     ConfigurationError,
@@ -48,7 +48,6 @@ from .splitting import (
     homology_Z,
     homology_ZC,
     homology_Zplus,
-    pair_homology,
     splitting_ledger,
 )
 
@@ -127,29 +126,22 @@ def check_report(cfg: Configuration) -> dict:
 
 
 def dual_complex_report(cfg: Configuration) -> dict:
-    """The dual complex; the maximal faces are read off the class complex.
+    """The dual complex; its maximal faces are its faces of the largest size.
 
-    A class face T stands for the coordinate faces holding each class of T
-    whole and a proper part of every other class, so the maximal ones come
-    from the maximal class faces, with every class outside T missing one member.
+    On its vertices the class complex of a valid input is the boundary of a
+    simplicial polytope, hence pure, and so is its wedge on the coordinates.
     """
-    classes = cfg.classes
-    class_faces = class_face_masks(cfg)
-    is_face = set(class_faces)
-    outside = [[c for c in range(len(classes)) if not t >> c & 1] for t in class_faces]
-    maximal = [[i for i in range(1, cfg.n + 1) if i not in dropped]
-               for t, rest in zip(class_faces, outside)
-               if not any(t | 1 << c in is_face for c in rest)  # a maximal class face
-               for dropped in itertools.product(*(classes[c] for c in rest))]
-    faces = [[i + 1 for i in range(cfg.n) if f >> i & 1] for f in dual_face_masks(cfg)]
+    faces = sorted(([i + 1 for i in range(cfg.n) if f >> i & 1] for f in dual_face_masks(cfg)),
+                   key=lambda face: (len(face), face))
+    size = len(faces[-1]) if faces else 0
     return {
         "command": "dual-complex",
         "input": config_document(cfg),
         "void": not faces,
-        "dim": max(map(len, maximal), default=0) - 1,
-        "maximal_faces": sorted(maximal, key=lambda face: (len(face), face)),
+        "dim": size - 1,
+        "maximal_faces": [face for face in faces if len(face) == size],
         "face_count": len(faces),
-        "faces": sorted(faces, key=lambda face: (len(face), face)),
+        "faces": faces,
     }
 
 

@@ -4,7 +4,8 @@ H(Z) splits as a direct sum over index subsets J of the pair homologies
 H(P, P_J); the half manifold drops the summands whose J contains the
 distinguished coordinate, and the complex variety shifts each summand by |J|.
 Pair homology is computed through the nerve model: P_J is homotopy equivalent
-to the full subcomplex of the dual complex on J.
+to the full subcomplex of the dual complex on J, which
+`complexes.pair_homology` reads off the coordinate faces.
 
 Only unions of ray classes contribute, and each is read off the class complex
 K with the wedge shift.  Classes whose facet is empty (ghosts) are no vertex
@@ -27,8 +28,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
-from .complexes import (GradedGroup, _class_faces, _homology_from_masks, _mask,
-                        class_face_masks, dual_face_masks)
+from .complexes import GradedGroup, _class_faces, _homology_from_masks, class_face_masks
 from .configuration import (
     MEMO_SIZE,
     Configuration,
@@ -148,25 +148,6 @@ def _alexander_dual(v_mask: int, non_faces: Iterable[int]) -> list[int]:
                 s = (s - 1) & top
             dual.add(0)
     return sorted(dual)
-
-
-def pair_homology(cfg: Configuration, J: Iterable[int]) -> GradedGroup:
-    """H(P, P_J): the reduced homology of the dual complex on J, shifted up by one.
-
-    An empty restriction gives Z in degree 0, matching the homology of the
-    contractible polytope itself.  This reads the coordinate faces, not the
-    class complex with the wedge shift, on purpose: it is the independent
-    side of the doubling check in `cross-validate`, which would prove nothing
-    if both sides ran through the wedge shift.
-    """
-    require_valid(cfg)
-    Jset = frozenset(J)
-    for j in Jset:
-        if not 1 <= j <= cfg.n:
-            raise ConfigurationError(f"index {j} out of range 1..{cfg.n}")
-    j_mask = _mask(Jset)
-    faces = [f for f in dual_face_masks(cfg) if f & ~j_mask == 0]
-    return _homology_from_masks(faces).shift(1)
 
 
 def homology_Z(cfg: Configuration, *, cap: int = DEFAULT_SUBSET_CAP) -> GradedGroup:

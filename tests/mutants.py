@@ -70,7 +70,11 @@ MUTANTS = {
     "alexander-dual-without-empty-face": (
         "splitting.py", "dual.add(0)", "dual.discard(0)"),
     "dual-faces-without-largest-proper-parts": (
-        "complexes.py", "for size in range(len(members))", "for size in range(len(members) - 1)"),
+        "complexes.py", "range(min(len(inside), len(members) - 1) + 1)", "range(min(len(inside), len(members) - 1))"),
+    "restriction-ignores-within": (
+        "complexes.py", "inside = [i for i in members if within >> (i - 1) & 1]", "inside = list(members)"),
+    "restriction-keeps-split-classes-whole": (
+        "complexes.py", "if len(inside) == len(members) else []", "if True else []"),
     "euler-sign": (
         "splitting.py", "(-1) ** (cfg.n - cfg.k - 1) * total", "(-1) ** (cfg.n - cfg.k) * total"),
     "zplus-filter-off-by-one": (

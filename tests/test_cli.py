@@ -227,11 +227,17 @@ def test_cross_validate_failure_text_is_pinned(monkeypatch, capsys):
         4, "cases: 4\nresult: MISMATCHES FOUND\n  partition (1, 1, 2): failed ['doubling', 'pages']\n", "")
 
 
-def test_distinguished_flag_on_both_input_paths(tmp_path, capsys):
+def test_distinguished_flag_on_both_input_paths(tmp_path, capsys, monkeypatch):
     pentagon = qb.partition_configuration((1, 1, 1, 1, 1))
     path = tmp_path / "pentagon.json"
     path.write_text(json.dumps(config_document(pentagon)))
     expected = reporting.graded_document(qb.homology_Zplus(pentagon.with_distinguished(3)))
+
+    def refuse(cfg, i):
+        raise AssertionError("the input was built twice")
+
+    # the flag goes into the document, so each path builds one configuration
+    monkeypatch.setattr(qb.Configuration, "with_distinguished", refuse)
     for source in (["--partition", "1,1,1,1,1"], ["--config", str(path)]):
         code, out, _ = run_cli(capsys, "homology", *source, "--distinguished", "3",
                                "--format", "structured")

@@ -335,7 +335,12 @@ def test_dual_complex_report_reads_the_class_complex():
     configs += [
         qb.make_configuration([(1, 0), (2, 0), (-1, 1), ("-1/2", "1/2"), (-1, -1), (-3, -3)]),
         qb.make_configuration([(1, 0), (1, 1), (0, 1)]),  # void
+        qb.make_configuration([(1, 0), (2, 0), (1, 1), (0, 3), (0, 1)]),  # void, with repeated rays
     ]
+    for k in (2, 3, 4):  # random inputs with repeated rays, some of them void
+        for _ in range(8):
+            cfg = helpers.random_valid_configuration(rng, k, rng.randint(k + 1, k + 4), require_nonempty=False)
+            configs.append(helpers.with_repeated_rays(rng, cfg, rng.randint(1, 3)))
     saw_void = False
     for cfg in configs:
         report = dual_complex_report(cfg)

@@ -260,7 +260,7 @@ def test_derived_configurations_equal_fresh_ones():
 def test_scaled_and_relabelled_copies_hit_the_ray_keyed_memos():
     from quadbook import complexes, configuration, splitting
 
-    memos = (configuration._first_failure, complexes._dual_faces, splitting._pair_table)
+    memos = (configuration._first_failure, complexes._class_faces, splitting._pair_table)
     # a linear image of (2, 1, 2) that no other test builds
     cfg = qb.make_configuration([(4 * x - y, x + 6 * y)
                                  for x, y in qb.partition_configuration((2, 1, 2)).lambdas])
@@ -292,7 +292,7 @@ def test_every_package_memo_is_bounded():
             for value in vars(module).values():
                 if callable(getattr(value, "cache_clear", None)):
                     memos[value.__wrapped__.__qualname__] = value
-    assert {"_first_failure", "_class_faces", "_pair_table", "_dual_faces", "_parse_input"} <= set(memos)
+    assert {"_first_failure", "_class_faces", "_pair_table", "_parse_input"} <= set(memos)
     assert [name for name, memo in memos.items() if memo.cache_parameters()["maxsize"] is None] == []
 
 
@@ -403,5 +403,8 @@ def test_construction_refusals_name_their_cause():
     # before any vector is parsed, so a long partition document is refused at once
     with pytest.raises(ConfigurationError, match="distinguished coordinate must be an integer, got 'x'"):
         qb.Configuration(2, (("junk", 0),) * 3, (), "x")
+    for distinguished in (0, 4):
+        with pytest.raises(ConfigurationError, match=f"distinguished coordinate {distinguished} out of range"):
+            qb.Configuration(2, (("junk", 0),) * 3, (), distinguished)
     with pytest.raises(ConfigurationError, match="labels must be strings, got 1"):
         qb.Configuration(2, vectors, (1, 2, 3))

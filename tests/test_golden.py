@@ -100,14 +100,18 @@ def test_structured_output_matches_golden(case, tmp_path):
 
 def test_golden_cases_list_no_coordinate_faces(monkeypatch, tmp_path):
     """Every command but dual-complex and cross-validate runs on the class complex alone."""
-    import sys
+    import quadbook as qb
+    from quadbook import complexes
 
-    def refuse(cfg):
+    def refuse(cfg, within):
         raise AssertionError("coordinate faces listed")
 
-    for name, module in list(sys.modules.items()):
-        if name.partition(".")[0] == "quadbook" and hasattr(module, "dual_face_masks"):
-            monkeypatch.setattr(module, "dual_face_masks", refuse)
+    # the one expansion of the wedge rule, behind dual_face_masks and pair_homology
+    monkeypatch.setattr(complexes, "_coordinate_faces", refuse)
+    pentagon = qb.partition_configuration((1, 1, 1, 1, 1))
+    for listing in (lambda: complexes.dual_face_masks(pentagon), lambda: qb.pair_homology(pentagon, [1, 2])):
+        with pytest.raises(AssertionError, match="coordinate faces listed"):
+            listing()
     cases = [c for c in CASES if c["argv"][0] in ("check", "homology", "classify", "open-book")]
     assert len(cases) == 5 * (len(PARTITIONS) + 6)
     for case in cases:
