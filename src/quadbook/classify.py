@@ -127,25 +127,27 @@ def _ray_cmp(u: tuple[int, int], v: tuple[int, int]) -> int:
 def normal_form_labelled(cfg: Configuration) -> tuple[CyclicPartition, tuple[tuple[int, ...], ...]]:
     """Normal form plus the coordinate classes aligned with the canonical parts.
 
-    Classes are split wherever the counterclockwise walk between consecutive
-    directions crosses an antipodal direction of some configuration vector.
-    The result is cross-checked against the minimal non-faces of the input's
-    own class complex; a mismatch raises rather than silently misclassifying.
+    A view of the class-level sweep, not kept: a group's part counts the
+    coordinates of its classes, and the groups follow the canonical parts.
     """
     if cfg.k != 2:
         raise NormalFormError(f"cyclic normal forms require k = 2, got k = {cfg.k}")
     require_valid(cfg)
-    return _normal_form(cfg.class_rays, cfg.classes)
+    groups, classes = _sweep(cfg.class_rays), cfg.classes
+    parts, order = _canonical_order(tuple(sum(len(classes[c]) for c in group) for group in groups))
+    coordinates = tuple(tuple(sorted(x for c in groups[src] for x in classes[c])) for src in order)
+    return CyclicPartition(parts), coordinates
 
 
 @lru_cache(maxsize=MEMO_SIZE)
-def _normal_form(rays, classes) -> tuple[CyclicPartition, tuple[tuple[int, ...], ...]]:
-    """The angular sweep and self-check of a valid k = 2 configuration, once per class signature.
+def _sweep(rays) -> tuple[tuple[int, ...], ...]:
+    """The groups of class indices of valid k = 2 class rays, in sweep order.
 
-    Keyed on the class rays and classes, so labels, scale and the
-    distinguished coordinate drop out.  The sweep groups class indices; the
-    canonical groups are mapped to their sorted coordinates once.  A raise is
-    not kept, so a configuration without a normal form sweeps again.
+    Groups split wherever the counterclockwise walk between consecutive rays
+    crosses the antipode of a ray.  Keyed on the class rays alone, so labels,
+    scale, multiplicities and the distinguished coordinate drop out.  The
+    groups are checked against the class complex of rays, and a mismatch
+    raises rather than misclassifies.  A raise is not kept.
     """
     antipodes = {(-x, -y) for (x, y) in rays}
     if antipodes & set(rays):
@@ -170,31 +172,27 @@ def _normal_form(rays, classes) -> tuple[CyclicPartition, tuple[tuple[int, ...],
         )
     if len(groups) % 2 == 0:
         raise OracleMismatchError("even class count contradicts weak hyperbolicity")
-    found_parts = tuple(sum(len(classes[c]) for c in group) for group in groups)
-    _self_check(rays, found_parts, [sum(1 << c for c in group) for group in groups])
-    # canonicalise, keeping the classes aligned with the chosen representative
-    parts, order = _canonical_order(found_parts)
-    coordinates = tuple(tuple(sorted(x for c in groups[src] for x in classes[c])) for src in order)
-    return CyclicPartition(parts), coordinates
+    _self_check(rays, [sum(1 << c for c in group) for group in groups])
+    return tuple(tuple(group) for group in groups)
 
 
-def _self_check(rays, parts: tuple[int, ...], class_masks: Sequence[int]) -> None:
-    """Raise unless the odd polygon with these parts has the class complex of rays.
+def _self_check(rays, class_masks: Sequence[int]) -> None:
+    """Raise unless the odd polygon with one vertex per group has the class complex of rays.
 
-    Group p, the classes of mask p, becomes part p of the polygon.  A complex
-    is fixed by its minimal non-faces.  The rays of a set of parts hold the
-    origin in their hull iff no cyclic gap between them reaches ell + 1
-    steps.  A set of parts is a face iff the parts outside it hold the
+    Group p, the classes of mask p, becomes vertex p of the m-gon.  A complex
+    is fixed by its minimal non-faces.  The vertices of a set of groups hold
+    the origin in their hull iff no cyclic gap between them reaches ell + 1
+    steps.  A set of groups is a face iff the groups outside it hold the
     origin, so it is a non-face iff it contains ell cyclically consecutive
-    parts, and the polygon's minimal non-faces are its m runs of ell
-    consecutive parts.  Pulled back to their classes, these runs must be
+    groups, and the polygon's minimal non-faces are its m runs of ell
+    consecutive groups.  Pulled back to their classes, these runs must be
     exactly the minimal non-faces of the class complex of rays.
     """
-    m, ell = len(parts), (len(parts) - 1) // 2
+    m, ell = len(class_masks), (len(class_masks) - 1) // 2
     runs = {sum(class_masks[(p + t) % m] for t in range(ell)) for p in range(m)}
     if runs != set(_class_faces(rays)[1]):
         raise OracleMismatchError(
-            f"normal form self-check failed: dual complex of {parts} realisation "
+            f"normal form self-check failed: dual complex of the {m}-gon realisation "
             "does not match the configuration"
         )
 
@@ -204,7 +202,6 @@ def normal_form(cfg: Configuration) -> CyclicPartition:
     return normal_form_labelled(cfg)[0]
 
 
-@lru_cache(maxsize=MEMO_SIZE)
 def _polygon_vertices(m: int) -> tuple[tuple[int, int], ...]:
     """Integer direction approximants of a regular odd m-gon, exactly verified.
 

@@ -37,7 +37,7 @@ from .configuration import (
     delete_coordinate,
     require_valid,
 )
-from .splitting import euler_cellcount, homology_Z, homology_Zplus
+from .splitting import _require_cap, euler_cellcount, homology_Z, homology_Zplus
 
 
 # ---------------------------------------------------------------------------
@@ -306,6 +306,7 @@ def open_book_real(cfg: Configuration, i: int) -> OpenBookStructure:
     lambda_i included, since scaling a vector leaves the variety unchanged.
     The binding removes the duplicated vector twice, the page is the half
     manifold of the variety with it removed once, and the monodromy is trivial.
+    A binding over the subset cap raises SizeCapError before any model is built.
     """
     require_valid(cfg)
     if not 1 <= i <= cfg.n:
@@ -314,6 +315,8 @@ def open_book_real(cfg: Configuration, i: int) -> OpenBookStructure:
     twins = [j for j in ray_class if j != i]
     if not twins:
         raise OpenBookError(f"coordinate {i} is not part of a duplicated pair; duplicate it first")
+    if cfg.n - 2 >= cfg.k + 1:  # the binding's ledger is the first that the checks read
+        _require_cap(cfg.n - 2)
     partner = next((j for j in (i - 1, i + 1) if j in twins), twins[0])
     underlying = delete_coordinate(cfg, i)
     partner_pos = partner if partner < i else partner - 1
@@ -329,10 +332,14 @@ def open_book_complex(cfg: Configuration, i: int) -> OpenBookStructure:
 
     The binding is the complex variety of the configuration without lambda_i,
     which is weakly hyperbolic because every subset of it is one of the input.
+    A doubled binding over the subset cap raises SizeCapError before any model
+    is built.
     """
     require_valid(cfg)
     if not 1 <= i <= cfg.n:
         raise ConfigurationError(f"coordinate {i} out of range 1..{cfg.n}")
+    if cfg.n - 1 >= cfg.k + 1:  # the doubled binding's ledger is the first that the checks read
+        _require_cap(2 * (cfg.n - 1))
     deleted = _deleted_or_empty(cfg, i)
     total = complexify(cfg)
     binding = complexify(deleted) if deleted is not None else None

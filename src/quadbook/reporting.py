@@ -24,7 +24,7 @@ from .classify import (
     partition_configuration,
     rotate_parts,
 )
-from .complexes import GradedGroup, dual_face_masks, pair_homology
+from .complexes import GradedGroup, _coordinate_faces, pair_homology
 from .configuration import (
     Configuration,
     ConfigurationError,
@@ -33,6 +33,7 @@ from .configuration import (
     SizeCapError,
     _is_int,
     complexify,
+    require_valid,
     validate,
 )
 from .openbook import (
@@ -131,8 +132,11 @@ def dual_complex_report(cfg: Configuration) -> dict:
     On its vertices the class complex of a valid input is the boundary of a
     simplicial polytope, hence pure, and so is its wedge on the coordinates.
     """
-    faces = sorted(([i + 1 for i in range(cfg.n) if f >> i & 1] for f in dual_face_masks(cfg)),
-                   key=lambda face: (len(face), face))
+    require_valid(cfg)
+    by_size: dict[int, list[list[int]]] = {}  # listed by size, then in list order within one
+    for f in _coordinate_faces(cfg, (1 << cfg.n) - 1):
+        by_size.setdefault(f.bit_count(), []).append([i + 1 for i in range(cfg.n) if f >> i & 1])
+    faces = [face for size in sorted(by_size) for face in sorted(by_size[size])]
     size = len(faces[-1]) if faces else 0
     return {
         "command": "dual-complex",

@@ -197,12 +197,17 @@ class SplittingLedger:
     total: GradedGroup
 
 
+def _require_cap(n: int, cap: int = DEFAULT_SUBSET_CAP) -> None:
+    """SizeCapError unless a ledger over n coordinates is within the subset cap."""
+    if n > cap:
+        raise SizeCapError(f"n = {n} exceeds the subset cap {cap}")
+
+
 def splitting_ledger(cfg: Configuration, space: str = "Z", *,
                      cap: int = DEFAULT_SUBSET_CAP) -> SplittingLedger:
     """The full contributing-subsets ledger for one of the three spaces."""
     require_valid(cfg)
-    if cfg.n > cap:
-        raise SizeCapError(f"n = {cfg.n} exceeds the subset cap {cap}")
+    _require_cap(cfg.n, cap)
     if space not in ("Z", "Zplus", "ZC"):
         raise ConfigurationError(f"unknown space {space!r}; expected Z, Zplus or ZC")
     rows = tuple((J, group.shift(len(J)) if space == "ZC" else group)

@@ -52,7 +52,7 @@ MUTANTS = {
     "prefix-pass-skipped": (
         "configuration.py", "if first != tuple(range(top)):", "if True:"),
     "self-check-disabled": (
-        "classify.py", "    _self_check(rays, found_parts,", "    (lambda *_: None)(rays, found_parts,"),
+        "classify.py", "    _self_check(rays, [", "    (lambda *_: None)(rays, ["),
     "torsion-dropped": (
         "complexes.py", "chain = torsion.get(d + 2, ())", "chain = ()"),
     "duality-torsion-degree": (
@@ -83,6 +83,12 @@ MUTANTS = {
         "classify.py", "c = _cross(u, v)", "c = _cross(v, u)"),
     "witness-mapping-trusts-first": (
         "configuration.py", "else _phase_one(*start(s))[0] is not None", "else False"),
+    "complex-book-cap-on-the-undeleted-input": (
+        "openbook.py", "_require_cap(2 * (cfg.n - 1))", "_require_cap(2 * cfg.n)"),
+    "real-book-cap-on-the-underlying-model": (
+        "openbook.py", "_require_cap(cfg.n - 2)", "_require_cap(cfg.n - 1)"),
+    "dual-faces-unsorted-within-a-size": (
+        "reporting.py", "sorted(by_size[size])", "by_size[size]"),
 }
 
 # name: the open item that will kill it

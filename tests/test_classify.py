@@ -151,7 +151,7 @@ def test_self_check_matches_coordinate_reference():
             class_masks = [sum(1 << c for c, members in enumerate(cfg.classes) if set(members) <= set(group))
                            for group in groups]
             try:
-                _self_check(cfg.class_rays, parts, class_masks)
+                _self_check(cfg.class_rays, class_masks)
                 verdict = True
             except qb.OracleMismatchError:
                 verdict = False
@@ -170,7 +170,7 @@ def test_self_check_raises_on_a_mismatched_realisation(wrong, monkeypatch, capsy
     wrong_polygon = qb.partition_configuration(wrong((1, 1, 1, 1, 1)))
     wrong_faces = quadbook.classify._class_faces(wrong_polygon.class_rays)
     monkeypatch.setattr(quadbook.classify, "_class_faces", lambda rays: wrong_faces)
-    quadbook.classify._normal_form.cache_clear()  # an earlier test's sweep would skip the check
+    quadbook.classify._sweep.cache_clear()  # an earlier test's sweep would skip the check
     with pytest.raises(qb.OracleMismatchError, match="self-check failed"):
         qb.normal_form(PENTAGON)
     assert main(["classify", "--partition", "1,1,1,1,1", "--format", "structured"]) == 4
@@ -292,9 +292,9 @@ def test_one_sweep_per_configuration(monkeypatch):
 
     calls = []
     monkeypatch.setattr(quadbook.classify, "_self_check",
-                        lambda rays, *rest: calls.append(rays) or _self_check(rays, *rest))
+                        lambda rays, class_masks: calls.append(rays) or _self_check(rays, class_masks))
     cfg = qb.partition_configuration((1, 2, 2))
-    quadbook.classify._normal_form.cache_clear()
+    quadbook.classify._sweep.cache_clear()
     classify_report(cfg)
     for i in range(1, cfg.n + 1):
         open_book_report(cfg, i)
@@ -313,9 +313,9 @@ def test_normal_form_is_one_sweep_per_class_signature():
         qb.delete_coordinate(qb.duplicate_coordinate(cfg, 2), 2),
     ]
     assert len(set(same_signature)) == 5
-    quadbook.classify._normal_form.cache_clear()
+    quadbook.classify._sweep.cache_clear()
     forms = [qb.normal_form_labelled(c) for c in same_signature]
-    assert quadbook.classify._normal_form.cache_info().misses == 1
+    assert quadbook.classify._sweep.cache_info().misses == 1
     assert forms == [forms[0]] * 5
 
 
@@ -324,7 +324,10 @@ def test_memoised_normal_form_equals_a_fresh_one():
 
     for parts in odd_partitions(9):
         cfg = qb.partition_configuration(parts)
-        memoised = qb.normal_form_labelled(cfg)
-        assert qb.normal_form_labelled(cfg) is memoised, parts
-        quadbook.classify._normal_form.cache_clear()
-        assert qb.normal_form_labelled(cfg) == memoised, parts
+        labelled = qb.normal_form_labelled(cfg)
+        memoised = quadbook.classify._sweep(cfg.class_rays)
+        assert qb.normal_form_labelled(cfg) == labelled, parts
+        assert quadbook.classify._sweep(cfg.class_rays) is memoised, parts
+        quadbook.classify._sweep.cache_clear()
+        assert qb.normal_form_labelled(cfg) == labelled, parts
+        assert quadbook.classify._sweep(cfg.class_rays) == memoised, parts

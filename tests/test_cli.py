@@ -119,6 +119,13 @@ def test_cap_refusal_offers_the_flag_only_where_it_exists(capsys):
     assert run_cli(capsys, "open-book", "--partition", "3,3,3,3,3", "--max-n", "64")[0] == 1
 
 
+def test_open_book_of_a_long_partition_is_refused(capsys):
+    # the binding's ledger: 2(n - 1) doubled coordinates, or n - 2 for the real book
+    for variant, n in (("complex", 199998), ("real", 99998)):
+        code, out, err = run_cli(capsys, "open-book", "--partition", "99998,1,1", "--variant", variant)
+        assert (code, out, err) == (3, "", f"size cap: n = {n} exceeds the subset cap 20\n"), variant
+
+
 def test_cross_validate_family_cap(capsys):
     with pytest.raises(qb.SizeCapError):
         reporting.parse_family("partitions:n<=40")

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -258,9 +259,10 @@ def test_derived_configurations_equal_fresh_ones():
 
 
 def test_scaled_and_relabelled_copies_hit_the_ray_keyed_memos():
-    from quadbook import complexes, configuration, splitting
+    from quadbook import classify, complexes, configuration, splitting
 
-    memos = (configuration._first_failure, complexes._class_faces, splitting._pair_table)
+    ray_keyed = (configuration._first_failure, complexes._class_faces, classify._sweep)
+    memos = (*ray_keyed, splitting._pair_table)
     # a linear image of (2, 1, 2) that no other test builds
     cfg = qb.make_configuration([(4 * x - y, x + 6 * y)
                                  for x, y in qb.partition_configuration((2, 1, 2)).lambdas])
@@ -269,8 +271,9 @@ def test_scaled_and_relabelled_copies_hit_the_ray_keyed_memos():
 
     def run(c):
         return (qb.validate(c), (c.class_rays, c.classes), complexes.dual_face_masks(c),
-                qb.homology_Z(c))
+                qb.homology_Z(c), qb.normal_form_labelled(c))
 
+    start = [memo.cache_info() for memo in ray_keyed]
     first = run(cfg)
     before = [memo.cache_info() for memo in memos]
     for other in copies:
@@ -278,6 +281,15 @@ def test_scaled_and_relabelled_copies_hit_the_ray_keyed_memos():
     after = [memo.cache_info() for memo in memos]
     assert [info.misses for info in after] == [info.misses for info in before]
     assert all(a.hits > b.hits for a, b in zip(after, before))
+
+    # other multiplicities keep the class rays, so the memos keyed on them alone miss no more;
+    # the pair table also keys on the classes and is left out
+    twin = next(members[1] for members in cfg.classes if len(members) > 1)
+    for other in (qb.duplicate_coordinate(cfg, 3), qb.complexify(cfg), qb.delete_coordinate(cfg, twin)):
+        assert other.class_rays == cfg.class_rays and other.classes != cfg.classes
+        assert qb.validate(other).ok and complexes.dual_face_masks(other)
+        assert qb.normal_form(other).n == other.n
+    assert [memo.cache_info().misses for memo in ray_keyed] == [info.misses + 1 for info in start]
 
 
 def test_every_package_memo_is_bounded():
@@ -408,3 +420,10 @@ def test_construction_refusals_name_their_cause():
             qb.Configuration(2, (("junk", 0),) * 3, (), distinguished)
     with pytest.raises(ConfigurationError, match="labels must be strings, got 1"):
         qb.Configuration(2, vectors, (1, 2, 3))
+    # each after an exact vector of equal value: the tuples compare and hash equal,
+    # so a parse cache keyed on the raw vector would accept them
+    for exact, inexact, named in (((1, 0), (1.0, 0.0), "1.0"), ((1, 0), (True, False), "True"),
+                                  ((Fraction(1, 2), 1), (0.5, 1), "0.5")):
+        assert exact == inexact and hash(exact) == hash(inexact)
+        with pytest.raises(ConfigurationError, match=rf"not an exact rational: {named}$"):
+            qb.make_configuration([exact, inexact, (-1, 1), (0, -1)])

@@ -208,6 +208,33 @@ def test_open_book_coordinate_out_of_range_is_refused():
             qb.open_book_complex(PENTAGON, coordinate)
 
 
+def test_open_book_cap_falls_on_the_binding_ledger():
+    from quadbook.reporting import open_book_report
+
+    # the complex book's doubled binding has 2(n - 1) coordinates, the real book's binding n - 2
+    for parts, variant, n in (((4, 4, 3), "complex", 20), ((10, 6, 6), "real", 20)):
+        report = open_book_report(qb.partition_configuration(parts), 1, variant=variant)
+        assert report["binding"]["n"] == n
+        assert all(check["status"] != "fail" for check in report["consistency"]), parts
+    for parts, variant, n in (((4, 4, 4), "complex", 22), ((10, 7, 6), "real", 21)):
+        with pytest.raises(qb.SizeCapError, match=rf"^n = {n} exceeds the subset cap 20$"):
+            open_book_report(qb.partition_configuration(parts), 1, variant=variant)
+
+
+def test_open_book_refuses_before_building_a_model(monkeypatch):
+    import quadbook.openbook
+
+    def no_model(*args):
+        raise AssertionError("a model was built before the cap check")
+
+    monkeypatch.setattr(quadbook.openbook, "complexify", no_model)
+    with pytest.raises(qb.SizeCapError, match="n = 40 exceeds"):
+        qb.open_book_complex(qb.partition_configuration((1,) * 21), 1)
+    monkeypatch.setattr(quadbook.openbook, "delete_coordinate", no_model)
+    with pytest.raises(qb.SizeCapError, match="n = 21 exceeds"):
+        qb.open_book_real(qb.partition_configuration((10, 7, 6)), 1)
+
+
 def test_open_book_complex_triangle():
     book = qb.open_book_complex(TRIANGLE, 1)
     assert book.binding is None
