@@ -4,7 +4,8 @@ A thin shell over the core modules: every numerical fact in a report comes
 from a core operation.  Exit codes: 0 ok, 1 parse error or an open book the
 input does not carry (no twin for a real book), 2 invalid configuration (weak
 hyperbolicity fails), 3 size-cap refusal, 4 internal oracle mismatch, failed
-cross-validation or a cross-validation worker that died.
+cross-validation or a cross-validation worker that died.  An oracle mismatch
+on an input also writes that input's document to stderr as one JSON line.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .reporting import (
     WorkerDiedError,
     check_report,
     classify_report,
+    config_document,
     cross_validate,
     dual_complex_report,
     homology_report,
@@ -79,8 +81,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_parser("classify", parents=[inputs], help="normal form and diffeomorphism types")
     book = sub.add_parser("open-book", parents=[inputs], help="binding, page and consistency report")
     book.add_argument("--variant", choices=("real", "complex"), default="complex")
-    book.add_argument("--facet", type=int, default=None,
-                      help="coordinate carrying the book (default: the distinguished one)")
     xv = sub.add_parser("cross-validate", help="run the oracle battery over a family")
     xv.add_argument("--family", action="append", default=None,
                     help="family spec, e.g. 'partitions:n<=6' (repeatable)")
@@ -143,6 +143,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_PARSE if exc.code else EXIT_OK
     out = sys.stdout
+    cfg = None
     try:
         if args.command == "cross-validate":
             families = args.family or ["partitions:n<=6"]
@@ -164,11 +165,8 @@ def main(argv=None) -> int:
             report = homology_report(cfg, spaces, cap=args.max_n)
         elif args.command == "classify":
             report = classify_report(cfg)
-        elif args.command == "open-book":
-            facet = args.facet if args.facet is not None else cfg.distinguished
-            report = open_book_report(cfg, facet, variant=args.variant)
-        else:  # pragma: no cover
-            raise ParseError(f"unknown command {args.command!r}")
+        else:  # open-book, at the distinguished coordinate
+            report = open_book_report(cfg, cfg.distinguished, variant=args.variant)
         _emit(report, args.format, out)
         return EXIT_OK
     except ParseError as exc:
@@ -184,6 +182,8 @@ def main(argv=None) -> int:
         return EXIT_CAP
     except OracleMismatchError as exc:
         print(f"internal oracle mismatch (this is a bug): {exc}", file=sys.stderr)
+        if cfg is not None:  # the input, as a document that --config replays
+            print(json.dumps(config_document(cfg)), file=sys.stderr)
         return EXIT_MISMATCH
     except WorkerDiedError as exc:
         print(f"cross-validate: a worker process died: {exc}", file=sys.stderr)

@@ -120,7 +120,20 @@ class Configuration:
                 f"distinguished coordinate must be an integer, got {self.distinguished!r}")
         if not 1 <= self.distinguished <= len(self.lambdas):
             raise ConfigurationError(f"distinguished coordinate {self.distinguished} out of range")
-        vectors = tuple(tuple(as_rational(x) for x in vec) for vec in self.lambdas)
+        # each distinct raw vector is parsed and rayed once; the key holds the
+        # entry types too, since (1, 0) == (1.0, 0.0) and only one is exact
+        seen: dict[tuple, int] = {}
+        parsed, index = [], []
+        for vec in self.lambdas:
+            raw = tuple(vec)
+            try:
+                j = seen.setdefault((raw, tuple(map(type, raw))), len(parsed))
+            except TypeError:  # an unhashable entry, which as_rational refuses
+                j = len(parsed)
+            if j == len(parsed):
+                parsed.append(tuple(map(as_rational, raw)))
+            index.append(j)
+        vectors = tuple(map(parsed.__getitem__, index))
         for pos, vec in enumerate(vectors, start=1):
             if len(vec) != self.k:
                 raise ConfigurationError(
@@ -139,8 +152,9 @@ class Configuration:
         if bad is not None:
             raise ConfigurationError(f"labels must be strings, got {bad!r}")
         groups: dict[tuple[int, ...], list[int]] = {}
-        for i, vec in enumerate(vectors, start=1):
-            groups.setdefault(_ray(vec), []).append(i)
+        members = [groups.setdefault(_ray(vec), []) for vec in parsed]
+        for i, j in enumerate(index, start=1):
+            members[j].append(i)
         object.__setattr__(self, "lambdas", vectors)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "class_rays", tuple(groups))

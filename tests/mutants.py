@@ -89,6 +89,8 @@ MUTANTS = {
         "openbook.py", "_require_cap(cfg.n - 2)", "_require_cap(cfg.n - 1)"),
     "dual-faces-unsorted-within-a-size": (
         "reporting.py", "sorted(by_size[size])", "by_size[size]"),
+    "parse-cache-ignores-entry-types": (
+        "configuration.py", "(raw, tuple(map(type, raw)))", "(raw, ())"),
 }
 
 # name: the open item that will kill it

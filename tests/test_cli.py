@@ -166,6 +166,19 @@ def test_open_book_command(capsys):
     assert all(c["status"] in ("pass", "skip") for c in report["consistency"])
 
 
+def test_open_book_sits_at_the_distinguished_coordinate(capsys):
+    # the book is built at cfg.distinguished: --distinguished is the one flag that moves it
+    cfg = qb.partition_configuration((1, 1, 1, 2, 2))
+    for variant in ("complex", "real"):
+        code, out, _ = run_cli(capsys, "open-book", "--partition", "1,1,1,2,2", "--distinguished", "4",
+                               "--variant", variant, "--format", "structured")
+        report = reporting.open_book_report(cfg.with_distinguished(4), 4, variant=variant)
+        assert (code, json.loads(out)) == (0, report), variant
+    code, out, err = run_cli(capsys, "open-book", "--partition", "1,1,1,1,1", "--facet", "2")
+    assert (code, out) == (1, "")
+    assert "unrecognized arguments: --facet 2" in err
+
+
 TEXT_OUTPUT = [
     (["dual-complex", "--partition", "1,1,1,1,1"],
      "dual complex: dim 1, 11 faces\nmaximal faces:\n  [1, 3]\n  [1, 4]\n  [2, 4]\n"
@@ -469,7 +482,7 @@ def _documents(draw):
 _COMMANDS = st.sampled_from([
     ["check"], ["dual-complex"], ["homology"], ["homology", "--max-n", "4"], ["classify"],
     ["open-book", "--variant", "complex"], ["open-book", "--variant", "real"],
-    ["open-book", "--facet", "2"], ["check", "--distinguished", "9"],
+    ["open-book", "--distinguished", "2"], ["check", "--distinguished", "9"],
 ])
 
 

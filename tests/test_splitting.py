@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import random
 
@@ -295,6 +296,7 @@ def test_unions_of_at_most_two_minimal_non_faces_are_spheres():
 def test_sphere_guard(monkeypatch, capsys, faces):
     from quadbook import splitting
     from quadbook.cli import main
+    from quadbook.reporting import load_document
 
     monkeypatch.setattr(splitting, "_class_faces", lambda rays: (faces, ()))
     splitting._pair_table.cache_clear()
@@ -305,7 +307,10 @@ def test_sphere_guard(monkeypatch, capsys, faces):
         captured = capsys.readouterr()
         assert (code, captured.out) == (4, "")
         assert "Traceback" not in captured.err
-        assert "sphere" in captured.err
+        message, document = captured.err.splitlines()
+        assert "sphere" in message
+        # the input follows as one JSON line, so that --config replays the failure
+        assert load_document(json.loads(document)) == qb.partition_configuration((1,) * 5)
     finally:
         splitting._pair_table.cache_clear()
 
