@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cmp_to_key, lru_cache
+from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
 from .complexes import GradedGroup, _class_faces
@@ -103,25 +104,8 @@ def d_values(partition: CyclicPartition | Sequence[int]) -> tuple[int, ...]:
 # angular combinatorics
 
 
-def _half(d: tuple[int, int]) -> int:
-    x, y = d
-    return 0 if y > 0 or (y == 0 and x > 0) else 1
-
-
 def _cross(u: tuple[int, int], v: tuple[int, int]) -> int:
     return u[0] * v[1] - u[1] * v[0]
-
-
-def _ray_cmp(u: tuple[int, int], v: tuple[int, int]) -> int:
-    hu, hv = _half(u), _half(v)
-    if hu != hv:
-        return -1 if hu < hv else 1
-    c = _cross(u, v)
-    if c > 0:
-        return -1
-    if c < 0:
-        return 1
-    return 0
 
 
 def normal_form_labelled(cfg: Configuration) -> tuple[CyclicPartition, tuple[tuple[int, ...], ...]]:
@@ -152,8 +136,12 @@ def _sweep(rays) -> tuple[tuple[int, ...], ...]:
     antipodes = {(-x, -y) for (x, y) in rays}
     if antipodes & set(rays):
         raise OracleMismatchError("antipodal pair survived validation")
-    events = sorted([(r, c) for c, r in enumerate(rays)] + [(a, None) for a in antipodes],
-                    key=cmp_to_key(lambda a, b: _ray_cmp(a[0], b[0])))
+
+    def angle(event):  # counterclockwise from the positive x axis, exactly: by half, then -x / y
+        (x, y), _ = event
+        return (0 if y > 0 or (y == 0 and x > 0) else 1, y != 0, Fraction(-x, y) if y else 0)
+
+    events = sorted([(r, c) for c, r in enumerate(rays)] + [(a, None) for a in antipodes], key=angle)
     first_anti = next(pos for pos, (_, c) in enumerate(events) if c is None)
     groups: list[list[int]] = []
     fresh = True

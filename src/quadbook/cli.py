@@ -152,13 +152,11 @@ def main(argv=None) -> int:
             return EXIT_OK if report["ok"] else EXIT_MISMATCH
 
         cfg = _load_input(args)
+        if args.command != "check":
+            require_valid(cfg)
         if args.command == "check":
             report = check_report(cfg)
-            _emit(report, args.format, out)
-            return EXIT_OK if report["ok"] else EXIT_INVALID
-
-        require_valid(cfg)
-        if args.command == "dual-complex":
+        elif args.command == "dual-complex":
             report = dual_complex_report(cfg)
         elif args.command == "homology":
             spaces = tuple(args.space) if args.space else ("Z", "ZC", "Zplus")
@@ -167,8 +165,10 @@ def main(argv=None) -> int:
             report = classify_report(cfg)
         else:  # open-book, at the distinguished coordinate
             report = open_book_report(cfg, cfg.distinguished, variant=args.variant)
+        if args.format == "structured":  # only this format prints the input, as a --config document
+            report["input"] = config_document(cfg)
         _emit(report, args.format, out)
-        return EXIT_OK
+        return EXIT_INVALID if args.command == "check" and not report["ok"] else EXIT_OK
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -1,7 +1,7 @@
 """Input documents, deterministic reports, and the cross-validation battery.
 
-The structured format mirrors the domain types one to one and round-trips
-through the input schema.  Every list in a report is emitted in a fixed order
+Reports mirror the domain types one to one and leave out the input, whose
+document the CLI adds to structured output.  Every list is emitted in a fixed order
 so identical inputs produce byte-identical output, independently of the
 parallelism degree used to compute them.
 """
@@ -120,7 +120,7 @@ def graded_document(group: GradedGroup) -> list[dict]:
 
 def check_report(cfg: Configuration) -> dict:
     report = validate(cfg)
-    out = {"command": "check", "input": config_document(cfg), "ok": report.ok}
+    out = {"command": "check", "ok": report.ok}
     if not report.ok:
         out["witness"] = list(report.witness)
     return out
@@ -140,7 +140,6 @@ def dual_complex_report(cfg: Configuration) -> dict:
     size = len(faces[-1]) if faces else 0
     return {
         "command": "dual-complex",
-        "input": config_document(cfg),
         "void": not faces,
         "dim": size - 1,
         "maximal_faces": [face for face in faces if len(face) == size],
@@ -151,7 +150,7 @@ def dual_complex_report(cfg: Configuration) -> dict:
 
 def homology_report(cfg: Configuration, spaces: Iterable[str] = ("Z", "ZC", "Zplus"), *,
                     cap: int = DEFAULT_SUBSET_CAP) -> dict:
-    out = {"command": "homology", "input": config_document(cfg), "spaces": {}}
+    out = {"command": "homology", "spaces": {}}
     for space in spaces:
         led = splitting_ledger(cfg, space, cap=cap)
         out["spaces"][space] = {
@@ -182,7 +181,6 @@ def classify_report(cfg: Configuration) -> dict:
     partition, classes = normal_form_labelled(cfg)
     return {
         "command": "classify",
-        "input": config_document(cfg),
         "normal_form": list(partition.parts),
         "classes": [list(c) for c in classes],
         "d_values": list(d_values(partition)),
@@ -202,7 +200,6 @@ def open_book_report(cfg: Configuration, coordinate: int, *, variant: str = "com
     out = {
         "command": "open-book",
         "variant": variant,
-        "input": config_document(cfg),
         "total_dim": structure.total_dim,
         "monodromy": structure.monodromy,
         "binding": config_document(structure.binding) if structure.binding else None,
@@ -253,12 +250,9 @@ def odd_partitions(limit: int) -> list[tuple[int, ...]]:
 
 
 def _compositions(total: int, count: int) -> list[tuple[int, ...]]:
-    if count == 1:
-        return [(total,)] if total >= 1 else []
-    out = []
-    for first in range(1, total - count + 2):
-        out.extend((first,) + rest for rest in _compositions(total - first, count - 1))
-    return out
+    """The compositions of total into count positive parts, by their cut points, in lex order."""
+    return [tuple(b - a for a, b in zip((0,) + cuts, cuts + (total,)))
+            for cuts in itertools.combinations(range(1, total), count - 1)]
 
 
 def _cross_validate_item(parts: tuple[int, ...]) -> dict:

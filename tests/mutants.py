@@ -80,7 +80,7 @@ MUTANTS = {
     "zplus-filter-off-by-one": (
         "splitting.py", "cfg.distinguished in J", "cfg.distinguished + 1 in J"),
     "angular-order-reversed-in-half": (
-        "classify.py", "c = _cross(u, v)", "c = _cross(v, u)"),
+        "classify.py", "Fraction(-x, y) if y else 0", "Fraction(-x, abs(y)) if y else 0"),
     "witness-mapping-trusts-first": (
         "configuration.py", "else _phase_one(*start(s))[0] is not None", "else False"),
     "complex-book-cap-on-the-undeleted-input": (

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import quadbook as qb
-from quadbook import reporting
+from quadbook import cli, reporting
 from quadbook.cli import main
 from quadbook.reporting import config_document, load_document
 
@@ -57,6 +57,20 @@ def test_check_valid(capsys):
     code, out, _ = run_cli(capsys, "check", "--partition", "1,1,1,1,1")
     assert code == 0
     assert "valid" in out
+
+
+def test_text_check_builds_no_input_document(capsys, monkeypatch):
+    # only structured output prints the input, so only it builds the document
+    def refuse(cfg):
+        raise AssertionError("text output built the input document")
+
+    with monkeypatch.context() as patch:
+        for module in (cli, reporting):  # the CLI's own name, and the one the builders see
+            patch.setattr(module, "config_document", refuse)
+        assert run_cli(capsys, "check", "--partition", "1,1,1") == (0, "valid: weakly hyperbolic\n", "")
+    code, out, _ = run_cli(capsys, "check", "--partition", "1,1,1", "--format", "structured")
+    assert code == 0
+    assert load_document(json.loads(out)["input"]) == qb.partition_configuration((1, 1, 1))
 
 
 def test_parse_errors_exit_one(tmp_path, capsys):
@@ -172,7 +186,9 @@ def test_open_book_sits_at_the_distinguished_coordinate(capsys):
     for variant in ("complex", "real"):
         code, out, _ = run_cli(capsys, "open-book", "--partition", "1,1,1,2,2", "--distinguished", "4",
                                "--variant", variant, "--format", "structured")
-        report = reporting.open_book_report(cfg.with_distinguished(4), 4, variant=variant)
+        moved = cfg.with_distinguished(4)
+        report = reporting.open_book_report(moved, 4, variant=variant)
+        report["input"] = config_document(moved)  # as the CLI attaches it to structured output
         assert (code, json.loads(out)) == (0, report), variant
     code, out, err = run_cli(capsys, "open-book", "--partition", "1,1,1,1,1", "--facet", "2")
     assert (code, out) == (1, "")
@@ -343,8 +359,6 @@ def test_cross_validate_broken_pool_exits_4(fake_pool, monkeypatch, capsys):
 
 
 def test_one_parse_per_session(tmp_path, capsys, monkeypatch):
-    from quadbook import cli
-
     calls = []
     monkeypatch.setattr(cli, "load_document", lambda doc: calls.append(doc) or load_document(doc))
     cli._parse_input.cache_clear()
