@@ -56,36 +56,40 @@ def _positive_int(text: str) -> int:
     return value
 
 
+# the flags each command takes, by argparse dest, with their defaults: one
+# parser declares every flag once, and main refuses a flag its command lacks
+_INPUT = {"partition": None, "config": None, "distinguished": None, "format": "text"}
+COMMAND_FLAGS = {
+    "check": _INPUT,
+    "dual-complex": _INPUT,
+    "homology": {**_INPUT, "space": ("Z", "ZC", "Zplus"), "max_n": DEFAULT_SUBSET_CAP},
+    "classify": _INPUT,
+    "open-book": {**_INPUT, "variant": "complex"},
+    "cross-validate": {"family": ["partitions:n<=6"], "jobs": 1, "format": "text"},
+}
+
+
 @lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
     """The command line parser; built once, since parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
-        prog="quadbook",
+        prog="quadbook", argument_default=argparse.SUPPRESS,  # only the flags given reach the namespace
         description="homology and open book structures of generic intersections of quadrics",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    inputs = argparse.ArgumentParser(add_help=False)
-    inputs.add_argument("--partition", help="comma separated odd cyclic partition, e.g. 1,1,1,1,1")
-    inputs.add_argument("--config", help="path to a schema-1 JSON configuration document")
-    inputs.add_argument("--distinguished", type=int, default=None,
-                        help="override the distinguished coordinate (1-based)")
-    inputs.add_argument("--format", choices=("text", "structured"), default="text")
-
-    sub.add_parser("check", parents=[inputs], help="verify weak hyperbolicity")
-    sub.add_parser("dual-complex", parents=[inputs], help="list the faces of the dual complex")
-    homology = sub.add_parser("homology", parents=[inputs], help="graded homology tables")
-    homology.add_argument("--space", action="append", choices=("Z", "ZC", "Zplus"),
-                          help="which spaces to compute (repeatable; default all)")
-    homology.add_argument("--max-n", type=_positive_int, default=DEFAULT_SUBSET_CAP,
-                          help=f"subset enumeration cap (default {DEFAULT_SUBSET_CAP})")
-    sub.add_parser("classify", parents=[inputs], help="normal form and diffeomorphism types")
-    book = sub.add_parser("open-book", parents=[inputs], help="binding, page and consistency report")
-    book.add_argument("--variant", choices=("real", "complex"), default="complex")
-    xv = sub.add_parser("cross-validate", help="run the oracle battery over a family")
-    xv.add_argument("--family", action="append", default=None,
-                    help="family spec, e.g. 'partitions:n<=6' (repeatable)")
-    xv.add_argument("--jobs", type=_positive_int, default=1, help="parallelism degree")
-    xv.add_argument("--format", choices=("text", "structured"), default="text")
+    parser.add_argument("command", choices=COMMAND_FLAGS,
+                        help="all but cross-validate read one input, from --partition or --config")
+    parser.add_argument("--partition", help="comma separated odd cyclic partition, e.g. 1,1,1,1,1")
+    parser.add_argument("--config", help="path to a schema-1 JSON configuration document")
+    parser.add_argument("--distinguished", type=int, help="override the distinguished coordinate (1-based)")
+    parser.add_argument("--format", choices=("text", "structured"), help="any command (default text)")
+    parser.add_argument("--space", action="append", choices=("Z", "ZC", "Zplus"),
+                        help="homology: which spaces to compute (repeatable; default all)")
+    parser.add_argument("--max-n", type=_positive_int,
+                        help=f"homology: subset enumeration cap (default {DEFAULT_SUBSET_CAP})")
+    parser.add_argument("--variant", choices=("real", "complex"), help="open-book (default complex)")
+    parser.add_argument("--family", action="append",
+                        help="cross-validate: family spec (repeatable; default 'partitions:n<=6')")
+    parser.add_argument("--jobs", type=_positive_int, help="cross-validate: parallelism degree (default 1)")
     return parser
 
 
@@ -140,14 +144,18 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        flags = COMMAND_FLAGS[args.command]
+        foreign = vars(args).keys() - flags.keys() - {"command"}
+        if foreign:
+            parser.error(f"{args.command} does not take --{min(foreign).replace('_', '-')}")
     except SystemExit as exc:
         return EXIT_PARSE if exc.code else EXIT_OK
+    args = argparse.Namespace(**{**flags, **vars(args)})  # the defaults, in one place
     out = sys.stdout
     cfg = None
     try:
         if args.command == "cross-validate":
-            families = args.family or ["partitions:n<=6"]
-            report = cross_validate(families, jobs=args.jobs)
+            report = cross_validate(args.family, jobs=args.jobs)
             _emit(report, args.format, out)
             return EXIT_OK if report["ok"] else EXIT_MISMATCH
 
@@ -159,8 +167,7 @@ def main(argv=None) -> int:
         elif args.command == "dual-complex":
             report = dual_complex_report(cfg)
         elif args.command == "homology":
-            spaces = tuple(args.space) if args.space else ("Z", "ZC", "Zplus")
-            report = homology_report(cfg, spaces, cap=args.max_n)
+            report = homology_report(cfg, tuple(args.space), cap=args.max_n)
         elif args.command == "classify":
             report = classify_report(cfg)
         else:  # open-book, at the distinguished coordinate
@@ -176,8 +183,8 @@ def main(argv=None) -> int:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except SizeCapError as exc:
-        # only the commands that have the flag offer it
-        hint = "; raise it with --max-n to proceed" if hasattr(args, "max_n") else ""
+        # only the commands that take the flag offer it
+        hint = "; raise it with --max-n to proceed" if "max_n" in flags else ""
         print(f"size cap: {exc}{hint}", file=sys.stderr)
         return EXIT_CAP
     except OracleMismatchError as exc:

@@ -97,11 +97,13 @@ def load_document(doc: dict) -> Configuration:
 
 def config_document(cfg: Configuration) -> dict:
     """The round-trippable document for a configuration."""
+    text = {id(vec): vec for vec in cfg.lambdas}  # the constructor shares one tuple per distinct raw vector
+    text = {key: [str(x) for x in vec] for key, vec in text.items()}
     return {
         "schema": SCHEMA_VERSION,
         "k": cfg.k,
         "n": cfg.n,
-        "lambdas": [[str(x) for x in vec] for vec in cfg.lambdas],
+        "lambdas": [text[id(vec)] for vec in cfg.lambdas],
         "labels": list(cfg.labels),
         "distinguished": cfg.distinguished,
     }

@@ -91,6 +91,8 @@ MUTANTS = {
         "reporting.py", "sorted(by_size[size])", "by_size[size]"),
     "parse-cache-ignores-entry-types": (
         "configuration.py", "(raw, tuple(map(type, raw)))", "(raw, ())"),
+    "homology-takes-variant": (
+        "cli.py", '"max_n": DEFAULT_SUBSET_CAP}', '"max_n": DEFAULT_SUBSET_CAP, "variant": "complex"}'),
 }
 
 # name: the open item that will kill it

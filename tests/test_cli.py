@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -464,6 +465,51 @@ def test_max_n_belongs_to_homology_only(capsys):
     code, _, err = run_cli(capsys, "open-book", "--partition", "1,1,1", "--max-n", "5")
     assert code == 1
     assert "--max-n" in err
+
+
+# the flags each command takes, written out here apart from the CLI's own table
+_INPUT_FLAGS = ("--partition", "--config", "--distinguished", "--format")
+_TAKES = {
+    "check": _INPUT_FLAGS,
+    "dual-complex": _INPUT_FLAGS,
+    "homology": _INPUT_FLAGS + ("--space", "--max-n"),
+    "classify": _INPUT_FLAGS,
+    "open-book": _INPUT_FLAGS + ("--variant",),
+    "cross-validate": ("--family", "--jobs", "--format"),
+}
+_FLAG_VALUES = {"--partition": "1,1,1", "--config": "input.json", "--distinguished": "2", "--format": "text",
+                "--space": "Z", "--max-n": "5", "--variant": "real", "--family": "partitions:n<=3", "--jobs": "2"}
+
+
+@pytest.mark.parametrize("command, flag", [
+    (command, flag) for command, taken in _TAKES.items() for flag in _FLAG_VALUES if flag not in taken])
+def test_a_flag_the_command_does_not_take_is_refused(command, flag, capsys):
+    source = [] if command == "cross-validate" else ["--partition", "1,1,1,1,1"]
+    code, out, err = run_cli(capsys, command, *source, flag, _FLAG_VALUES[flag])
+    assert (code, out) == (1, "")
+    assert flag in err
+
+
+def test_one_parser_object_per_build(monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                        lambda self, *args, **kwargs: built.append(self) or init(self, *args, **kwargs))
+    cli._build_parser.__wrapped__()
+    assert len(built) == 1
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["homology", "--help"]])
+def test_help_names_every_command_and_flag(argv, capsys):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    for name in (*_TAKES, *_FLAG_VALUES):
+        assert name in out, name
+
+
+def test_a_flag_may_come_before_the_command(capsys):
+    assert run_cli(capsys, "--format", "structured", "check", "--partition", "1,1,1") == \
+        run_cli(capsys, "check", "--partition", "1,1,1", "--format", "structured")
 
 
 _JUNK = st.one_of(st.none(), st.booleans(), st.integers(-2, 7), st.floats(-2, 2),
