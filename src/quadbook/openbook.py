@@ -253,7 +253,8 @@ class OpenBookStructure:
     real book the variety with the duplicated coordinate removed once, for a
     complex book the input with every coordinate but the binding's doubled,
     None without a symbolic page.  A binding of None means the binding is
-    empty.
+    empty: it has at most k vectors, and those never hold the origin in their
+    hull.
     """
 
     total: Configuration
@@ -277,15 +278,6 @@ class OpenBookStructure:
         return self.total_dim - 1
 
 
-def _deleted_or_empty(cfg: Configuration, i: int) -> Configuration | None:
-    """Delete coordinate i; None when the result is an empty variety.
-
-    That happens when n - 1 <= k: the remaining vectors are at most k, and a
-    weakly hyperbolic configuration has no such set with the origin in its hull.
-    """
-    return delete_coordinate(cfg, i) if cfg.n - 1 >= cfg.k + 1 else None
-
-
 def _partition_page(cfg: Configuration, coordinate: int,
                     complex_case: bool) -> PageDescription | None:
     """The symbolic page at a coordinate through the k = 2 normal form, or None."""
@@ -306,7 +298,8 @@ def open_book_real(cfg: Configuration, i: int) -> OpenBookStructure:
     lambda_i included, since scaling a vector leaves the variety unchanged.
     The binding removes the duplicated vector twice, the page is the half
     manifold of the variety with it removed once, and the monodromy is trivial.
-    A binding over the subset cap raises SizeCapError before any model is built.
+    A ledger over the subset cap that the checks read raises SizeCapError
+    before any model is built.
     """
     require_valid(cfg)
     if not 1 <= i <= cfg.n:
@@ -315,13 +308,13 @@ def open_book_real(cfg: Configuration, i: int) -> OpenBookStructure:
     twins = [j for j in ray_class if j != i]
     if not twins:
         raise OpenBookError(f"coordinate {i} is not part of a duplicated pair; duplicate it first")
-    if cfg.n - 2 >= cfg.k + 1:  # the binding's ledger is the first that the checks read
-        _require_cap(cfg.n - 2)
+    # the checks read the binding's ledger and, with no symbolic page (k != 2), the page model's
+    _require_cap(cfg.n - 2 if cfg.k == 2 else cfg.n - 1)
     partner = next((j for j in (i - 1, i + 1) if j in twins), twins[0])
     underlying = delete_coordinate(cfg, i)
     partner_pos = partner if partner < i else partner - 1
     underlying = underlying.with_distinguished(partner_pos)
-    binding = _deleted_or_empty(underlying, partner_pos)
+    binding = delete_coordinate(underlying, partner_pos) if cfg.n - 2 >= cfg.k + 1 else None
     page = _partition_page(underlying, partner_pos, complex_case=False)
     label = f"interior of the half manifold at {underlying.labels[partner_pos - 1]} >= 0"
     return OpenBookStructure(cfg, binding, page, underlying, label)
@@ -330,24 +323,24 @@ def open_book_real(cfg: Configuration, i: int) -> OpenBookStructure:
 def open_book_complex(cfg: Configuration, i: int) -> OpenBookStructure:
     """Open book on the complex variety with binding at coordinate i.
 
-    The binding is the complex variety of the configuration without lambda_i,
-    which is weakly hyperbolic because every subset of it is one of the input.
-    A doubled binding over the subset cap raises SizeCapError before any model
-    is built.
+    The page is the half manifold at i of the input with every other
+    coordinate doubled, and the binding deletes i's other copy from that model:
+    the complex variety without lambda_i, weakly hyperbolic since every subset
+    of it is one of the input.  A doubled binding over the subset cap raises
+    SizeCapError before any model is built.
     """
     require_valid(cfg)
     if not 1 <= i <= cfg.n:
         raise ConfigurationError(f"coordinate {i} out of range 1..{cfg.n}")
-    if cfg.n - 1 >= cfg.k + 1:  # the doubled binding's ledger is the first that the checks read
+    has_binding = cfg.n - 1 >= cfg.k + 1
+    if has_binding:  # the doubled binding's ledger is the one that the checks read
         _require_cap(2 * (cfg.n - 1))
-    deleted = _deleted_or_empty(cfg, i)
     total = complexify(cfg)
-    binding = complexify(deleted) if deleted is not None else None
+    model = delete_coordinate(total, 2 * i).with_distinguished(2 * i - 1)
+    binding = delete_coordinate(model, 2 * i - 1) if has_binding else None
     page = _partition_page(cfg, i, complex_case=True)
-    # the page is the half manifold at i of the input with every other coordinate doubled
-    model = delete_coordinate(total, 2 * i).with_distinguished(2 * i - 1) if page is not None else None
     label = f"interior of the complex half manifold at {cfg.labels[i - 1]}"
-    return OpenBookStructure(total, binding, page, model, label)
+    return OpenBookStructure(total, binding, page, model if page is not None else None, label)
 
 
 # ---------------------------------------------------------------------------

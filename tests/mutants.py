@@ -86,11 +86,15 @@ MUTANTS = {
     "complex-book-cap-on-the-undeleted-input": (
         "openbook.py", "_require_cap(2 * (cfg.n - 1))", "_require_cap(2 * cfg.n)"),
     "real-book-cap-on-the-underlying-model": (
-        "openbook.py", "_require_cap(cfg.n - 2)", "_require_cap(cfg.n - 1)"),
+        "openbook.py", "_require_cap(cfg.n - 2 if", "_require_cap(cfg.n - 1 if"),
+    "real-book-cap-without-the-page-model": (
+        "openbook.py", "_require_cap(cfg.n - 2 if cfg.k == 2 else cfg.n - 1)", "_require_cap(cfg.n - 2)"),
     "dual-faces-unsorted-within-a-size": (
         "reporting.py", "sorted(by_size[size])", "by_size[size]"),
     "parse-cache-ignores-entry-types": (
         "configuration.py", "(raw, tuple(map(type, raw)))", "(raw, ())"),
+    "unhashable-entry-reaches-the-caller": (
+        "configuration.py", "except TypeError:", "except KeyError:"),
     "homology-takes-variant": (
         "cli.py", '"max_n": DEFAULT_SUBSET_CAP}', '"max_n": DEFAULT_SUBSET_CAP, "variant": "complex"}'),
 }

@@ -128,7 +128,7 @@ def test_cap_refusal_offers_the_flag_only_where_it_exists(capsys):
     assert "n = 21 exceeds the subset cap 20" in err and "--max-n" in err
     code, out, err = run_cli(capsys, "open-book", "--partition", "3,3,3,3,3")
     assert (code, out) == (3, "")
-    assert "exceeds the subset cap 20" in err  # the complex page model has n = 28
+    assert "exceeds the subset cap 20" in err  # the doubled binding has 2(n - 1) = 28 coordinates
     assert "--max-n" not in err and "raise" not in err
     # the flag the homology refusal names is one that open-book does not take
     assert run_cli(capsys, "open-book", "--partition", "3,3,3,3,3", "--max-n", "64")[0] == 1
@@ -619,6 +619,12 @@ def test_document_refusals(tmp_path, capsys):
     code, out, err = run_cli(capsys, "check", "--config", str(path))
     assert (code, out) == (1, "")
     assert err == "parse error: not an exact rational: True\n"
+    # an unhashable entry cannot key the constructor's dict of distinct vectors; as_rational refuses it
+    for entry in ([0], {"a": 1}):
+        path.write_text(json.dumps({"schema": 1, "k": 2, "n": 3,
+                                    "lambdas": [[1, entry], [0, 1], [-1, -1]]}))
+        code, out, err = run_cli(capsys, "check", "--config", str(path))
+        assert (code, out, err) == (1, "", f"parse error: not an exact rational: {entry!r}\n")
     path.write_text(json.dumps({"schema": 1, "k": 2, "n": 4,
                                 "lambdas": [[1, 0], [0, 1], [-1, -1]]}))
     code, out, err = run_cli(capsys, "check", "--config", str(path))

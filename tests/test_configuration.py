@@ -32,6 +32,8 @@ def test_construction_guards():
         qb.make_configuration([(1, 0), (0, 1), (1,)], k=2)  # ragged
     with pytest.raises(ConfigurationError):
         qb.make_configuration([(1, 0), (0, 1), (1, 1)], k=2, distinguished=7)
+    with pytest.raises(ConfigurationError, match=r"not an exact rational: \[0\]"):
+        qb.Configuration(2, ((1, [0]), (0, 1), (-1, -1)))  # an unhashable entry, not a TypeError
     cfg = qb.make_configuration([(1, 0), (0, 1), (1, 1)], k=2)
     assert cfg.labels == ("x1", "x2", "x3")
     assert cfg.dim_Z == 0 and cfg.dim_ZC == 3

@@ -233,6 +233,34 @@ def test_open_book_refuses_before_building_a_model(monkeypatch):
     monkeypatch.setattr(quadbook.openbook, "delete_coordinate", no_model)
     with pytest.raises(qb.SizeCapError, match="n = 21 exceeds"):
         qb.open_book_real(qb.partition_configuration((10, 7, 6)), 1)
+    # with no symbolic page (k != 2) the checks read the page model's ledger, n - 1,
+    # also where the binding is empty (the simplex of k = 20 with a twin, n = k + 2)
+    k3 = qb.duplicate_coordinate(helpers.random_valid_configuration(random.Random(3), 3, 21), 1)
+    simplex = [tuple(int(r == c) for c in range(20)) for r in range(20)] + [(-1,) * 20]
+    k20 = qb.duplicate_coordinate(qb.make_configuration(simplex), 1)
+    for cfg in (k3, k20):
+        with pytest.raises(qb.SizeCapError, match=r"^n = 21 exceeds the subset cap 20$"):
+            qb.open_book_real(cfg, cfg.distinguished)
+
+
+def test_the_complex_book_builds_three_configurations(monkeypatch):
+    # the input doubled, the page model and the binding deleted from it
+    built = []
+    post_init = qb.Configuration.__post_init__
+    monkeypatch.setattr(qb.Configuration, "__post_init__", lambda self: built.append(post_init(self)))
+    qb.open_book_complex(PENTAGON, 1)
+    assert len(built) == 3
+
+
+def test_the_binding_is_distinguished_at_its_first_coordinate():
+    cfg = qb.partition_configuration((1, 1, 1, 2, 2)).with_distinguished(3)
+    doubled = qb.duplicate_coordinate(cfg, 4)
+    for i in (1, 4, 7):
+        binding = qb.open_book_complex(cfg, i).binding
+        assert binding.lambdas == qb.complexify(qb.delete_coordinate(cfg, i)).lambdas
+        assert binding.distinguished == 1
+    assert doubled.distinguished == 5
+    assert qb.open_book_real(doubled, 4).binding.distinguished == 1
 
 
 def test_open_book_complex_triangle():
