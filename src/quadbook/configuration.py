@@ -114,32 +114,13 @@ class Configuration:
     def __post_init__(self):
         if not _is_int(self.k) or self.k < 1:
             raise ConfigurationError(f"k must be a positive integer, got {self.k!r}")
-        # both refused before any vector is parsed, so a long input is refused at once
+        # every count is refused before any vector is parsed, so a long input is refused at once
+        n = len(self.lambdas)
         if not _is_int(self.distinguished):
             raise ConfigurationError(
                 f"distinguished coordinate must be an integer, got {self.distinguished!r}")
-        if not 1 <= self.distinguished <= len(self.lambdas):
+        if not 1 <= self.distinguished <= n:
             raise ConfigurationError(f"distinguished coordinate {self.distinguished} out of range")
-        # each distinct raw vector is parsed and rayed once; the key holds the
-        # entry types too, since (1, 0) == (1.0, 0.0) and only one is exact
-        seen: dict[tuple, int] = {}
-        parsed, index = [], []
-        for vec in self.lambdas:
-            raw = tuple(vec)
-            try:
-                j = seen.setdefault((raw, tuple(map(type, raw))), len(parsed))
-            except TypeError:  # an unhashable entry, which as_rational refuses
-                j = len(parsed)
-            if j == len(parsed):
-                parsed.append(tuple(map(as_rational, raw)))
-            index.append(j)
-        vectors = tuple(map(parsed.__getitem__, index))
-        for pos, vec in enumerate(vectors, start=1):
-            if len(vec) != self.k:
-                raise ConfigurationError(
-                    f"vector {pos} has length {len(vec)}, expected k = {self.k}"
-                )
-        n = len(vectors)
         if n < self.k + 1:
             raise ConfigurationError(
                 f"need n >= k + 1 (got n = {n}, k = {self.k}); "
@@ -151,11 +132,29 @@ class Configuration:
         bad = next((label for label in labels if not isinstance(label, str)), None)
         if bad is not None:
             raise ConfigurationError(f"labels must be strings, got {bad!r}")
+        # one walk: each distinct raw vector is checked, parsed and rayed at its
+        # first coordinate; the key holds the entry types too, since
+        # (1, 0) == (1.0, 0.0) and only one is exact
+        seen: dict[tuple, tuple[tuple[Fraction, ...], list[int]]] = {}
         groups: dict[tuple[int, ...], list[int]] = {}
-        members = [groups.setdefault(_ray(vec), []) for vec in parsed]
-        for i, j in enumerate(index, start=1):
-            members[j].append(i)
-        object.__setattr__(self, "lambdas", vectors)
+        vectors = [None] * n  # filled in place: grown by append, it peaks 8 MB higher at n = 10^6
+        for pos, vec in enumerate(self.lambdas, start=1):
+            raw = tuple(vec)
+            key = (raw, tuple(map(type, raw)))
+            try:
+                hit = seen.get(key)
+            except TypeError:  # an unhashable entry, which as_rational refuses
+                hit = None
+            if hit is None:
+                if len(raw) != self.k:
+                    raise ConfigurationError(f"vector {pos} has length {len(raw)}, expected k = {self.k}")
+                vector = tuple(map(as_rational, raw))
+                # as_rational takes only Fraction, int and str, all hashable, so
+                # an unhashable key was refused on the line above
+                hit = seen[key] = vector, groups.setdefault(_ray(vector), [])
+            vectors[pos - 1] = hit[0]
+            hit[1].append(pos)
+        object.__setattr__(self, "lambdas", tuple(vectors))
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "class_rays", tuple(groups))
         object.__setattr__(self, "classes", tuple(map(tuple, groups.values())))
@@ -392,10 +391,6 @@ def delete_coordinate(cfg: Configuration, i: int) -> Configuration:
     """Drop coordinate i.  Models the boundary slice when i is distinguished."""
     if not 1 <= i <= cfg.n:
         raise ConfigurationError(f"coordinate {i} out of range 1..{cfg.n}")
-    if cfg.n - 1 < cfg.k + 1:
-        raise ConfigurationError(
-            f"deleting coordinate {i} leaves n = {cfg.n - 1} < k + 1 = {cfg.k + 1}"
-        )
     labels = cfg.labels[: i - 1] + cfg.labels[i:]
     d = cfg.distinguished
     if d == i:

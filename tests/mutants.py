@@ -95,6 +95,8 @@ MUTANTS = {
         "configuration.py", "(raw, tuple(map(type, raw)))", "(raw, ())"),
     "unhashable-entry-reaches-the-caller": (
         "configuration.py", "except TypeError:", "except KeyError:"),
+    "long-vector-accepted": (
+        "configuration.py", "if len(raw) != self.k:", "if len(raw) < self.k:"),
     "homology-takes-variant": (
         "cli.py", '"max_n": DEFAULT_SUBSET_CAP}', '"max_n": DEFAULT_SUBSET_CAP, "variant": "complex"}'),
 }

@@ -69,8 +69,8 @@ def test_delete_coordinate_binding_partition():
 
 
 def test_delete_coordinate_guards():
-    with pytest.raises(ConfigurationError):
-        qb.delete_coordinate(TRIANGLE, 2)  # n - 1 < k + 1
+    with pytest.raises(ConfigurationError, match=r"need n >= k \+ 1 \(got n = 2, k = 2\)"):
+        qb.delete_coordinate(TRIANGLE, 2)  # the constructor refuses n - 1 < k + 1
     with pytest.raises(ConfigurationError):
         qb.delete_coordinate(PENTAGON, 9)
 
@@ -420,8 +420,16 @@ def test_construction_refusals_name_their_cause():
     for distinguished in (0, 4):
         with pytest.raises(ConfigurationError, match=f"distinguished coordinate {distinguished} out of range"):
             qb.Configuration(2, (("junk", 0),) * 3, (), distinguished)
-    with pytest.raises(ConfigurationError, match="labels must be strings, got 1"):
-        qb.Configuration(2, vectors, (1, 2, 3))
+    with pytest.raises(ConfigurationError, match=r"need n >= k \+ 1"):
+        qb.Configuration(3, (("junk", 0, 0),) * 3)
+    with pytest.raises(ConfigurationError, match="1 labels for 3 coordinates"):
+        qb.Configuration(2, (("junk", 0),) * 3, ("a",))
+    for labels, bad in (((1, 2, 3), 1), (("a", "b", 3), 3)):
+        with pytest.raises(ConfigurationError, match=f"labels must be strings, got {bad}$"):
+            qb.Configuration(2, (("junk", 0),) * 3, labels)
+    # past the counts, the first bad vector in position order is reported
+    with pytest.raises(ConfigurationError, match="vector 1 has length 3, expected k = 2"):
+        qb.Configuration(2, ((1, 2, 3), (1, "x"), (0, 1), (-1, -1)))
     # each after an exact vector of equal value: the tuples compare and hash equal,
     # so a parse cache keyed on the raw vector would accept them
     for exact, inexact, named in (((1, 0), (1.0, 0.0), "1.0"), ((1, 0), (True, False), "True"),
