@@ -27,7 +27,7 @@ from .classify import (
     normal_form_labelled,
     rotate_parts,
 )
-from .complexes import GradedGroup
+from .complexes import GradedGroup, _class_faces
 from .configuration import (
     Configuration,
     ConfigurationError,
@@ -251,10 +251,11 @@ class OpenBookStructure:
 
     `page_model` is the configuration whose half manifold is the page: for a
     real book the variety with the duplicated coordinate removed once, for a
-    complex book the input with every coordinate but the binding's doubled,
-    None without a symbolic page.  A binding of None means the binding is
-    empty: it has at most k vectors, and those never hold the origin in their
-    hull.
+    complex book the input with every coordinate but the binding's doubled.
+    It is None only for a complex book without a symbolic page; the real book
+    keeps it at k != 2, where the checks read its half manifold.  A binding
+    of None means the binding's variety is empty: it has at most k vectors,
+    which never hold the origin in their hull, or its class complex is void.
     """
 
     total: Configuration
@@ -315,6 +316,8 @@ def open_book_real(cfg: Configuration, i: int) -> OpenBookStructure:
     partner_pos = partner if partner < i else partner - 1
     underlying = underlying.with_distinguished(partner_pos)
     binding = delete_coordinate(underlying, partner_pos) if cfg.n - 2 >= cfg.k + 1 else None
+    if binding is not None and not _class_faces(binding.class_rays)[0]:  # its variety is empty
+        binding = None
     page = _partition_page(underlying, partner_pos, complex_case=False)
     label = f"interior of the half manifold at {underlying.labels[partner_pos - 1]} >= 0"
     return OpenBookStructure(cfg, binding, page, underlying, label)
@@ -338,6 +341,8 @@ def open_book_complex(cfg: Configuration, i: int) -> OpenBookStructure:
     total = complexify(cfg)
     model = delete_coordinate(total, 2 * i).with_distinguished(2 * i - 1)
     binding = delete_coordinate(model, 2 * i - 1) if has_binding else None
+    if binding is not None and not _class_faces(binding.class_rays)[0]:  # its variety is empty
+        binding = None
     page = _partition_page(cfg, i, complex_case=True)
     label = f"interior of the complex half manifold at {cfg.labels[i - 1]}"
     return OpenBookStructure(total, binding, page, model if page is not None else None, label)

@@ -181,6 +181,20 @@ def test_open_book_command(capsys):
     assert all(c["status"] in ("pass", "skip") for c in report["consistency"])
 
 
+def test_open_book_reports_a_binding_with_an_empty_variety_as_empty(capsys):
+    # the binding of 1,1,2 at coordinate 1 has n = 6 > k vectors but a void class complex
+    code, out, _ = run_cli(capsys, "open-book", "--partition", "1,1,2")
+    assert code == 0
+    assert out.endswith(
+        "binding: empty\npage (case a): S(1) x S(3) x D(0)\nconsistency:\n"
+        "  [pass] binding-euler-zero: odd-dimensional binding has chi = 0\n"
+        "  [pass] page-double-euler: chi(double) = 0, 2 chi(page) = 0\n"
+        "  [pass] page-boundary-betti: closed page requires an empty binding\n")
+    code, out, _ = run_cli(capsys, "open-book", "--partition", "1,1,2", "--format", "structured")
+    report = json.loads(out)
+    assert (code, report["binding"], report["binding_empty"]) == (0, None, True)
+
+
 def test_open_book_sits_at_the_distinguished_coordinate(capsys):
     # the book is built at cfg.distinguished: --distinguished is the one flag that moves it
     cfg = qb.partition_configuration((1, 1, 1, 2, 2))
@@ -224,7 +238,7 @@ TEXT_OUTPUT = [
     # a book without a symbolic page: the page line names the half manifold
     (["open-book", "--config", "k3-n7", "--variant", "complex"],
      "open book (complex), total dimension 10\nmonodromy: trivial\n"
-     "binding: n = 12 configuration (k = 3, labels x2a, x2b, x3a, x3b...)\n"
+     "binding: empty\n"
      "page: interior of the complex half manifold at x1\nconsistency:\n"
      "  [skip] binding-euler-zero: binding dimension is even\n"
      "  [skip] page-double-euler: no page model\n"
