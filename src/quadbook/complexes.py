@@ -1,7 +1,8 @@
 """The dual complex of a configuration, Smith normal form, and integral homology.
 
 A complex is a sorted, downward-closed list of face bitmasks, bit i for
-vertex i + 1; the engine reads it on ray classes.  The coordinate faces
+vertex i + 1; the engine reads it on ray classes, listed by one walk over
+the vertices of the class polytope (`_class_faces`).  The coordinate faces
 follow by the wedge rule, expanded on demand inside the coordinates asked
 for: all of them for `dual_face_masks`, those in J for `pair_homology`, the
 coordinate-level side of the doubling check.  Homology cancels a complex to
@@ -20,7 +21,8 @@ from functools import lru_cache
 from math import gcd
 from typing import Iterable, Mapping, Sequence
 
-from .configuration import MEMO_SIZE, Configuration, ConfigurationError, _fresh_start, _phase_one, require_valid
+from .configuration import (MEMO_SIZE, Configuration, ConfigurationError, OracleMismatchError, _fresh_start,
+                            _phase_one, _pivot, require_valid)
 
 
 # ---------------------------------------------------------------------------
@@ -348,71 +350,84 @@ def class_face_masks(cfg: Configuration) -> tuple[int, ...]:
 def _class_faces(rays: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The class faces and minimal non-faces of rays in this order, as sorted masks.
 
-    Labels, scale and multiplicity drop out.  A class set T is a face iff the
-    origin lies in the convex hull of the rays outside T.  The search decides
-    all faces of one size before the next, each candidate a face extended
-    past its top class, so the minimal non-faces are found in size order.  A
-    candidate has only faces as facets iff it holds none found so far, and
-    since its parent is a face, only those with its top class on top can lie
-    in it; a candidate holding one is skipped.  Each face keeps a witness,
-    the classes of one hull point outside it; a candidate that the witness
-    of its parent or of a facet misses is a face with that witness.  Only
-    the rest run a phase one, whose support is the new witness.  Every
-    candidate tested has only faces as facets, so the phase ones that fail are
-    exactly the minimal non-faces, which are returned beside the faces; the
+    Labels, scale and multiplicity drop out.  A class set T is a face iff
+    some point x of the class polytope P = {x >= 0 : sum x_c (ray_c, 1) =
+    (0, 1)} is zero on T, and then a vertex of P is, so the faces are the
+    class sets that some vertex is zero on.  On a weakly hyperbolic input
+    every point of P has k + 1 or more positive coordinates, so each vertex
+    has exactly k + 1 (P is simple) and its neighbours are found by one
+    ratio test each, with no tie (Avis-Fukuda, A pivoting algorithm for
+    convex hulls and vertex enumeration, 1992).  One phase one on all the
+    rays finds a first vertex, and each unseen neighbour costs one pivot
+    (`_pivot`): V - 1 pivots for V vertices.  A basic value of 0 at the
+    first vertex or a ratio tie means the input is not weakly hyperbolic
+    and raises OracleMismatchError.
+
+    The faces are then listed in increasing mask order, each set T extended
+    by the classes below its least one, with the vertices zero on T as one
+    bitmask: a child is a face iff that set meets the vertices zero on its
+    new class.  A child that is no face, t | c, is a minimal non-face unless
+    it holds one found before; since t is a face, such a one holds c, its
+    least class, and was found at a subset of t, earlier in the order.  The
     empty polytope has no face and the empty set as its one minimal
-    non-face.  Phase ones run on the tableau of all rays, the candidate's
-    classes barred; one that finds a point keeps its final state under its
-    witness, and a candidate resumes from its parent's: one or two pivots in
-    general position, not k + 1.
+    non-face.
     """
-    def support(t: int, tab: list[list[int]], basis: list[int], d: int) -> int | None:
-        tab, basis = tab[:], basis[:]  # pivots replace rows, never edit them
-        found, d = _phase_one(tab, basis, d, t)
-        if found is None:
-            return None
-        witness = sum(1 << c for c in found)
-        states[witness] = tab, basis, d
-        return witness
-
-    def facet_witnesses(child: int, t: int):
-        """The witnesses of the facets of child other than its parent t, in class order."""
-        while t:
-            low = t & -t
-            t ^= low
-            yield level[child ^ low]
-
-    states: dict[int, tuple] = {}  # per witness: the final tableau, basis and D
-    tab, basis, *_ = _fresh_start(rays)(range(len(rays)))
-    witness = support(0, tab, basis, 1)
-    if witness is None:
+    tab, basis, objective = _fresh_start(rays)(range(len(rays)))
+    found, d = _phase_one(tab, basis, objective)
+    if found is None:
         return (), (0,)
-    out, missing = [0], []
-    topped: list[list[int]] = [[] for _ in rays]  # per class: the minimal non-faces found with it on top
-    level = {0: witness}  # the faces of one size, each with its witness
-    while level:
-        nxt: dict[int, int] = {}
-        for t, seen in level.items():
-            for c in range(t.bit_length(), len(rays)):
-                child = t | 1 << c
-                for m in topped[c]:
-                    if m & child == m:
-                        break  # a facet of child is no face
-                else:
-                    if seen & child:
-                        reuse = next((w for w in facet_witnesses(child, t) if not w & child), None)
-                        witness = support(child, *states[seen]) if reuse is None else reuse
-                    else:
-                        witness = seen
-                    if witness is None:
-                        missing.append(child)
-                        topped[c].append(child)
-                    else:
-                        nxt[child] = witness
-        out.extend(nxt)
-        level = nxt
-        states = {w: states[w] for w in level.values()}  # the next candidates resume from these
-    return tuple(sorted(out)), tuple(sorted(missing))
+    if len(found) < len(basis):
+        raise OracleMismatchError(f"the class polytope has a vertex on {len(found)} classes, "
+                                  f"not {len(basis)}: the rays are not weakly hyperbolic")
+    width = len(rays)
+    keys = [sum(1 << j for j in basis)]  # per vertex: its basis, as a class mask
+    seen = set(keys)
+    pending = [(tab, basis, d, keys[0])]
+    while pending:
+        tab, basis, d, key = pending.pop()
+        for entering in range(width):
+            if key >> entering & 1:
+                continue
+            leave, tie = None, False
+            for i, row in enumerate(tab):
+                a = row[entering]
+                if a > 0:
+                    if leave is None:
+                        leave, lead = i, row
+                        continue
+                    # ratio b_i / a against the best b / a, by cross-multiplication
+                    cross = row[width] * lead[entering] - lead[width] * a
+                    if cross < 0:
+                        leave, lead, tie = i, row, False
+                    elif cross == 0:
+                        tie = True
+            if leave is None or tie:
+                raise OracleMismatchError("a ratio test found no row or a tie on the class polytope: "
+                                          "the rays are not weakly hyperbolic")
+            step = key ^ 1 << basis[leave] ^ 1 << entering
+            if step not in seen:
+                seen.add(step)
+                keys.append(step)
+                tab_next, basis_next = tab[:], basis[:]
+                d_next = _pivot(tab_next, basis_next, leave, entering, d)
+                pending.append((tab_next, basis_next, d_next, step))
+    # per class: the vertices zero on it, bit v for vertex v
+    on = [sum(1 << v for v, key in enumerate(keys) if not key >> c & 1) for c in range(width)]
+    faces, missing = [], []
+    lowest: list[list[int]] = [[] for _ in rays]  # per class: the minimal non-faces found with it least
+    stack = [(0, (1 << len(keys)) - 1, width)]  # a face, the vertices zero on it, and its least class
+    while stack:
+        t, at, least = stack.pop()
+        faces.append(t)
+        for c in reversed(range(least)):  # popped in increasing order
+            child = t | 1 << c
+            below = at & on[c]
+            if below:
+                stack.append((child, below, c))
+            elif not any(m & child == m for m in lowest[c]):
+                lowest[c].append(child)
+                missing.append(child)
+    return tuple(faces), tuple(sorted(missing))
 
 
 def dual_face_masks(cfg: Configuration) -> tuple[int, ...]:

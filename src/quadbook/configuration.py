@@ -9,10 +9,12 @@ Weak hyperbolicity and the dual complex rest on one face predicate: does the
 origin lie in the convex hull of some primitive integer rays, those of
 `Configuration.class_rays`?  `_phase_one` decides it by a phase-one simplex
 with fraction-free integer pivoting and Bland's rule, exact and
-deterministic.  The objective row is kept apart from the tableau, and a pivot
-rewrites only the rows it changes.  `validate` builds each tableau from
-columns set up once per input (`_fresh_start`); the class-face search of
-`complexes` resumes each phase one from an earlier one's final state.
+deterministic.  The objective row is kept apart from the tableau, and one
+fraction-free pivot step, `_pivot`, rewrites only the rows it changes.
+`validate` builds each tableau from columns set up once per input
+(`_fresh_start`); the class complex of `complexes` takes one phase one on
+all the class rays, then walks the vertices of their polytope with the
+same pivot step.
 """
 
 from __future__ import annotations
@@ -228,35 +230,24 @@ class ValidationReport:
         return self.ok
 
 
-def _phase_one(tab: list[list[int]], basis: list[int], d: int = 1, barred: int = 0,
-               objective: list[int] | None = None) -> tuple[tuple[int, ...] | None, int]:
-    """Find x >= 0 with Ax = b and the barred columns (bit j for column j) zero, by Bland's rule.
+def _phase_one(tab: list[list[int]], basis: list[int],
+               objective: list[int]) -> tuple[tuple[int, ...] | None, int]:
+    """Find x >= 0 with Ax = b by Bland's rule, from [A | b] with b >= 0 on its artificial basis.
 
-    `tab` is D * B^-1 [A | b] for the feasible basis B in `basis` (a column
-    past A is its row's artificial), D = det B > 0; a fresh start is [A | b],
-    b >= 0, on the artificial basis with D = 1.  Both are left in their final
-    state and D is returned, so that a later solve over the same columns may
-    resume there with other columns barred.  The objective row, kept apart
-    from `tab`, sums the rows whose basic variable is artificial or barred:
-    every row on a fresh start, which may pass it, its column sums, instead.
-    Barred columns never enter: the result is None iff no feasible point has
-    them all zero, else the columns of the positive basic variables at the
-    end, ascending.  Signs and ratios are those of B^-1 [A | b], so the
-    pivots are the rational simplex's.  D becomes each pivot p and entries
-    stay integers: a row's division by the previous D is exact, and so is
-    the objective row's, a sum of rows in which the leaving row's term, if
-    there, (p * lead - p * lead) / D cancels.  A row with a 0 in the entering
-    column is left as it is while p = D, and no division is made while
-    D = 1.
+    The objective row, kept apart from `tab`, sums the rows whose basic
+    variable is artificial (a column past A): all of them at the start, so
+    it is passed in as the column sums.  The result is None iff no feasible
+    point exists, else the columns of the positive basic variables at the
+    end, ascending; it comes with D = det B > 0 for the final basis B.
+    `tab` and `basis` are left in their final state, `tab` as D * B^-1
+    [A | b], so that a walk over the vertices may go on from there with the
+    same pivot step (`_pivot`).
     """
     width = len(tab[0]) - 1
-    if objective is None:
-        rows = [row for row, j in zip(tab, basis) if j >= width or barred >> j & 1]
-        objective = [sum(column) for column in zip(*rows)] if rows else [0] * (width + 1)
-    allowed = [j for j in range(width) if not barred >> j & 1] if barred else range(width)
+    d = 1
     while True:
         # Bland: the first column with a negative reduced cost enters
-        for entering in allowed:
+        for entering in range(width):
             if objective[entering] > 0:
                 break
         else:
@@ -276,22 +267,39 @@ def _phase_one(tab: list[list[int]], basis: list[int], d: int = 1, barred: int =
                     leave, lead = i, row
         if leave is None:
             raise OracleMismatchError("phase-one simplex found an unbounded direction")
-        p = lead[entering]
-        for i, row in enumerate(tab):
-            f = row[entering]
-            if i == leave or (not f and p == d):
-                continue
-            if d == 1:
-                tab[i] = [p * x - f * y for x, y in zip(row, lead)]
-            else:
-                tab[i] = [(p * x - f * y) // d for x, y in zip(row, lead)]
-        f = objective[entering]
+        # the objective row is a sum of rows, so it is pivoted as one; the
+        # leaving row's term, if there, (p * lead - p * lead) / D cancels
+        p, f = lead[entering], objective[entering]
         if d == 1:
             objective = [p * x - f * y for x, y in zip(objective, lead)]
         else:
             objective = [(p * x - f * y) // d for x, y in zip(objective, lead)]
-        d = p
-        basis[leave] = entering
+        d = _pivot(tab, basis, leave, entering, d)
+
+
+def _pivot(tab: list[list[int]], basis: list[int], leave: int, entering: int, d: int) -> int:
+    """One fraction-free pivot: column `entering` replaces the basic variable of row `leave`.
+
+    `tab` is D * B^-1 [A | b] for the basis B in `basis`, D = det B > 0, and
+    the pivot p must be positive; it is returned as the new D.  Signs and
+    ratios stay those of B^-1 [A | b], so the pivots are the rational
+    simplex's, and entries stay integers: a row's division by the previous
+    D is exact.  Rows are replaced, never edited, so a shallow copy of `tab`
+    keeps its state; a row with a 0 in the entering column is left as it is
+    while p = D, and no division is made while D = 1.
+    """
+    lead = tab[leave]
+    p = lead[entering]
+    for i, row in enumerate(tab):
+        f = row[entering]
+        if i == leave or (not f and p == d):
+            continue
+        if d == 1:
+            tab[i] = [p * x - f * y for x, y in zip(row, lead)]
+        else:
+            tab[i] = [(p * x - f * y) // d for x, y in zip(row, lead)]
+    basis[leave] = entering
+    return p
 
 
 def _fresh_start(rays: Sequence[Sequence[int]]) -> Callable[[Sequence[int]], tuple]:
@@ -305,9 +313,9 @@ def _fresh_start(rays: Sequence[Sequence[int]]) -> Callable[[Sequence[int]], tup
     sums = [sum(column) for column in columns]
     b = (0,) * len(rays[0]) + (1,)
 
-    def start(s: Sequence[int]) -> tuple[list[list[int]], list[int], int, int, list[int]]:
+    def start(s: Sequence[int]) -> tuple[list[list[int]], list[int], list[int]]:
         tab = list(map(list, zip(*map(columns.__getitem__, s), b)))
-        return tab, list(range(len(s), len(s) + len(b))), 1, 0, [*map(sums.__getitem__, s), 1]
+        return tab, list(range(len(s), len(s) + len(b))), [*map(sums.__getitem__, s), 1]
 
     return start
 

@@ -35,6 +35,8 @@ from .configuration import (
     ConfigurationError,
     OracleMismatchError,
     SizeCapError,
+    _fresh_start,
+    _phase_one,
     require_valid,
 )
 
@@ -205,12 +207,20 @@ def _require_cap(n: int, cap: int = DEFAULT_SUBSET_CAP) -> None:
 
 def splitting_ledger(cfg: Configuration, space: str = "Z", *,
                      cap: int = DEFAULT_SUBSET_CAP) -> SplittingLedger:
-    """The full contributing-subsets ledger for one of the three spaces."""
+    """The full contributing-subsets ledger for one of the three spaces.
+
+    Over the subset cap, one phase one on all the class rays decides whether
+    the polytope is empty; an empty variety has the empty ledger, which costs
+    nothing, and any other input is refused before a face is listed.
+    """
     require_valid(cfg)
-    _require_cap(cfg.n, cap)
     if space not in ("Z", "Zplus", "ZC"):
         raise ConfigurationError(f"unknown space {space!r}; expected Z, Zplus or ZC")
+    rays = cfg.class_rays
+    if cfg.n > cap and _phase_one(*_fresh_start(rays)(range(len(rays))))[0] is None:
+        return SplittingLedger((), GradedGroup.zero())
+    _require_cap(cfg.n, cap)
     rows = tuple((J, group.shift(len(J)) if space == "ZC" else group)
-                 for J, group in _pair_table(cfg.class_rays, cfg.classes)
+                 for J, group in _pair_table(rays, cfg.classes)
                  if not (space == "Zplus" and cfg.distinguished in J))
     return SplittingLedger(rows, GradedGroup.sum(g for _, g in rows))

@@ -89,14 +89,14 @@ def hull_support(rays) -> tuple[int, ...] | None:
     return _phase_one(*_fresh_start(rays)(range(len(rays))))[0]
 
 
-def reference_phase_one(rays, barred=0) -> tuple[list[int], tuple[int, ...] | None]:
+def reference_phase_one(rays) -> tuple[list[int], tuple[int, ...] | None]:
     """Bland's phase one over Fractions, independent of the engine's integer pivots.
 
     The columns are the rays with a 1 appended, b = (0, ..., 0, 1), and one
-    artificial per row, basic at the start; barred columns (bit j for ray j)
-    never enter.  Every step recomputes the artificial objective's reduced
-    costs from the tableau; the first column that lowers it enters, and the
-    least ratio leaves, ties to the least basic column.  Returns the final
+    artificial per row, basic at the start.  Every step recomputes the
+    artificial objective's reduced costs from the tableau; the first column
+    that lowers it enters, and the least ratio leaves, ties to the least
+    basic column.  Returns the final
     basis and the columns of its positive basic variables, ascending, or
     None for them if the objective stays positive.
     """
@@ -105,7 +105,7 @@ def reference_phase_one(rays, barred=0) -> tuple[list[int], tuple[int, ...] | No
     basis = list(range(n, n + len(tab)))
     while True:
         cost = [sum(row[j] for row, i in zip(tab, basis) if i >= n) for j in range(n + 1)]
-        entering = next((j for j in range(n) if not barred >> j & 1 and cost[j] > 0), None)
+        entering = next((j for j in range(n) if cost[j] > 0), None)
         if entering is None:
             break
         leave = min((i for i, row in enumerate(tab) if row[entering] > 0),

@@ -66,7 +66,7 @@ MUTANTS = {
     "bland-leaving-tie-break": (
         "configuration.py", "basis[i] < basis[leave]", "basis[i] > basis[leave]"),
     "bland-entering-last": (
-        "configuration.py", "for entering in allowed:", "for entering in reversed(allowed):"),
+        "configuration.py", "for entering in range(width):", "for entering in reversed(range(width)):"),
     "alexander-dual-without-empty-face": (
         "splitting.py", "dual.add(0)", "dual.discard(0)"),
     "dual-faces-without-largest-proper-parts": (
@@ -97,6 +97,14 @@ MUTANTS = {
         "configuration.py", "except TypeError:", "except KeyError:"),
     "long-vector-accepted": (
         "configuration.py", "if len(raw) != self.k:", "if len(raw) < self.k:"),
+    "walk-ratio-keeps-a-larger-row": (
+        "complexes.py", "if cross < 0:", "if cross > 0:"),
+    "walk-tie-never-flagged": (
+        "complexes.py", "tie = True", "tie = False"),
+    "walk-trusts-a-degenerate-first-vertex": (
+        "complexes.py", "if len(found) < len(basis):", "if False:"),
+    "empty-ledger-only-within-the-cap": (
+        "splitting.py", "if cfg.n > cap and _phase_one(", "if cfg.n <= cap and _phase_one("),
     "homology-takes-variant": (
         "cli.py", '"max_n": DEFAULT_SUBSET_CAP}', '"max_n": DEFAULT_SUBSET_CAP, "variant": "complex"}'),
 }

@@ -134,6 +134,34 @@ def test_cap_refusal_offers_the_flag_only_where_it_exists(capsys):
     assert run_cli(capsys, "open-book", "--partition", "3,3,3,3,3", "--max-n", "64")[0] == 1
 
 
+def test_an_empty_variety_over_the_cap_is_answered(tmp_path, capsys, monkeypatch):
+    # the 21 rays (1, j), j = 0..20, lie in an open half-plane, so the polytope is
+    # empty; the first ray is doubled, n = 22, and the real book's page model has 21
+    path = tmp_path / "half-plane.json"
+    cfg = qb.make_configuration([(1, 0)] + [(1, j) for j in range(21)])
+    path.write_text(json.dumps(config_document(cfg)))
+    code, out, err = run_cli(capsys, "homology", "--config", str(path), "--format", "structured")
+    report = json.loads(out)
+    assert (code, err, report["euler"]) == (0, "", 0)
+    assert [space["table"] + space["contributing_subsets"] for space in report["spaces"].values()] == [[]] * 3
+    code, out, err = run_cli(capsys, "open-book", "--config", str(path), "--variant", "real")
+    assert (code, err) == (0, "")
+    assert out.endswith(
+        "binding: empty\npage: interior of the half manifold at x2 >= 0\nconsistency:\n"
+        "  [pass] binding-euler-zero: odd-dimensional binding has chi = 0\n"
+        "  [pass] page-double-euler: chi(double) = 0, 2 chi(page) = 0\n"
+        "  [skip] page-boundary-betti: no symbolic page\n")
+
+    # a nonempty polytope over the cap is still refused before any face is listed
+    def no_faces(rays):
+        raise AssertionError("faces listed before the cap check")
+
+    monkeypatch.setattr(qb.splitting, "_class_faces", no_faces)
+    code, out, err = run_cli(capsys, "homology", "--partition", ",".join(["1"] * 23))
+    assert (code, out, err) == (3, "", "size cap: n = 23 exceeds the subset cap 20; "
+                                       "raise it with --max-n to proceed\n")
+
+
 def test_open_book_of_a_long_partition_is_refused(capsys):
     # the binding's ledger: 2(n - 1) doubled coordinates, or n - 2 for the real book
     for variant, n in (("complex", 199998), ("real", 99998)):

@@ -357,29 +357,42 @@ def test_dual_complex_requires_validity():
         dual_face_masks(bad)
 
 
-def test_class_search_solves_only_minimal_non_faces(monkeypatch):
+def test_class_walk_runs_one_phase_one_and_one_pivot_per_further_vertex(monkeypatch):
     import quadbook.complexes
 
     rng = random.Random(17)
     configs = [qb.partition_configuration((1,) * 11), qb.partition_configuration((1,) * 13)]
     configs += [helpers.random_valid_configuration(rng, k, k + 7) for k in (3, 4, 5)]
-    original = quadbook.complexes._phase_one
     for cfg in configs:
-        found = []  # per phase one, fresh or resumed: did it return a support?
+        calls = {"_phase_one": 0, "_pivot": 0}  # the walk's own pivots; the phase one's are not counted
+        for name in calls:
+            def counted(*args, name=name, original=getattr(quadbook.complexes, name)):
+                calls[name] += 1
+                return original(*args)
 
-        def counted(*state):
-            support, d = original(*state)
-            found.append(support is not None)
-            return support, d
-
-        monkeypatch.setattr(quadbook.complexes, "_phase_one", counted)
+            monkeypatch.setattr(quadbook.complexes, name, counted)
         rays = cfg.class_rays
         masks, non_faces = quadbook.complexes._class_faces.__wrapped__(rays)  # past the memo
-        # a phase one that fails proves a minimal non-face; facet pruning skips every other non-face
-        assert found.count(False) == len(non_faces)
+        monkeypatch.undo()
         assert non_faces == tuple(sorted(helpers.minimal_non_faces(masks, len(rays))))
-        # witness reuse decides most faces without a phase one
-        assert 0 < found.count(True) <= len(masks) // 4
+        # each maximal face is the zero set of one vertex, reached by one pivot from a seen one
+        faces = set(masks)
+        maximal = [t for t in masks if not any(t | 1 << c in faces for c in range(len(rays)) if not t >> c & 1)]
+        assert calls == {"_phase_one": 1, "_pivot": len(maximal) - 1}, cfg
+        assert {t.bit_count() for t in maximal} == {len(rays) - cfg.k - 1}  # a simple polytope
+
+
+def test_class_walk_refuses_rays_that_are_not_weakly_hyperbolic():
+    import quadbook.complexes
+
+    # an antipodal pair: the polytope has a vertex on 2 classes, not k + 1 = 3;
+    # the phase one lands on it, or the walk meets it as a ratio tie
+    for vectors, match in (([(1, 0), (-1, 0), (0, 1), (0, -1)], "a vertex on 2 classes, not 3"),
+                           ([(1, 1), (-1, 1), (0, -1), (1, 0), (-1, 0)], "a tie")):
+        cfg = qb.make_configuration(vectors)
+        assert not qb.validate(cfg).ok
+        with pytest.raises(qb.OracleMismatchError, match=match):
+            quadbook.complexes._class_faces.__wrapped__(cfg.class_rays)
 
 
 def _degenerate_valid_configuration(rng, k):
@@ -403,9 +416,9 @@ def _degenerate_valid_configuration(rng, k):
 
 
 def test_class_faces_match_the_brute_hull_oracle_on_every_class_set():
-    # On a valid input a hull point needs k + 1 rays (Caratheodory), so the kept
-    # states are never degenerate here; the resume test in test_feasibility.py
-    # reaches degenerate rows and artificials basic at zero on arbitrary rays.
+    # On a valid input a hull point needs k + 1 rays (Caratheodory), so every
+    # vertex the walk meets is nondegenerate, though the rays repeat, lie on
+    # one line or depend positively on each other.
     from quadbook.complexes import class_face_masks
 
     rng = random.Random(43)

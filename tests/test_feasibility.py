@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import quadbook as qb
 from quadbook.complexes import dual_face_masks
-from quadbook.configuration import _fresh_start, _phase_one, _ray, as_rational
+from quadbook.configuration import _fresh_start, _phase_one, _pivot, _ray, as_rational
 
 import helpers
 
@@ -98,42 +98,24 @@ def test_origin_in_convex_hull_degenerate_inputs():
 
 
 @st.composite
-def _resumed_solves(draw):
-    """Small integer rays (zero, repeated, antipodal and collinear ones come up often) and two barred masks."""
+def _phase_one_inputs(draw):
+    """Small integer rays (zero, repeated, antipodal and collinear ones come up often) and two masks."""
     k = draw(st.integers(2, 4))
     rays = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * k), min_size=1, max_size=7))
     masks = st.integers(0, (1 << len(rays)) - 1)
     return rays, draw(masks), draw(masks)
 
 
-@given(_resumed_solves())
-@settings(max_examples=300, deadline=None)
-def test_resumed_phase_one_matches_a_fresh_solve(data):
-    rays, first, second = data
-    # a kept state: the final tableau, basis and D of a solve with the first mask
-    # barred, which may have failed and may hold artificials basic at zero
-    tab, basis, *_ = _fresh_start(rays)(range(len(rays)))  # on the artificial basis
-    _, d = _phase_one(tab, basis, 1, first)
-    support, _ = _phase_one(tab[:], basis[:], d, second)
-    unbarred = [i for i in range(len(rays)) if not second >> i & 1]
-    fresh = helpers.hull_support([rays[i] for i in unbarred]) if unbarred else None
-    assert (support is None) == (fresh is None)
-    if support is not None:
-        assert all(not second >> i & 1 for i in support)
-        assert helpers.brute_origin_in_hull([rays[i] for i in support])
-
-
-@given(_resumed_solves())
+@given(_phase_one_inputs())
 @settings(max_examples=300, deadline=None)
 def test_fresh_phase_one_makes_blands_pivots(data):
-    rays, barred, _ = data
-    # a fresh solve with columns barred, and the validate walk's solve on the
-    # other rays with its objective row passed in: the final basis pins
-    # every entering and leaving choice on the way
-    tab, basis, *_ = _fresh_start(rays)(range(len(rays)))
-    support, _ = _phase_one(tab, basis, 1, barred)
-    assert (basis, support) == helpers.reference_phase_one(rays, barred)
-    kept = [i for i in range(len(rays)) if not barred >> i & 1]
+    rays, kept, _ = data
+    # a solve on all the rays, and the validate walk's solve on some of them:
+    # the final basis pins every entering and leaving choice on the way
+    tab, basis, objective = _fresh_start(rays)(range(len(rays)))
+    support, _ = _phase_one(tab, basis, objective)
+    assert (basis, support) == helpers.reference_phase_one(rays)
+    kept = [i for i in range(len(rays)) if kept >> i & 1]
     if kept:
         start = _fresh_start(rays)(kept)
         support, _ = _phase_one(*start)
@@ -149,25 +131,33 @@ def _determinant(rows) -> int:
     return total
 
 
-@given(_resumed_solves())
+@given(_phase_one_inputs())
 @settings(max_examples=300, deadline=None)
 def test_phase_one_leaves_d_times_the_inverse_basis(data):
-    rays, first, second = data
-    # the state a resumed solve starts from, after a fresh and then a resumed
-    # solve, found or not: tab = D * B^-1 [A | b] and D = det B > 0, recomputed
-    # with Fractions from the final basis (an artificial column is a unit
-    # vector); each pivot is positive, so det B keeps its sign
-    tab, basis, *_ = _fresh_start(rays)(range(len(rays)))
+    rays, columns, rows = data
+    # the state the vertex walk starts from, after a solve, found or not, and
+    # after one more pivot on a positive entry that the masks pick: tab =
+    # D * B^-1 [A | b] and D = det B > 0, recomputed with Fractions from the
+    # final basis (an artificial column is a unit vector); each pivot is
+    # positive, so det B keeps its sign
+    tab, basis, objective = _fresh_start(rays)(range(len(rays)))
     start = [row[:] for row in tab]  # [A | b]
-    n, d = len(rays), 1
-    for barred in (first, second):
-        _, d = _phase_one(tab, basis, d, barred)
-        columns = [[row[j] if j < n else int(j - n == r) for r, row in enumerate(start)] for j in basis]
-        B = [list(row) for row in zip(*columns)]
+    n = len(rays)
+    _, d = _phase_one(tab, basis, objective)
+    for step in range(2):
+        columns_at = [[row[j] if j < n else int(j - n == r) for r, row in enumerate(start)] for j in basis]
+        B = [list(row) for row in zip(*columns_at)]
         assert d == _determinant(B) > 0
         reduced, pivots = helpers._row_reduce([b_row + a_row for b_row, a_row in zip(B, start)])
         assert pivots[:len(B)] == list(range(len(B)))
         assert tab == [[d * x for x in row[len(B):]] for row in reduced]
+        choices = [(i, j) for j in range(n) if j not in basis and columns >> j & 1
+                   for i, row in enumerate(tab) if row[j] > 0]
+        if step or not choices:
+            break
+        leave, entering = choices[rows % len(choices)]
+        d = _pivot(tab, basis, leave, entering, d)
+        assert basis[leave] == entering
 
 
 def test_face_nonempty_empty_subset():
@@ -206,7 +196,7 @@ def test_defining_system_matches_face_masks():
         cfg = helpers.random_valid_configuration(rng, rng.choice((2, 3)), rng.randint(4, 7))
         L = frozenset(rng.sample(range(1, cfg.n + 1), rng.randint(0, cfg.n)))
         assert (_mask(L) in dual_face_masks(cfg)) == _face_oracle(cfg, L)
-    # higher k, where facet pruning and witness reuse decide most faces: every subset
+    # higher k, where the vertex walk pivots through many vertices: every subset
     for k in (4, 5):
         cfg = helpers.random_valid_configuration(rng, k, 8)
         masks = set(dual_face_masks(cfg))

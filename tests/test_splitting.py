@@ -387,3 +387,20 @@ def test_subset_and_space_refusals():
         qb.pair_homology(PENTAGON, [0])
     with pytest.raises(qb.ConfigurationError, match="unknown space 'Q'; expected Z, Zplus or ZC"):
         qb.splitting_ledger(PENTAGON, "Q")
+
+
+def test_an_empty_polytope_over_the_cap_has_the_empty_ledger(monkeypatch):
+    from quadbook import splitting
+
+    # 22 rays in an open half-plane, over the cap of 20: one phase one finds no
+    # point, so the ledger is empty and no face is listed
+    cfg = qb.make_configuration([(1, 0)] + [(1, j) for j in range(21)])
+
+    def no_faces(rays):
+        raise AssertionError("faces listed for an empty polytope")
+
+    monkeypatch.setattr(splitting, "_class_faces", no_faces)
+    for space in ("Z", "Zplus", "ZC"):
+        assert qb.splitting_ledger(cfg, space) == splitting.SplittingLedger((), GradedGroup.zero())
+    with pytest.raises(qb.SizeCapError, match="n = 23 exceeds the subset cap 21"):
+        qb.splitting_ledger(qb.make_configuration([(1, 0)] * 21 + [(-1, 1), (0, -1)]), cap=21)
