@@ -366,9 +366,9 @@ def _class_faces(rays: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], tu
     The faces are then listed in increasing mask order, each set T extended
     by the classes below its least one, with the vertices zero on T as one
     bitmask: a child is a face iff that set meets the vertices zero on its
-    new class.  A child that is no face, t | c, is a minimal non-face unless
-    it holds one found before; since t is a face, such a one holds c, its
-    least class, and was found at a subset of t, earlier in the order.  The
+    new class.  A child T | c that is no face is a minimal non-face unless
+    it holds one found before; since T is a face, such a one holds c, its
+    least class, and was found at a subset of T, earlier in the order.  The
     empty polytope has no face and the empty set as its one minimal
     non-face.
     """
