@@ -15,9 +15,15 @@ restriction to S from the one to V - S, in degree d - 1 - i for ranks and
 d - 2 - i for torsion.  A restriction K_S is a cone on any vertex of S that
 lies in no minimal non-face inside S, so only unions of minimal non-faces
 can carry homology (Hochster's formula; Buchstaber-Panov, Toric Topology,
-ch. 3).  Only those unions on at most half of V are reduced, each built from
-S and the minimal non-faces inside it.  K_V must have the reduced homology
-of a d-sphere, read on the smaller of K_V and its Alexander dual; any other
+ch. 3).  Only those unions on at most half of V are reduced, each from the
+minimal non-faces inside it: the Alexander dual of K_S in the boundary of
+the simplex on S is the union of the simplices on S - M, so by the nerve
+lemma (Bjorner, Topological methods, 1995) it has the homotopy type of the
+nerve {I : the union of I is not S} of those M.  A union of r <= 2 of them
+is a sphere in closed form, one of 3 <= r < |S| is read on that nerve, and
+any other on K_S.  K_V must have the reduced homology of a d-sphere, read on
+the nerve of its r minimal non-faces when 2^r is below the face counts of
+K_V and of its Alexander dual, else on the smaller of those two; any other
 outcome is an OracleMismatchError.
 """
 
@@ -26,7 +32,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .complexes import GradedGroup, _class_faces, _homology_from_masks, class_face_masks
 from .configuration import (
@@ -65,7 +71,12 @@ def _pair_table(rays, classes) -> tuple[tuple[tuple[int, ...], GradedGroup], ...
     faces of K_S are the subsets of S that contain none of them.  With r <= 2
     of them, K_S has just Z in degree |S| - 1 - r and is not reduced: it is
     empty, the boundary of the simplex on S, or the Alexander dual in S of
-    the disjoint simplices S - M1 and S - M2.  K_V is the boundary of the
+    the disjoint simplices S - M1 and S - M2 (the nerve is {empty set} or two
+    points).  With 3 <= r < |S|, the nerve N_S of the r sets, at most 2^r
+    faces against the 2^|S| subsets scanned for K_S, is reduced instead, by
+    Alexander duality in the boundary of the simplex on S: H_i(K_S) has the
+    rank of H_{|S|-3-i}(N_S) and the torsion of H_{|S|-4-i}(N_S), all
+    reduced.  Otherwise K_S is reduced.  K_V is the boundary of the
     simplicial polytope dual to the (simple) class polytope, a sphere of
     dimension d = m - k - 2 for m classes (ghosts included) in R^k: a valid
     configuration with a nonempty polytope has rank k, since otherwise at
@@ -73,30 +84,39 @@ def _pair_table(rays, classes) -> tuple[tuple[tuple[int, ...], GradedGroup], ...
     polytope has dimension m - k - 1.  Alexander duality gives every larger
     restriction from its complement: H_i(K_S) has the rank of
     H_{d-1-i}(K_{V-S}) and the torsion of H_{d-2-i}(K_{V-S}), all
-    reduced.  The sphere property is checked once, on K_V or on its
-    Alexander dual {V - T : T on V no face}, whichever has fewer faces: K_V
-    is a homology d-sphere iff the dual has just Z in degree |V| - d - 3.
-    With V empty, K_V = {empty set} is kept, since duality needs a vertex.
-    Anything but a sphere raises OracleMismatchError.
+    reduced.  The sphere property is checked once.  With B the r minimal
+    non-faces of size >= 2, the Alexander dual {V - T : T on V no face} of
+    K_V is the union of the simplices on V - M, M in B, so it has the
+    homotopy type of the nerve N = {I within B : the union of I is not V}.  K_V
+    is a homology d-sphere iff the dual, or N, has just Z in degree
+    |V| - d - 3.  N is reduced when its bound 2^r is below both |K_V| and
+    the 2^|V| - |K_V| faces of the dual; otherwise the smaller of K_V and
+    the dual is.  With B empty (V empty among them), K_V is a simplex or
+    {empty set} and is kept, since duality needs a non-face.  Anything but
+    a sphere raises OracleMismatchError, naming the side read.
     """
     class_faces, non_faces = _class_faces(rays)
     if not class_faces:
         return ()  # empty polytope: empty variety, no cells
     d = len(classes) - len(rays[0]) - 2
     v_mask = ((1 << len(classes)) - 1) ^ sum(m for m in non_faces if m.bit_count() == 1)
+    base = sorted(m for m in non_faces if m.bit_count() > 1)
     # ghosts are in no face, so the class faces are K_V; its dual has the other 2^|V| - |K_V| sets
-    if v_mask and (1 << v_mask.bit_count()) - len(class_faces) < len(class_faces):
-        side, degree = _alexander_dual(v_mask, non_faces), v_mask.bit_count() - d - 3
+    dual_count = (1 << v_mask.bit_count()) - len(class_faces)
+    if base and 1 << len(base) < min(len(class_faces), dual_count):
+        side, degree, name = _nerve(base, v_mask), v_mask.bit_count() - d - 3, f"nerve of {len(base)} non-faces"
+    elif base and dual_count < len(class_faces):
+        side, degree, name = _alexander_dual(v_mask, base), v_mask.bit_count() - d - 3, "Alexander dual"
     else:
-        side, degree = class_faces, d
+        side, degree, name = class_faces, d, "class faces"
     group = _homology_from_masks(side)
     if group != GradedGroup.single(degree):
         raise OracleMismatchError(f"the class complex on its vertices is not a {d}-sphere: reduced homology "
-                                  f"{group} on the {len(side)} faces read, not Z in degree {degree}")
+                                  f"{group} read on the {name} ({len(side)} faces), not Z in degree {degree}")
 
     half = v_mask.bit_count() // 2
-    base = {m for m in non_faces if 1 < m.bit_count() <= half}
-    unions, frontier = {0} | base, base
+    base = [m for m in base if m.bit_count() <= half]
+    unions, frontier = {0, *base}, set(base)
     while frontier:
         frontier = {u | m for u in frontier for m in base
                     if (u | m).bit_count() <= half and u | m not in unions}
@@ -106,12 +126,13 @@ def _pair_table(rays, classes) -> tuple[tuple[tuple[int, ...], GradedGroup], ...
         inside = [m for m in base if m & ~s == 0]
         if len(inside) <= 2:  # a sphere: see the docstring
             small[s] = GradedGroup.single(s.bit_count() - 1 - len(inside))
-            continue
-        # K_S on the positions of S, keeping the engine's tables as small as S
-        where = [c for c in range(len(classes)) if s >> c & 1]
-        inside = [sum(1 << i for i, c in enumerate(where) if m >> c & 1) for m in inside]
-        small[s] = _homology_from_masks([q for q in range(1 << len(where))
-                                         if not any(q & m == m for m in inside)])
+        elif len(inside) < s.bit_count():
+            small[s] = _nerve_restriction(s, inside)
+        else:  # K_S on the positions of S, keeping the engine's tables as small as S
+            where = [c for c in range(len(classes)) if s >> c & 1]
+            inside = [sum(1 << i for i, c in enumerate(where) if m >> c & 1) for m in inside]
+            small[s] = _homology_from_masks([q for q in range(1 << len(where))
+                                             if not any(q & m == m for m in inside)])
     restrictions = dict(small)
     for rest, group in small.items():
         s = v_mask ^ rest
@@ -133,6 +154,29 @@ def _pair_table(rays, classes) -> tuple[tuple[tuple[int, ...], GradedGroup], ...
             J = tuple(sorted(itertools.chain(*chosen)))
             entries.append((J, group.shift(1 + len(J) - len(chosen))))
     return tuple(sorted(entries, key=lambda entry: (len(entry[0]), entry[0])))
+
+
+def _nerve(sets: Sequence[int], full: int) -> list[int]:
+    """The nerve {I : the union of the sets in I is not full}, as sorted masks, bit j for sets[j].
+
+    Each union extends the one without its top set, so one pass lists all 2^len(sets).
+    """
+    unions = [0]
+    for m in sets:
+        unions += [u | m for u in unions]
+    return [i for i, u in enumerate(unions) if u != full]
+
+
+def _nerve_restriction(s: int, inside: Sequence[int]) -> GradedGroup:
+    """Reduced homology of K_S from the nerve of the minimal non-faces inside S, their union.
+
+    The Alexander dual of K_S in the boundary of the simplex on S is covered by
+    the simplices on S - M, so it has the homotopy type of the nerve, and
+    H_i(K_S) has the rank of H_{n-3-i} and the torsion of H_{n-4-i} of it, n = |S|.
+    """
+    n, group = s.bit_count(), _homology_from_masks(_nerve(inside, s))
+    return GradedGroup.from_parts({n - 3 - i: group.rank(i) for i in group.degrees},
+                                  {n - 4 - i: group.torsion(i) for i in group.degrees})
 
 
 def _alexander_dual(v_mask: int, non_faces: Iterable[int]) -> list[int]:

@@ -105,6 +105,10 @@ MUTANTS = {
         "complexes.py", "if len(found) < len(basis):", "if False:"),
     "empty-ledger-only-within-the-cap": (
         "splitting.py", "if cfg.n > cap and _phase_one(", "if cfg.n <= cap and _phase_one("),
+    "nerve-torsion-degree": (
+        "splitting.py", "{n - 4 - i: group.torsion(i)", "{n - 3 - i: group.torsion(i)"),
+    "nerve-guard-degree": (
+        "splitting.py", "_nerve(base, v_mask), v_mask.bit_count() - d - 3", "_nerve(base, v_mask), d"),
     "homology-takes-variant": (
         "cli.py", '"max_n": DEFAULT_SUBSET_CAP}', '"max_n": DEFAULT_SUBSET_CAP, "variant": "complex"}'),
 }

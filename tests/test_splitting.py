@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import math
@@ -192,12 +193,67 @@ def reductions(monkeypatch):
     splitting._pair_table.cache_clear()
 
 
+def _nerve_masks(sets, full):
+    """The sets I of positions in `sets` whose union is not full, as sorted masks (bit j for sets[j])."""
+    return sorted(sum(1 << j for j in I) for size in range(len(sets) + 1)
+                  for I in itertools.combinations(range(len(sets)), size)
+                  if functools.reduce(int.__or__, (sets[j] for j in I), 0) != full)
+
+
+def _expected_reductions(cfg):
+    """The face lists `_pair_table` should reduce, each with the name of its route, by the rule restated here.
+
+    The sphere guard comes first.  With B the r minimal non-faces of size at
+    least two, it reads the nerve of B when 2^r is below both |K_V| and the
+    2^|V| - |K_V| faces of the Alexander dual, and otherwise the smaller of
+    K_V and the dual.  Then each union S of minimal non-faces on at most half
+    of V is read by the r_S minimal non-faces inside it: r_S <= 2 is a sphere
+    and no reduction, r_S < |S| the nerve of those, and otherwise K_S on the
+    positions of S.  Returns the guard and the restrictions as (route, faces)
+    pairs, faces None for a sphere.
+    """
+    from quadbook.complexes import class_face_masks
+
+    faces = sorted(class_face_masks(cfg))
+    if not faces:
+        return None, []
+    m = len(cfg.classes)
+    non_faces = helpers.minimal_non_faces(faces, m)
+    vertices = [c for c in range(m) if 1 << c not in non_faces]
+    v_mask = sum(1 << c for c in vertices)
+    base = sorted(n for n in non_faces if n.bit_count() > 1)
+    face_set = set(faces)
+    dual = sorted(v_mask ^ t for t in range(1 << m) if not t & ~v_mask and t not in face_set)
+    if base and 2 ** len(base) < min(len(faces), len(dual)):
+        guard = ("nerve", _nerve_masks(base, v_mask))
+    elif base and len(dual) < len(faces):
+        guard = ("dual", dual)
+    else:
+        guard = ("faces", faces)
+    routes = []
+    for size in range(len(vertices) // 2 + 1):
+        for S in itertools.combinations(vertices, size):
+            s = sum(1 << c for c in S)
+            inside = [n for n in base if n & ~s == 0]
+            if functools.reduce(int.__or__, inside, 0) != s:
+                continue  # a cone on a vertex of S in no non-face inside it
+            if len(inside) <= 2:
+                routes.append(("sphere", None))
+            elif len(inside) < size:
+                routes.append(("nerve", _nerve_masks(inside, s)))
+            else:
+                routes.append(("scan", sorted(sum(1 << i for i, c in enumerate(S) if f >> c & 1)
+                                              for f in faces if f & ~s == 0)))
+    return guard, routes
+
+
 def test_pair_table_matches_direct_restrictions(reductions):
     from quadbook import splitting
     from quadbook.complexes import class_face_masks
 
     saw_ghost = saw_large_class = False
     walked = reduced = 0
+    sides, routes = set(), set()
     for cfg in helpers.duality_corpus():
         faces = set(class_face_masks(cfg))
         classes = cfg.classes
@@ -205,14 +261,23 @@ def test_pair_table_matches_direct_restrictions(reductions):
         saw_large_class |= any(len(members) >= 2 for members in classes)
         reductions.clear()
         assert splitting._pair_table(cfg.class_rays, cfg.classes) == helpers.reference_pair_table(cfg), cfg
+        # the reductions made are the ones the rule names, so the routes seen are the routes taken
+        guard, expected = _expected_reductions(cfg)
+        made = sorted(map(sorted, reductions))
+        assert made == sorted([guard[1]] + [f for _, f in expected if f] if guard else []), cfg
+        sides |= {guard[0]} if guard else set()
+        routes |= {route for route, _ in expected}
         if cfg.n >= 10 and len(classes) == cfg.n:  # the general-position inputs
             vertices = sum(1 for c in range(len(classes)) if 1 << c in faces)
             walked += sum(math.comb(vertices, j) for j in range(vertices // 2 + 1))
             reduced += len(reductions) - 1
     # the corpus reaches every shortcut the table takes over the direct sum,
-    # the contractible one on most restrictions of the general-position inputs
+    # the contractible one on most restrictions of the general-position inputs,
+    # each side of the sphere guard and each way of reading a restriction
     assert saw_ghost and saw_large_class
     assert reduced < walked / 10
+    assert sides == {"faces", "dual", "nerve"}
+    assert routes == {"sphere", "nerve", "scan"}
 
 
 @pytest.mark.parametrize("cfg, count", [
@@ -222,46 +287,21 @@ def test_pair_table_matches_direct_restrictions(reductions):
 ], ids=["ones-11", "ones-15", "dense-k4"])
 def test_pair_table_work_bound(reductions, cfg, count):
     from quadbook import splitting
-    from quadbook.complexes import class_face_masks
 
     splitting._pair_table(cfg.class_rays, cfg.classes)
-    faces = class_face_masks(cfg)
-    m = len(cfg.classes)
-    non_faces = helpers.minimal_non_faces(faces, m)
-    vertices = [c for c in range(m) if 1 << c not in non_faces]
-    # the sphere guard first, on K_V or on its Alexander dual, whichever has
-    # fewer faces; then each restriction to at most half the vertices that is
+    # the sphere guard first, on the nerve of the minimal non-faces, K_V or its
+    # Alexander dual; then each restriction to at most half the vertices that is
     # the union of at least three minimal non-faces inside it, of the 1,024,
-    # 16,384 and 1,024 restrictions of that size; the empty set and unions of
-    # one or two are spheres read without a reduction
+    # 16,384 and 1,024 restrictions of that size, on the nerve of those or on
+    # K_S; the empty set and unions of one or two are spheres read without a
+    # reduction
     assert len(reductions) == count
-    v_mask = sum(1 << c for c in vertices)
-    face_set = set(faces)
-    dual = [v_mask ^ t for t in range(1 << m) if not t & ~v_mask and t not in face_set]
-    assert sorted(reductions[0]) == sorted(min(list(faces), dual, key=len))
-    for faces_s in reductions[1:]:
-        assert len(helpers.minimal_non_faces(faces_s, max(faces_s).bit_length())) >= 3
-
-    def inside(s):
-        return [n for n in non_faces if n & ~s == 0]
-
-    def union_inside(s):
-        out = 0
-        for n in inside(s):
-            out |= n
-        return out
-
-    def on_positions(s):
-        where = [c for c in range(m) if s >> c & 1]
-        return sorted(sum(1 << i for i, c in enumerate(where) if f >> c & 1)
-                      for f in faces if f & ~s == 0)
-
-    subsets = (sum(1 << c for c in S) for size in range(len(vertices) // 2 + 1)
-               for S in itertools.combinations(vertices, size))
-    unions = [s for s in subsets if union_inside(s) == s and len(inside(s)) >= 3]
-    assert sorted(sorted(r) for r in reductions[1:]) == sorted(map(on_positions, unions))
-    # none of them is a simplex or a cone
-    assert not [faces for faces in reductions if helpers.is_cone(faces)]
+    guard, routes = _expected_reductions(cfg)
+    assert sorted(reductions[0]) == guard[1]
+    assert sorted(map(sorted, reductions[1:])) == sorted(faces for _, faces in routes if faces)
+    # no K_S read is a simplex or a cone; a nerve may be one, when K_S is acyclic but no cone
+    assert not [faces for route, faces in [guard] + routes
+                if route in ("faces", "dual", "scan") and helpers.is_cone(faces)]
 
 
 def test_unions_of_at_most_two_minimal_non_faces_are_spheres():
@@ -290,15 +330,42 @@ def test_unions_of_at_most_two_minimal_non_faces_are_spheres():
     assert seen == {0, 1, 2}
 
 
-# a disk (one filled triangle) and two points plus an edge: neither is a sphere
-@pytest.mark.parametrize("faces", [(0, 1, 2, 3, 4, 5, 6, 7), (0, 1, 2, 4, 8, 12)],
-                         ids=["disk", "points-and-edge"])
-def test_sphere_guard(monkeypatch, capsys, faces):
+def test_nerve_route_moves_torsion_by_n_minus_4_minus_i():
+    from quadbook import splitting
+
+    # the ten triangles of the 6-vertex RP^2 are the vertices of S, and the
+    # non-face M_v holds the five triangles that miss the RP^2 vertex v.  Some
+    # triangle is in no member of a set of them iff it holds their vertices,
+    # so their nerve is RP^2 itself, whose Z/2 in degree 1 lands in degree
+    # |S| - 4 - 1 = 5 of K_S
+    triangles = helpers.RP2_TRIANGLES
+    inside = [sum(1 << t for t, triangle in enumerate(triangles) if v not in triangle) for v in range(1, 7)]
+    s = (1 << len(triangles)) - 1
+    assert splitting._nerve(inside, s) == helpers.closure_masks(triangles)
+    faces = [q for q in range(s + 1) if not any(q & m == m for m in inside)]  # K_S, as the scan lists it
+    assert len(faces) == 872
+    z2 = GradedGroup.from_parts({}, {5: (2,)})
+    assert splitting._nerve_restriction(s, inside) == z2
+    assert splitting._homology_from_masks(faces) == z2
+
+
+# a disk (one filled triangle, the other two classes ghosts) and two points
+# plus an edge, read on the class faces, and the join of two pairs of points
+# and a fifth vertex, a cone read on the nerve of its two minimal non-faces
+# {1, 2} and {3, 4}: none is a sphere.  The disk has no minimal non-face of
+# size two, so its dual is void, which reads as Z in degree -1 = |V| - d - 3
+# and would pass
+@pytest.mark.parametrize("faces, non_faces, side", [
+    ((0, 1, 2, 3, 4, 5, 6, 7), (8, 16), "class faces (8 faces)"),
+    ((0, 1, 2, 4, 8, 12), (), "class faces (6 faces)"),
+    (tuple(t for t in range(32) if t & 3 != 3 and t & 12 != 12), (3, 12), "nerve of 2 non-faces (4 faces)"),
+], ids=["disk", "points-and-edge", "cone"])
+def test_sphere_guard(monkeypatch, capsys, faces, non_faces, side):
     from quadbook import splitting
     from quadbook.cli import main
     from quadbook.reporting import load_document
 
-    monkeypatch.setattr(splitting, "_class_faces", lambda rays: (faces, ()))
+    monkeypatch.setattr(splitting, "_class_faces", lambda rays: (faces, non_faces))
     splitting._pair_table.cache_clear()
     try:
         with pytest.raises(qb.OracleMismatchError):
@@ -308,7 +375,7 @@ def test_sphere_guard(monkeypatch, capsys, faces):
         assert (code, captured.out) == (4, "")
         assert "Traceback" not in captured.err
         message, document = captured.err.splitlines()
-        assert "sphere" in message
+        assert "not a 1-sphere" in message and f"read on the {side}," in message
         # the input follows as one JSON line, so that --config replays the failure
         assert load_document(json.loads(document)) == qb.partition_configuration((1,) * 5)
     finally:
@@ -333,9 +400,13 @@ def test_sphere_guard_sides_agree():
                               if not t & ~v_mask and t not in face_set), cfg
         d = max(f.bit_count() for f in faces) - 1
         assert _homology_from_masks(faces) == GradedGroup.single(d), cfg
-        assert _homology_from_masks(dual) == GradedGroup.single(v_mask.bit_count() - d - 3), cfg
+        dual_sphere = GradedGroup.single(v_mask.bit_count() - d - 3)
+        assert _homology_from_masks(dual) == dual_sphere, cfg
+        # the nerve of the minimal non-faces has the homotopy type of the dual
+        base = sorted(m for m in non_faces if m.bit_count() > 1)
+        assert _homology_from_masks(splitting._nerve(base, v_mask)) == dual_sphere, cfg
         smaller.add(len(dual) < len(faces))
-    assert smaller == {False, True}  # the guard runs on each side somewhere in the corpus
+    assert smaller == {False, True}  # each of K_V and the dual is the smaller somewhere in the corpus
 
 
 def test_sphere_dimension_reads_off_the_class_and_vector_counts():
@@ -367,7 +438,7 @@ def test_sphere_guard_on_the_dual_side(reductions, monkeypatch, capsys):
     captured = capsys.readouterr()
     assert (code, captured.out) == (4, "")
     assert "Traceback" not in captured.err
-    assert "sphere" in captured.err
+    assert "not a 1-sphere" in captured.err and "read on the Alexander dual (15 faces)," in captured.err
 
 
 def test_euler_cellcount_matches_coordinate_sum():
