@@ -1,8 +1,8 @@
 """The dual complex of a configuration, Smith normal form, and integral homology.
 
 A complex is a sorted, downward-closed list of face bitmasks, bit i for
-vertex i + 1; the engine reads it on ray classes, listed by one walk over
-the vertices of the class polytope (`_class_faces`).  The coordinate faces
+vertex i + 1; the engine reads it on ray classes, listed off the memoised
+walk over the vertices of the class polytope (`_class_faces`).  The coordinate faces
 follow by the wedge rule, expanded on demand inside the coordinates asked
 for: all of them for `dual_face_masks`, those in J for `pair_homology`, the
 coordinate-level side of the doubling check.  Homology cancels a complex to
@@ -21,8 +21,8 @@ from functools import lru_cache
 from math import gcd
 from typing import Iterable, Mapping, Sequence
 
-from .configuration import (MEMO_SIZE, Configuration, ConfigurationError, OracleMismatchError, _fresh_start,
-                            _phase_one, _pivot, require_valid)
+from .configuration import (MEMO_SIZE, Configuration, ConfigurationError, OracleMismatchError, _vertices,
+                            require_valid)
 
 
 # ---------------------------------------------------------------------------
@@ -353,15 +353,11 @@ def _class_faces(rays: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], tu
     Labels, scale and multiplicity drop out.  A class set T is a face iff
     some point x of the class polytope P = {x >= 0 : sum x_c (ray_c, 1) =
     (0, 1)} is zero on T, and then a vertex of P is, so the faces are the
-    class sets that some vertex is zero on.  On a weakly hyperbolic input
-    every point of P has k + 1 or more positive coordinates, so each vertex
-    has exactly k + 1 (P is simple) and its neighbours are found by one
-    ratio test each, with no tie (Avis-Fukuda, A pivoting algorithm for
-    convex hulls and vertex enumeration, 1992).  One phase one on all the
-    rays finds a first vertex, and each unseen neighbour costs one pivot
-    (`_pivot`): V - 1 pivots for V vertices.  A basic value of 0 at the
-    first vertex or a ratio tie means the input is not weakly hyperbolic
-    and raises OracleMismatchError.
+    class sets that some vertex is zero on.  The vertices come from the
+    memoised walk `configuration._vertices`, which `validate` may have run
+    already for the same rays.  Every caller validates first, so a fault on
+    the walk, which proves the rays not weakly hyperbolic, contradicts a
+    search that found them valid and raises OracleMismatchError.
 
     The faces are then listed in increasing mask order, each set T extended
     by the classes below its least one, with the vertices zero on T as one
@@ -372,45 +368,12 @@ def _class_faces(rays: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], tu
     empty polytope has no face and the empty set as its one minimal
     non-face.
     """
-    tab, basis, objective = _fresh_start(rays)(range(len(rays)))
-    found, d = _phase_one(tab, basis, objective)
-    if found is None:
+    keys = _vertices(rays)
+    if isinstance(keys, str):
+        raise OracleMismatchError(f"{keys}: the rays are not weakly hyperbolic")
+    if not keys:
         return (), (0,)
-    if len(found) < len(basis):
-        raise OracleMismatchError(f"the class polytope has a vertex on {len(found)} classes, "
-                                  f"not {len(basis)}: the rays are not weakly hyperbolic")
     width = len(rays)
-    keys = [sum(1 << j for j in basis)]  # per vertex: its basis, as a class mask
-    seen = set(keys)
-    pending = [(tab, basis, d, keys[0])]
-    while pending:
-        tab, basis, d, key = pending.pop()
-        for entering in range(width):
-            if key >> entering & 1:
-                continue
-            leave, tie = None, False
-            for i, row in enumerate(tab):
-                a = row[entering]
-                if a > 0:
-                    if leave is None:
-                        leave, lead = i, row
-                        continue
-                    # ratio b_i / a against the best b / a, by cross-multiplication
-                    cross = row[width] * lead[entering] - lead[width] * a
-                    if cross < 0:
-                        leave, lead, tie = i, row, False
-                    elif cross == 0:
-                        tie = True
-            if leave is None or tie:
-                raise OracleMismatchError("a ratio test found no row or a tie on the class polytope: "
-                                          "the rays are not weakly hyperbolic")
-            step = key ^ 1 << basis[leave] ^ 1 << entering
-            if step not in seen:
-                seen.add(step)
-                keys.append(step)
-                tab_next, basis_next = tab[:], basis[:]
-                d_next = _pivot(tab_next, basis_next, leave, entering, d)
-                pending.append((tab_next, basis_next, d_next, step))
     # per class: the vertices zero on it, bit v for vertex v
     on = [sum(1 << v for v, key in enumerate(keys) if not key >> c & 1) for c in range(width)]
     faces, missing = [], []

@@ -11,10 +11,14 @@ origin lie in the convex hull of some primitive integer rays, those of
 with fraction-free integer pivoting and Bland's rule, exact and
 deterministic.  The objective row is kept apart from the tableau, and one
 fraction-free pivot step, `_pivot`, rewrites only the rows it changes.
-`validate` builds each tableau from columns set up once per input
-(`_fresh_start`); the class complex of `complexes` takes one phase one on
-all the class rays, then walks the vertices of their polytope with the
-same pivot step.
+`_vertices` takes one phase one on all the class rays, then walks the
+vertices of their polytope with the same pivot step; the walk proves or
+refutes weak hyperbolicity, and `complexes` reads the class complex off
+its vertices.  `validate` takes the walk where the upper bound theorem
+prices it below the top-size search, one phase one per class set of size
+min(m, k) on a tableau built from columns set up once per input
+(`_fresh_start`); the search also names the least witness after a fault
+on the walk.
 """
 
 from __future__ import annotations
@@ -321,6 +325,85 @@ def _fresh_start(rays: Sequence[Sequence[int]]) -> Callable[[Sequence[int]], tup
 
 
 @lru_cache(maxsize=MEMO_SIZE)
+def _vertices(rays: tuple[tuple[int, ...], ...]) -> tuple[int, ...] | str:
+    """The vertices of the class polytope as basis masks, () if it is empty, or the fault met on it.
+
+    The class polytope is P = {x >= 0 : sum x_c (ray_c, 1) = (0, 1)}.  Its
+    points with support in J make a face of P, so the rays are weakly
+    hyperbolic iff every vertex has k + 1 positive coordinates.  One phase
+    one on all the rays finds a first vertex.  From a vertex with k + 1
+    positive basic values each class outside its basis names one edge, and
+    one ratio test its far end, which is again such a vertex unless the
+    test ties or finds no row (Avis-Fukuda, A pivoting algorithm for convex
+    hulls and vertex enumeration, 1992).  Each unseen neighbour costs one
+    pivot (`_pivot`): V - 1 pivots for V vertices, each kept as its basis,
+    a class mask, in the order the walk meets it.  So a walk with no fault
+    has met the whole graph of P and proves the rays valid, and a fault
+    refutes them and is returned as a message: a first vertex on fewer than
+    k + 1 classes, or a ratio test with a tie or with no row.
+    """
+    tab, basis, objective = _fresh_start(rays)(range(len(rays)))
+    found, d = _phase_one(tab, basis, objective)
+    if found is None:
+        return ()
+    if len(found) < len(basis):
+        return f"the class polytope has a vertex on {len(found)} classes, not {len(basis)}"
+    width = len(rays)
+    keys = [sum(1 << j for j in basis)]
+    seen = set(keys)
+    pending = [(tab, basis, d, keys[0])]
+    while pending:
+        tab, basis, d, key = pending.pop()
+        for entering in range(width):
+            if key >> entering & 1:
+                continue
+            leave, tie = None, False
+            for i, row in enumerate(tab):
+                a = row[entering]
+                if a > 0:
+                    if leave is None:
+                        leave, lead = i, row
+                        continue
+                    # ratio b_i / a against the best b / a, by cross-multiplication
+                    cross = row[width] * lead[entering] - lead[width] * a
+                    if cross < 0:
+                        leave, lead, tie = i, row, False
+                    elif cross == 0:
+                        tie = True
+            if leave is None or tie:
+                return "a ratio test found no row or a tie on the class polytope"
+            step = key ^ 1 << basis[leave] ^ 1 << entering
+            if step not in seen:
+                seen.add(step)
+                keys.append(step)
+                tab_next, basis_next = tab[:], basis[:]
+                d_next = _pivot(tab_next, basis_next, leave, entering, d)
+                pending.append((tab_next, basis_next, d_next, step))
+    return tuple(keys)
+
+
+def _vertex_bound(m: int, d: int) -> int:
+    """The most vertices a simple d-polytope with m facets has, and 1 for d <= 0.
+
+    McMullen's upper bound theorem (1970): the dual of the cyclic polytope
+    attains it.  A valid input's class polytope has m facets or fewer and
+    dimension m - k - 1, so it bounds the vertex walk before it starts.
+    """
+    if d <= 0:
+        return 1
+    return math.comb(m - (d + 1) // 2, d // 2) + math.comb(m - d // 2 - 1, (d + 1) // 2 - 1)
+
+
+def _walk_is_cheaper(m: int, k: int) -> bool:
+    """Whether the vertex walk on m classes in Q^k is priced below the top-size search.
+
+    A vertex costs m - k ratio tests and pivots, of k + 1 rows each, at
+    most; a top-size class set costs one phase one of k + 1 rows.
+    """
+    return _vertex_bound(m, m - k - 1) * (m - k) < math.comb(m, min(m, k)) * (k + 1)
+
+
+@lru_cache(maxsize=MEMO_SIZE)
 def _first_failure(rays: tuple[tuple[int, ...], ...]) -> tuple[int, ...] | None:
     """The least class subset of size <= k whose rays hold the origin, or None.
 
@@ -332,16 +415,26 @@ def _first_failure(rays: tuple[tuple[int, ...], ...]) -> tuple[int, ...] | None:
     (0, ..., j - 1) fails, so does (0, ..., top - 1), which is then
     ``first``.  So only that case tests the prefixes of ``first``: an
     invalid input costs at most top - 1 phase ones more than its top-size
-    walk.  Keyed on the class rays alone, so labels, scale and multiplicity
-    share one walk.
+    search.  Where the vertex walk is priced below that search
+    (`_walk_is_cheaper`), it runs first: with no fault it proves the rays
+    valid, and on a fault the search names the least witness, so a fault
+    that the search does not confirm raises OracleMismatchError.  Keyed on
+    the class rays alone, so labels, scale and multiplicity share one
+    search.
     """
+    m, k = len(rays), len(rays[0])
+    walked = _vertices(rays) if _walk_is_cheaper(m, k) else None
+    if walked is not None and not isinstance(walked, str):
+        return None
     start = _fresh_start(rays)
 
     def holds(s: tuple[int, ...]) -> bool:
         return _phase_one(*start(s))[0] is not None
 
-    top = min(len(rays), len(rays[0]))
-    first = next(filter(holds, itertools.combinations(range(len(rays)), top)), None)
+    top = min(m, k)
+    first = next(filter(holds, itertools.combinations(range(m), top)), None)
+    if first is None and walked is not None:
+        raise OracleMismatchError(f"{walked}, but no class set of size {top} holds the origin")
     if first != tuple(range(top)):
         return first
     return next(filter(holds, (first[:j] for j in range(1, top))), first)
@@ -351,9 +444,10 @@ def validate(cfg: Configuration) -> ValidationReport:
     """Check weak hyperbolicity: no J with |J| <= k has the origin in conv(lambda_J).
 
     Whether conv(lambda_J) holds the origin depends only on the ray classes J
-    meets, so the search runs over class subsets, and a valid input tests only
-    those of size min(m, k) (`_first_failure`).  Only a failure is mapped back
-    to coordinates.
+    meets, so the decision runs on class subsets (`_first_failure`): by the
+    vertex walk of the class polytope where that is priced cheaper, else or
+    on a fault by the class sets of size min(m, k).  Only a failure is
+    mapped back to coordinates.
     """
     rays, classes, k = cfg.class_rays, cfg.classes, cfg.k
     first = _first_failure(rays)

@@ -66,7 +66,8 @@ MUTANTS = {
     "bland-leaving-tie-break": (
         "configuration.py", "basis[i] < basis[leave]", "basis[i] > basis[leave]"),
     "bland-entering-last": (
-        "configuration.py", "for entering in range(width):", "for entering in reversed(range(width)):"),
+        "configuration.py", "enters\n        for entering in range(width):",
+        "enters\n        for entering in reversed(range(width)):"),
     "alexander-dual-without-empty-face": (
         "splitting.py", "dual.add(0)", "dual.discard(0)"),
     "dual-faces-without-largest-proper-parts": (
@@ -98,11 +99,15 @@ MUTANTS = {
     "long-vector-accepted": (
         "configuration.py", "if len(raw) != self.k:", "if len(raw) < self.k:"),
     "walk-ratio-keeps-a-larger-row": (
-        "complexes.py", "if cross < 0:", "if cross > 0:"),
+        "configuration.py", "if cross < 0:", "if cross > 0:"),
     "walk-tie-never-flagged": (
-        "complexes.py", "tie = True", "tie = False"),
+        "configuration.py", "tie = True", "tie = False"),
     "walk-trusts-a-degenerate-first-vertex": (
-        "complexes.py", "if len(found) < len(basis):", "if False:"),
+        "configuration.py", "if len(found) < len(basis):", "if False:"),
+    "walk-rule-inverted": (
+        "configuration.py", "* (m - k) < math.comb(", "* (m - k) > math.comb("),
+    "walk-fault-trusted": (
+        "configuration.py", "if first is None and walked is not None:", "if False:"),
     "empty-ledger-only-within-the-cap": (
         "splitting.py", "if cfg.n > cap and _phase_one(", "if cfg.n <= cap and _phase_one("),
     "nerve-torsion-degree": (

@@ -359,31 +359,44 @@ def test_dual_complex_requires_validity():
 
 def test_class_walk_runs_one_phase_one_and_one_pivot_per_further_vertex(monkeypatch):
     import quadbook.complexes
+    from quadbook import configuration
 
     rng = random.Random(17)
     configs = [qb.partition_configuration((1,) * 11), qb.partition_configuration((1,) * 13)]
     configs += [helpers.random_valid_configuration(rng, k, k + 7) for k in (3, 4, 5)]
     for cfg in configs:
-        calls = {"_phase_one": 0, "_pivot": 0}  # the walk's own pivots; the phase one's are not counted
-        for name in calls:
-            def counted(*args, name=name, original=getattr(quadbook.complexes, name)):
-                calls[name] += 1
-                return original(*args)
+        calls = {"_phase_one": 0, "_pivot": 0}
 
-            monkeypatch.setattr(quadbook.complexes, name, counted)
+        def pivot(*args, original=configuration._pivot):
+            calls["_pivot"] += 1
+            return original(*args)
+
+        def phase_one(*args, original=configuration._phase_one):
+            calls["_phase_one"] += 1
+            before = calls["_pivot"]
+            try:
+                return original(*args)
+            finally:
+                calls["_pivot"] = before  # the walk's own pivots; the phase one's are not counted
+
+        monkeypatch.setattr(configuration, "_pivot", pivot)
+        monkeypatch.setattr(configuration, "_phase_one", phase_one)
         rays = cfg.class_rays
-        masks, non_faces = quadbook.complexes._class_faces.__wrapped__(rays)  # past the memo
+        vertices = configuration._vertices.__wrapped__(rays)  # past the memo
         monkeypatch.undo()
+        masks, non_faces = quadbook.complexes._class_faces.__wrapped__(rays)
         assert non_faces == tuple(sorted(helpers.minimal_non_faces(masks, len(rays))))
         # each maximal face is the zero set of one vertex, reached by one pivot from a seen one
         faces = set(masks)
         maximal = [t for t in masks if not any(t | 1 << c in faces for c in range(len(rays)) if not t >> c & 1)]
+        assert sorted(((1 << len(rays)) - 1) ^ key for key in vertices) == maximal, cfg
         assert calls == {"_phase_one": 1, "_pivot": len(maximal) - 1}, cfg
         assert {t.bit_count() for t in maximal} == {len(rays) - cfg.k - 1}  # a simple polytope
 
 
 def test_class_walk_refuses_rays_that_are_not_weakly_hyperbolic():
     import quadbook.complexes
+    from quadbook import configuration
 
     # an antipodal pair: the polytope has a vertex on 2 classes, not k + 1 = 3;
     # the phase one lands on it, or the walk meets it as a ratio tie
@@ -391,6 +404,8 @@ def test_class_walk_refuses_rays_that_are_not_weakly_hyperbolic():
                            ([(1, 1), (-1, 1), (0, -1), (1, 0), (-1, 0)], "a tie")):
         cfg = qb.make_configuration(vectors)
         assert not qb.validate(cfg).ok
+        # the walk names the fault, and the class complex refuses on it
+        assert match in configuration._vertices.__wrapped__(cfg.class_rays)
         with pytest.raises(qb.OracleMismatchError, match=match):
             quadbook.complexes._class_faces.__wrapped__(cfg.class_rays)
 

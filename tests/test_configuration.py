@@ -169,12 +169,21 @@ def _count_predicate_calls(monkeypatch, module, limit=None):
 
 
 def test_valid_input_tests_only_its_top_size_class_subsets(monkeypatch):
-    cfg = qb.partition_configuration((2000, 1, 1))
-    qb.configuration._first_failure.cache_clear()  # the triangle's rays, shared with other tests
-    calls = _count_predicate_calls(monkeypatch, qb.configuration, limit=3)
-    assert qb.validate(cfg).ok
-    # three classes, k = 2: the three pairs; a singleton holding the origin would fail a pair
-    assert calls[0] == 3
+    from math import comb
+
+    # three classes, k = 2: the polytope is one vertex, so the walk is priced
+    # below the three pairs and runs one phase one
+    triangle = qb.partition_configuration((2000, 1, 1))
+    # eleven classes, k = 2: the walk is priced above the 55 pairs, so the
+    # search tests them alone; a singleton holding the origin would fail a pair
+    polygon = qb.partition_configuration((1,) * 11)
+    for cfg, expected in ((triangle, 1), (polygon, comb(11, 2))):
+        qb.configuration._first_failure.cache_clear()  # the rays are shared with other tests
+        qb.configuration._vertices.cache_clear()
+        calls = _count_predicate_calls(monkeypatch, qb.configuration, limit=expected)
+        assert qb.validate(cfg).ok
+        assert calls[0] == expected
+        monkeypatch.undo()
 
 
 def test_validate_witness_is_built_in_linear_time(monkeypatch):
@@ -215,15 +224,18 @@ def test_class_complex_search_is_shared_by_equal_geometry(monkeypatch):
     relabelled = qb.Configuration(cfg.k, cfg.lambdas, tuple(f"y{i}" for i in range(1, 6)))
     rescaled = qb.make_configuration([[3 * x for x in vec] for vec in cfg.lambdas])
     copies = (qb.complexify(cfg), cfg.with_distinguished(2), relabelled, rescaled)
+    calls = _count_predicate_calls(monkeypatch, qb.configuration)
     for other in (cfg,) + copies:
         assert qb.validate(other).ok
-    calls = _count_predicate_calls(monkeypatch, quadbook.complexes)
+    # five classes at k = 2: validate takes the vertex walk, one phase one in all
+    assert calls[0] == 1
+    misses = quadbook.complexes._class_faces.cache_info().misses
     first = quadbook.complexes.class_face_masks(cfg)
-    searched = calls[0]
-    assert searched > 0
     for other in copies:
         assert quadbook.complexes.class_face_masks(other) == first
-    assert calls[0] == searched
+    # the complex is listed once, off the walk that validate ran
+    assert calls[0] == 1
+    assert quadbook.complexes._class_faces.cache_info().misses == misses + 1
 
 
 def test_equal_rationals_give_equal_configurations():
@@ -306,7 +318,7 @@ def test_every_package_memo_is_bounded():
             for value in vars(module).values():
                 if callable(getattr(value, "cache_clear", None)):
                     memos[value.__wrapped__.__qualname__] = value
-    assert {"_first_failure", "_class_faces", "_pair_table", "_parse_input"} <= set(memos)
+    assert {"_first_failure", "_vertices", "_class_faces", "_pair_table", "_parse_input"} <= set(memos)
     assert [name for name, memo in memos.items() if memo.cache_parameters()["maxsize"] is None] == []
 
 
@@ -346,6 +358,7 @@ def test_validate_witness_is_least_with_repeated_rays():
 def _engine_walk(monkeypatch, rays):
     """The engine's class witness for these rays, uncached, and the phase ones it ran."""
     calls = _count_predicate_calls(monkeypatch, qb.configuration)
+    monkeypatch.setattr(qb.configuration, "_vertices", qb.configuration._vertices.__wrapped__)
     witness = qb.configuration._first_failure.__wrapped__(rays)
     monkeypatch.undo()
     return witness, calls[0]
@@ -362,35 +375,123 @@ def test_validate_walk_matches_the_full_reference_walk(monkeypatch):
         least, tested = helpers.reference_first_failure(rays, cfg.k)
         witness, calls = _engine_walk(monkeypatch, rays)
         assert witness == least, cfg
-        assert calls <= tested + 1, cfg
+        # the vertex walk, where it is priced cheaper, adds its one phase one
+        walk = qb.configuration._walk_is_cheaper(len(rays), cfg.k)
+        assert calls <= tested + 1 + walk, cfg
         top = min(len(rays), cfg.k)
         if least is None:
             seen["valid"] += 1
-            assert calls == comb(len(rays), top), cfg  # the top-size sets alone
+            assert calls == (1 if walk else comb(len(rays), top)), cfg  # the walk, or the top-size sets alone
         else:
             seen["top size" if len(least) == top else "smaller"] += 1
-    # every branch of the walk is reached
+    # every branch of the search is reached
     assert min(seen.values()) >= 10, seen
 
 
+# every case has m <= k + 1 classes, so the vertex walk is priced below the
+# search and runs first: one phase one, which finds the polytope empty or a
+# first vertex on fewer than k + 1 classes; on that fault the search follows
 @pytest.mark.parametrize("vectors, witness, calls", [
-    # k = 3: the top-size walk stops at (1, 2, 3), and the pair before it is the witness
-    ([(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, 0, 1)], (1, 2), 3),
+    # k = 3: the top-size search stops at (1, 2, 3), and the pair before it is the witness
+    ([(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, 0, 1)], (1, 2), 4),
     # k = 4: a zero vector holds the origin alone, but (1, 2) comes before (2,)
-    ([(1, 0, 0, 0), (0, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)], (1, 2), 3),
-    # two classes at k = 3, so the top size is m = 2: one phase one decides
+    ([(1, 0, 0, 0), (0, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)], (1, 2), 4),
+    # two classes at k = 3: the polytope is empty, so the walk's one phase one decides
     ([(1, 0, 0), (2, 0, 0), (0, 1, 0), (0, 3, 0)], None, 1),
     # its class witness (1, 2) maps to coordinates (1, 2, 3), which come before (1, 3)
-    ([(1, 0, 0), (2, 0, 0), (-1, 0, 0), (-3, 0, 0)], (1, 2, 3), 2),
+    ([(1, 0, 0), (2, 0, 0), (-1, 0, 0), (-3, 0, 0)], (1, 2, 3), 3),
     # the first top-size failure (2, 3) is not (1, 2), so no smaller set comes before it
-    ([(1, 0), (0, 1), (0, -1)], (2, 3), 3),
+    ([(1, 0), (0, 1), (0, -1)], (2, 3), 4),
 ], ids=["k3-pair", "k4-zero", "two-classes-valid", "two-classes-antipodal", "k2-late-pair"])
 def test_validate_walk_on_explicit_cases(monkeypatch, vectors, witness, calls):
     cfg = qb.make_configuration(vectors)
+    assert qb.configuration._walk_is_cheaper(len(cfg.class_rays), cfg.k)
     least, tested = helpers.reference_first_failure(cfg.class_rays, cfg.k)
     assert _engine_walk(monkeypatch, cfg.class_rays) == (least, calls)
-    assert calls <= tested + 1
+    assert calls <= tested + 2
     assert qb.validate(cfg).witness == witness
+
+
+def test_vertex_bound_matches_closed_forms():
+    bound = qb.configuration._vertex_bound
+    for m in range(3, 40):
+        assert bound(m, 2) == m  # an m-gon
+        assert bound(m + 1, m) == m + 1  # a simplex
+        for d in (0, -1, -m):
+            assert bound(m, d) == 1
+    for m in range(4, 40):
+        assert bound(m, 3) == 2 * m - 4  # a simple 3-polytope with m facets
+
+
+def test_vertex_walk_stays_within_the_upper_bound():
+    rng = random.Random(53)
+    for k in range(2, 7):
+        for _ in range(6):
+            cfg = helpers.random_valid_configuration(rng, k, rng.randint(k + 3, k + 6))
+            m = len(cfg.class_rays)
+            vertices = qb.configuration._vertices(cfg.class_rays)
+            assert 0 < len(vertices) <= qb.configuration._vertex_bound(m, m - k - 1), cfg
+
+
+def _planted_dependency(rng, k):
+    """Random vectors plus one planted antipode, or minus the sum of k - 1 of them."""
+    vectors = helpers.random_vectors(rng, k, rng.randint(k + 1, k + 4))
+    if rng.random() < 0.5:
+        planted = tuple(-rng.randint(1, 3) * x for x in rng.choice(vectors))
+    else:
+        picks = rng.sample(vectors, k - 1)
+        planted = tuple(-sum(vec[r] for vec in picks) for r in range(k))
+    if any(planted):
+        vectors.insert(rng.randint(0, len(vectors)), planted)
+    return qb.make_configuration(vectors, k=k)
+
+
+def test_validate_on_the_walk_route_matches_the_reference():
+    rng = random.Random(47)
+    seen = {"valid": 0, "first vertex": 0, "tie": 0}
+    for _ in range(70):
+        cfg = _planted_dependency(rng, rng.choice((2, 3, 4)))
+        rays = cfg.class_rays
+        if not qb.configuration._walk_is_cheaper(len(rays), cfg.k):
+            continue
+        walked = qb.configuration._vertices(rays)
+        kind = "valid" if not isinstance(walked, str) else "tie" if "tie" in walked else "first vertex"
+        seen[kind] += 1
+        least, _ = helpers.reference_first_failure([cfg.vector(i) for i in range(1, cfg.n + 1)], cfg.k)
+        assert qb.validate(cfg) == qb.ValidationReport(least is None, least and tuple(j + 1 for j in least)), cfg
+        assert (kind == "valid") == (least is None), cfg
+    # both fault kinds and valid inputs, ten or more each
+    assert min(seen.values()) >= 10, seen
+
+
+def test_walk_rule_on_the_benchmark_shapes():
+    cheaper = qb.configuration._walk_is_cheaper
+    # dense-k34 and the k = 4 strata of screen-large-n take the walk
+    assert all(cheaper(m, k) for k in (3, 4) for m in range(k + 1, 12))
+    assert cheaper(14, 4) and cheaper(16, 4)
+    # the long k = 2 and k = 3 strata of screen-large-n take the search
+    assert not any(cheaper(m, 2) for m in range(100, 200))
+    assert not cheaper(25, 3) and not cheaper(32, 3)
+
+
+def test_a_walk_fault_is_checked_against_the_search(monkeypatch):
+    import quadbook.complexes
+
+    # a linear image of the pentagon that no other test builds: valid, and on the walk route
+    cfg = qb.make_configuration([(2 * x + 7 * y, -x + 3 * y) for x, y in PENTAGON.lambdas])
+    rays = cfg.class_rays
+    assert qb.configuration._walk_is_cheaper(len(rays), cfg.k)
+    fault = "a ratio test found no row or a tie on the class polytope"
+    # a fault the search does not confirm is a bug, not an invalid input
+    monkeypatch.setattr(qb.configuration, "_vertices", lambda rays: fault)
+    with pytest.raises(qb.OracleMismatchError, match="but no class set of size 2 holds the origin"):
+        qb.configuration._first_failure.__wrapped__(rays)
+    # and the class complex refuses a fault on rays the search found valid
+    monkeypatch.setattr(quadbook.complexes, "_vertices", lambda rays: fault)
+    with pytest.raises(qb.OracleMismatchError, match="a tie on the class polytope: the rays are not"):
+        quadbook.complexes._class_faces.__wrapped__(rays)
+    monkeypatch.undo()
+    assert qb.validate(cfg).ok and quadbook.complexes.class_face_masks(cfg)
 
 
 def test_construction_refusals_name_their_cause():
