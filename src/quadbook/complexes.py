@@ -5,8 +5,9 @@ vertex i + 1; the engine reads it on ray classes, listed off the memoised
 walk over the vertices of the class polytope (`_class_faces`).  The coordinate faces
 follow by the wedge rule, expanded on demand inside the coordinates asked
 for: all of them for `dual_face_masks`, those in J for `pair_homology`, the
-coordinate-level side of the doubling check.  Homology cancels a complex to
-its Morse core and reads the core's boundary matrices, in lexicographic
+coordinate-level side of the doubling check.  Homology cancels the closed
+star of the least vertex in bulk, then cancels the rest to its Morse core by
+a coreduction wave, and reads the core's boundary matrices, in lexicographic
 vertex orientation, off one Smith normal form routine.  Reduced homology is indexed from degree -1
 with two fixed conventions: the void complex (no faces at all) and the
 complex whose only face is the empty one both have a single Z in degree -1.
@@ -199,13 +200,21 @@ def _snf_diagonal(matrix: list[list[int]]) -> list[int]:
 def _morse_reduce(faces: Sequence[int]) -> list[int]:
     """Cancel cells in fill-free pairs; the survivors carry the same homology.
 
-    A cell whose boundary meets the surviving set in exactly one cell, or that
-    lies in exactly one surviving coface, forms a unit pivot whose elimination
-    only deletes entries of the restricted boundary matrix (the pivot row or
-    column is a singleton, so the Schur update is empty).  Incidences of the
-    surviving cells keep their original coefficients, so the remaining matrix
-    is the plain restriction.  The wave started by the empty cell under each
-    vertex typically eats all of a sphere-like complex except its homology
+    First the closed star of the least vertex v cancels in one pass: each
+    face holding v pairs with the face without it, the empty face with {v}
+    (a one-vertex element matching; Forman 1998, Jonsson 2008).  A gradient
+    path from a face of a surviving cell climbs to some face holding v, and
+    every face it can meet from there holds v and is cancelled, so no path
+    joins two survivors: their boundary is the plain restriction, and what is
+    left is the relative complex (deletion of v, link of v).
+
+    Then a cell whose boundary meets the surviving set in exactly one cell, or
+    that lies in exactly one surviving coface, forms a unit pivot whose
+    elimination only deletes entries of the restricted boundary matrix (the
+    pivot row or column is a singleton, so the Schur update is empty).
+    Incidences of the surviving cells keep their original coefficients, so
+    the remaining matrix is still the plain restriction.  This breadth-first
+    wave typically eats all of a sphere-like complex except its homology
     generators.
     """
     universe = 0
@@ -215,6 +224,11 @@ def _morse_reduce(faces: Sequence[int]) -> list[int]:
     present = bytearray(table_size + 1)
     for f in faces:
         present[f] = 1
+    apex = universe & -universe  # 0 when the only face is the empty one: nothing cancels
+    for f in faces:
+        if f & apex:
+            present[f] = present[f ^ apex] = 0
+    faces = [f for f in faces if present[f]]
     bnd = bytearray(table_size + 1)
     cof = bytearray(table_size + 1)
     for f in faces:  # each present facet counts f as one of its cofaces

@@ -73,10 +73,12 @@ def _pair_table(rays, classes) -> tuple[tuple[tuple[int, ...], GradedGroup], ...
     empty, the boundary of the simplex on S, or the Alexander dual in S of
     the disjoint simplices S - M1 and S - M2 (the nerve is {empty set} or two
     points).  With 3 <= r < |S|, the nerve N_S of the r sets, at most 2^r
-    faces against the 2^|S| subsets scanned for K_S, is reduced instead, by
-    Alexander duality in the boundary of the simplex on S: H_i(K_S) has the
-    rank of H_{|S|-3-i}(N_S) and the torsion of H_{|S|-4-i}(N_S), all
-    reduced.  Otherwise K_S is reduced.  K_V is the boundary of the
+    faces against up to 2^|S| for K_S, is reduced instead, by Alexander
+    duality in the boundary of the simplex on S: H_i(K_S) has the rank of
+    H_{|S|-3-i}(N_S) and the torsion of H_{|S|-4-i}(N_S), all reduced.
+    Otherwise K_S is reduced, built a vertex at a time: a face extended by a
+    new top vertex stays a face iff it holds no minimal non-face topped by
+    that vertex.  K_V is the boundary of the
     simplicial polytope dual to the (simple) class polytope, a sphere of
     dimension d = m - k - 2 for m classes (ghosts included) in R^k: a valid
     configuration with a nonempty polytope has rank k, since otherwise at
@@ -130,9 +132,14 @@ def _pair_table(rays, classes) -> tuple[tuple[tuple[int, ...], GradedGroup], ...
             small[s] = _nerve_restriction(s, inside)
         else:  # K_S on the positions of S, keeping the engine's tables as small as S
             where = [c for c in range(len(classes)) if s >> c & 1]
-            inside = [sum(1 << i for i, c in enumerate(where) if m >> c & 1) for m in inside]
-            small[s] = _homology_from_masks([q for q in range(1 << len(where))
-                                             if not any(q & m == m for m in inside)])
+            rests: list[list[int]] = [[] for _ in where]  # per position: each non-face topped by it, less it
+            for m in inside:
+                m = sum(1 << i for i, c in enumerate(where) if m >> c & 1)
+                rests[m.bit_length() - 1].append(m & ~(1 << m.bit_length() - 1))
+            faces = [0]  # built a vertex at a time, in increasing mask order
+            for i, below in enumerate(rests):
+                faces += [f | 1 << i for f in faces if not any(f & r == r for r in below)]
+            small[s] = _homology_from_masks(faces)
     restrictions = dict(small)
     for rest, group in small.items():
         s = v_mask ^ rest

@@ -182,33 +182,60 @@ def rp2_configuration() -> qb.Configuration:
     return qb.make_configuration(zip(*kernel), k=len(kernel))
 
 
-def rational_betti(masks) -> dict[int, int]:
-    """Reduced Betti numbers over Q, by degree, of a complex given by all its face bitmasks.
+def _full_boundaries(masks) -> tuple[dict[int, list[int]], dict[int, list[list[int]]]]:
+    """The cells of a complex given by all its face bitmasks, by degree, and every boundary matrix.
 
-    Each is the cell count less the ranks of the boundary maps into and out of
-    the degree, found by `matrix_rank` on the full boundary matrices in
-    lexicographic vertex orientation; no cells are cancelled first.  The
-    empty face is the cell of degree -1, so the numbers are reduced.  Zero
-    numbers are left out.
+    The empty face is the cell of degree -1.  The matrix of degree d has a row
+    per cell of degree d and a column per cell of degree d - 1, with the
+    signs of the lexicographic vertex orientation; no cell is cancelled.
     """
     by_dim: dict[int, list[int]] = {}
     for f in masks:
         by_dim.setdefault(f.bit_count() - 1, []).append(f)
+    matrices = {}
+    for d, sources in by_dim.items():
+        targets = by_dim.get(d - 1, [])
+        if targets:
+            index = {t: i for i, t in enumerate(targets)}
+            rows = [[0] * len(targets) for _ in sources]
+            for row, f in zip(rows, sources):
+                vertices = [v for v in range(f.bit_length()) if f >> v & 1]
+                for t, v in enumerate(vertices):
+                    row[index[f & ~(1 << v)]] = (-1) ** t
+            matrices[d] = rows
+    return by_dim, matrices
 
-    def boundary_rank(d):
-        sources, targets = by_dim.get(d, []), by_dim.get(d - 1, [])
-        if not sources or not targets:
-            return 0
-        index = {t: i for i, t in enumerate(targets)}
-        rows = [[0] * len(sources) for _ in targets]
-        for j, f in enumerate(sources):
-            vertices = [v for v in range(f.bit_length()) if f >> v & 1]
-            for t, v in enumerate(vertices):
-                rows[index[f & ~(1 << v)]][j] = (-1) ** t
-        return matrix_rank(rows)
 
-    numbers = {d: len(cells) - boundary_rank(d) - boundary_rank(d + 1) for d, cells in by_dim.items()}
+def rational_betti(masks) -> dict[int, int]:
+    """Reduced Betti numbers over Q, by degree, of a complex given by all its face bitmasks.
+
+    Each is the cell count less the ranks of the boundary maps into and out of
+    the degree, found by `matrix_rank` on the full boundary matrices of
+    `_full_boundaries`.  Zero numbers are left out.
+    """
+    by_dim, matrices = _full_boundaries(masks)
+    ranks = {d: matrix_rank(rows) for d, rows in matrices.items()}
+    numbers = {d: len(cells) - ranks.get(d, 0) - ranks.get(d + 1, 0) for d, cells in by_dim.items()}
     return {d: b for d, b in numbers.items() if b}
+
+
+def reference_homology(masks) -> qb.GradedGroup:
+    """Reduced integral homology of a complex given by all its face bitmasks, with no cell cancelled.
+
+    Each full boundary matrix of `_full_boundaries` goes whole to `snf`: the
+    rank in degree d is the cell count less the ranks of the maps into and
+    out of it, and the torsion is the diagonal of the map from degree d + 1.
+    The void complex, with no faces at all, has Z in degree -1 by the
+    engine's stated convention.
+    """
+    if not masks:
+        return qb.GradedGroup.single(-1)
+    by_dim, matrices = _full_boundaries(masks)
+    diagonals = {d: snf(rows) for d, rows in matrices.items()}
+    ranks = {d: rank for d, (_, rank) in diagonals.items()}
+    return qb.GradedGroup.from_parts(
+        {d: len(cells) - ranks.get(d, 0) - ranks.get(d + 1, 0) for d, cells in by_dim.items()},
+        {d - 1: diagonal for d, (diagonal, _) in diagonals.items()})
 
 
 def betti(group: qb.GradedGroup, top: int) -> tuple[int, ...]:

@@ -55,6 +55,10 @@ MUTANTS = {
         "classify.py", "    _self_check(rays, [", "    (lambda *_: None)(rays, ["),
     "torsion-dropped": (
         "complexes.py", "chain = torsion.get(d + 2, ())", "chain = ()"),
+    "cone-keeps-the-link": (
+        "complexes.py", "present[f] = present[f ^ apex] = 0", "present[f] = 0"),
+    "cone-apex-is-the-support": (
+        "complexes.py", "apex = universe & -universe", "apex = universe"),
     "duality-torsion-degree": (
         "splitting.py", "{d - 2 - i: group.torsion(i)", "{d - 1 - i: group.torsion(i)"),
     "self-check-run-length": (

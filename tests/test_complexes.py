@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import deque
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -238,6 +239,57 @@ def test_homology_matches_rank_oracle_on_random_complexes(data):
     _, faces = data
     K = closure_masks(faces)
     assert _free_ranks(_homology_from_masks(K)) == helpers.rational_betti(K)
+
+
+@given(small_complexes())
+@settings(max_examples=60, deadline=None)
+def test_homology_matches_the_integral_oracle_on_random_complexes(data):
+    _, faces = data
+    K = closure_masks(faces)
+    assert _homology_from_masks(K) == helpers.reference_homology(K)
+
+
+def _shifted(faces, offset):
+    return [tuple(v + offset for v in face) for face in faces]
+
+
+RP2_FACETS = [_labels(f) for f in RP2 if f.bit_count() == 3]
+
+
+@pytest.mark.parametrize("faces, expected", [
+    (RP2_FACETS, GradedGroup.from_parts({}, {1: (2,)})),
+    # the cone point as least vertex, whose closed star is the whole complex, and as the last
+    ([(1, *f) for f in _shifted(RP2_FACETS, 1)], GradedGroup.zero()),
+    ([(*f, 7) for f in RP2_FACETS], GradedGroup.zero()),
+    # suspensions: Z/2 moves up to degree 2, with a suspension point least or not
+    ([(*f, apex) for f in RP2_FACETS for apex in (7, 8)], GradedGroup.from_parts({}, {2: (2,)})),
+    ([(apex, *f) for f in _shifted(RP2_FACETS, 1) for apex in (1, 8)], GradedGroup.from_parts({}, {2: (2,)})),
+], ids=["rp2", "cone-least-apex", "cone-last-apex", "suspension", "suspension-least-apex"])
+def test_homology_matches_the_integral_oracle_on_rp2_cones_and_suspensions(faces, expected):
+    K = closure_masks(faces)
+    assert helpers.reference_homology(K) == expected
+    assert _homology_from_masks(K) == expected
+
+
+def test_bulk_step_alone_leaves_the_facet_opposite_the_least_vertex_of_a_simplex_boundary(monkeypatch):
+    import quadbook.complexes
+
+    seeds = []  # the cells each coreduction wave starts from
+
+    class Recording(deque):
+        def __init__(self, cells=()):
+            cells = list(cells)
+            seeds.append(cells)
+            super().__init__(cells)
+
+    monkeypatch.setattr(quadbook.complexes, "deque", Recording)
+    for n in range(1, 8):
+        for offset in (0, 2):  # the least vertex need not be bit 0
+            full = (1 << n) - 1
+            seeds.clear()
+            core = quadbook.complexes._morse_reduce([f << offset for f in range(full)])
+            assert core == [(full ^ 1) << offset]
+            assert seeds == [[]], (n, offset)  # nothing left for the wave
 
 
 @given(small_complexes())
