@@ -134,8 +134,9 @@ def _pair_table(rays, classes) -> tuple[tuple[tuple[int, ...], GradedGroup], ...
             where = [c for c in range(len(classes)) if s >> c & 1]
             rests: list[list[int]] = [[] for _ in where]  # per position: each non-face topped by it, less it
             for m in inside:
-                m = sum(1 << i for i, c in enumerate(where) if m >> c & 1)
-                rests[m.bit_length() - 1].append(m & ~(1 << m.bit_length() - 1))
+                local = sum(1 << i for i, c in enumerate(where) if m >> c & 1)
+                top = local.bit_length() - 1
+                rests[top].append(local ^ 1 << top)
             faces = [0]  # built a vertex at a time, in increasing mask order
             for i, below in enumerate(rests):
                 faces += [f | 1 << i for f in faces if not any(f & r == r for r in below)]

@@ -5,7 +5,9 @@ not by calling the package's own code paths: exhaustive enumeration for
 convex-position and feasibility questions, plain rank arithmetic for homology
 cross-checks.  The adapters (`closure_masks`, `snf`) only put test data into
 the form the homology engine reads, and `hull_support` runs the engine's face
-predicate on a list of integer rays.
+predicate on a list of integer rays.  `reference_homology` shares only the
+Smith normal form routine with the engine, through `snf`, and none of its
+cancellation.
 """
 
 from __future__ import annotations
